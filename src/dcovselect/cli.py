@@ -172,24 +172,43 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="results.json from a previous run")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
+    parser.command_parsers = sub.choices
     return parser
 
 
-def _apply_config(args, argv):
-    """Overlay: defaults < config file < explicit flags."""
+def _apply_config(parser, args, argv):
+    """Overlay: defaults < config file < explicit flags.
+
+    Config values become the command's defaults and the command line is
+    parsed again, so explicit flags win and argparse converts the values as
+    it converts flags.
+    """
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         overrides = json.load(fh)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    given = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
+    defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise DataValidationError(f"config key {key!r} is not a recognized option")
-        if attr not in given:
-            setattr(args, attr, value)
-    return args
+        defaults[attr] = _flag_text(value)
+    parser.command_parsers[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
+def _flag_text(value):
+    """A config value as the text its flag would take.
+
+    argparse runs string defaults through the option's type, so ``0.25`` and
+    ``"1/3"`` both reach ``--d`` as lists.  Booleans and null stay as they
+    are: switches and optional values have no type to run.
+    """
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def _screen_config(args) -> ScreeningConfig:
@@ -683,7 +702,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT

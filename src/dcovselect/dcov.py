@@ -11,11 +11,15 @@ matrix whose ``k >= 1`` columns are treated as one vector-valued variable, so
 joint statistics over several variables are just statistics of the
 column-concatenated block.
 
-Centered matrices are cheap to cache and reuse: screening a large feature
-panel against one response centers the response once and pairs it with every
-feature's matrix.  All functions are pure; results depend only on the inputs.
+Screening a large feature panel against one response does not build a
+matrix per feature: ``marginal_dcor2`` centers the response once and obtains
+every feature's statistics from sorted columns and row sweeps (see its
+docstring).  The per-matrix functions are the reference that path is tested
+against.  All functions are pure, apart from the constant-response
+warning; results depend only on the inputs.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "dcov2_joint",
     "dcov2_centered",
     "dcor2_centered",
+    "marginal_dcor2",
 ]
 
 
@@ -203,3 +208,63 @@ def dcov2_joint(selected, y) -> float:
             raise ValueError(f"sample counts differ: {n} vs {b.shape[0]}")
     joint = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
     return dcov2(joint, y)
+
+
+def marginal_dcor2(x, response) -> np.ndarray:
+    """Squared distance correlation of each column of ``x`` with ``response``.
+
+    ``x`` is an ``n x p`` matrix whose columns are separate univariate
+    variables; ``response`` is an ``n x k`` block, or its
+    ``CenteredDistanceMatrix`` ``B`` when the caller has already built it.
+    Entry ``j`` of the result is ``dcor2(x[:, j], response).r2``, obtained
+    without forming any per-column ``n x n`` matrix:
+
+    * ``B`` has zero row and column sums, so ``sum_ij A_ij B_ij`` equals
+      ``sum_ij a_ij B_ij = 2 sum_{i<j} |x_i - x_j| B_ij``, accumulated for
+      all columns in ``n - 1`` sweeps over the rows;
+    * ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 + a..^2 / n^2``,
+      with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the row sums
+      ``a_i.`` read off the gaps of the sorted column.
+
+    Cost is O(n^2 p) flops in vectorised sweeps and O(np) memory.  Every
+    column goes through the same operations, so identical columns get
+    identical values.  A constant response warns and gives all zeros.
+    """
+    b = response if isinstance(response, CenteredDistanceMatrix) else centered_distances(response)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("feature matrix must be 2-D")
+    n, p = x.shape
+    if n != b.n:
+        raise ValueError(f"sample counts differ: {n} vs {b.n}")
+    if not np.all(np.isfinite(x)):
+        raise DataValidationError("feature matrix contains non-finite values")
+    vy2 = dcov2_centered(b, b)
+    if vy2 == 0.0:
+        warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)
+        return np.zeros(p)
+
+    # Cross term, summed over the upper triangle (reductions along axis 0
+    # treat every column alike, unlike a BLAS product).
+    cross = np.zeros(p)
+    for i in range(n - 1):
+        dist = np.abs(x[i + 1 :] - x[i])
+        dist *= b.entries[i, i + 1 :, None]
+        cross += dist.sum(axis=0)
+    v2 = np.maximum(2.0 * cross / (n * n), 0.0)
+
+    # Row sums of |x_i - x_l| in sorted order: gap m (between sorted entries
+    # m and m+1) is crossed by the m+1 entries below it and the n-1-m above.
+    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    below = np.arange(1, n, dtype=float)[:, None]
+    rows = np.zeros((n, p))
+    np.cumsum(below * gaps, axis=0, out=rows[1:])
+    rows[:-1] += np.cumsum((below[::-1] * gaps)[::-1], axis=0)[::-1]
+    vx2 = 2.0 * x.var(axis=0) - 2.0 * (rows * rows).sum(axis=0) / n**3 + (rows.sum(axis=0) / n**2) ** 2
+    vx2 = np.maximum(vx2, 0.0)
+
+    denom2 = vx2 * vy2
+    r2 = np.zeros(p)
+    pos = denom2 > 0.0
+    r2[pos] = np.minimum(v2[pos] / np.sqrt(denom2[pos]), 1.0)
+    return r2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcov import as_block, centered_distances, dcor2_centered, dcov2_centered, double_center
+from .dcov import centered_distances, marginal_dcor2
 
 __all__ = [
     "ScreeningConfig",
@@ -109,33 +109,15 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
     """Rank features by marginal squared distance correlation with response.
 
     Returns ``(ranking, r2)`` where ``ranking`` sorts feature indices by
-    decreasing ``r2`` with ties broken by ascending original index.  The
-    response's centered distance matrix is computed once and reused across
-    all features.
+    decreasing ``r2`` with ties broken by ascending original index.
+    ``response`` may also be its already built ``CenteredDistanceMatrix``;
+    ``marginal_dcor2`` scores all features against it at once.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("feature matrix must be 2-D")
-    n, p = x.shape
-    if p < 1:
+    r2 = marginal_dcor2(x, response)
+    if r2.size < 1:
         raise ValueError("need at least one feature")
-    b = centered_distances(as_block(response))
-    if dcov2_centered(b, b) == 0.0:
-        warnings.warn(
-            "response is constant: all marginal distance correlations are zero",
-            stacklevel=2,
-        )
-    r2 = np.empty(p)
-    for j in range(p):
-        a = _centered_univariate(x[:, j])
-        r2[j] = dcor2_centered(a, b).r2
     ranking = np.argsort(-r2, kind="stable")  # stable sort -> ascending index on ties
     return ranking, r2
-
-
-def _centered_univariate(col: np.ndarray):
-    d = np.abs(col[:, None] - col[None, :])
-    return double_center(d)
 
 
 def dc_sis_select(ranking: np.ndarray, d_model_size: int) -> list[int]:
@@ -162,14 +144,14 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     x = np.asarray(x, dtype=float)
     if config.standardize:
         x = standardize_columns(x)
-    ranking, r2 = marginal_rank(x, response)
-    b = centered_distances(as_block(response))
+    b = centered_distances(response)
+    ranking, r2 = marginal_rank(x, b)
 
     top = int(ranking[0])
     # running sum of squared per-coordinate distances of the selected block;
     # adding a column only adds its own squared differences
     sq = _sq_diff(x[:, top])
-    current = dcov2_centered(double_center(np.sqrt(sq)), b)
+    current = _joint_dcov2(sq, b)
 
     selected = [top]
     trajectory = [current]
@@ -183,7 +165,7 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
         admitted_pos = None
         for pos, j in enumerate(window):
             cand_sq = sq + _sq_diff(x[:, j])
-            value = dcov2_centered(double_center(np.sqrt(cand_sq)), b)
+            value = _joint_dcov2(cand_sq, b)
             accepted = value >= current - config.epsilon
             trajectory.append(value)
             traj_features.append(j)
@@ -214,6 +196,13 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
 def _sq_diff(col: np.ndarray) -> np.ndarray:
     d = col[:, None] - col[None, :]
     return d * d
+
+
+def _joint_dcov2(sq: np.ndarray, b) -> float:
+    # b has zero row and column sums, so double-centering the joint
+    # distances sqrt(sq) would not change their inner product with it
+    v2 = float(np.mean(np.sqrt(sq) * b.entries))
+    return v2 if v2 > 0.0 else 0.0
 
 
 def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:

@@ -227,6 +227,29 @@ class TestConfigFile:
         manifest = json.loads(read(out2 / "manifest.json"))
         assert manifest["options"]["epsilon"] == 0.1  # explicit flag wins
 
+    def test_explicit_negated_flag_beats_config(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"standardize": True}))
+        out = tmp_path / "o"
+        assert run(
+            "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--config", str(cfg), "--no-standardize", "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["options"]["standardize"] is False
+
+    @pytest.mark.parametrize("value", [0.25, "1/4"])
+    def test_config_values_are_parsed_like_flags(self, synth_dir, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": value}))
+        out = tmp_path / "o"
+        assert run(
+            "cv5", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--config", str(cfg), "--seed", "3", "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["options"]["d"] == [0.25]
+
     def test_unknown_config_key_rejected(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frobnicate": 1}))

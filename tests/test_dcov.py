@@ -9,6 +9,7 @@ from dcovselect.dcov import (
     dcov2_joint,
     double_center,
     dvar2,
+    marginal_dcor2,
     pairwise_distances,
 )
 from dcovselect.errors import DataValidationError
@@ -188,6 +189,86 @@ class TestJoint:
         y = rng.normal(size=10)
         joint = dcov2_joint([x1, x2], y)
         assert joint == dcov2(np.hstack([x1, x2[:, None] if x2.ndim == 1 else x2]), y)
+
+
+class TestMarginalDcor2:
+    """The vectorised kernel against the brute-force and per-column paths."""
+
+    @staticmethod
+    def assert_matches_oracles(x, y):
+        got = marginal_dcor2(x, y)
+        assert got.shape == (x.shape[1],)
+        for j in range(x.shape[1]):
+            assert abs(got[j] - brute_dcor2(x[:, j], y)) < 1e-12
+            assert abs(got[j] - dcor2(x[:, j], y).r2) < 1e-12
+
+    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    def test_random_instances_match_oracles(self, response):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n = int(rng.integers(2, 10))
+            x = rng.normal(size=(n, int(rng.integers(1, 5))))
+            if trial % 2:
+                x = np.round(2.0 * x)  # ties and repeated values
+            if response == "binary":
+                y = np.arange(n) % 2 if trial % 3 else rng.permutation(np.arange(n) % 2)
+            elif response == "continuous":
+                y = rng.normal(size=n)
+            else:
+                y = rng.normal(size=(n, 2))
+            self.assert_matches_oracles(x, np.asarray(y, dtype=float))
+
+    def test_n_equals_two(self):
+        x = np.array([[0.0, 5.0, 1.0], [2.0, 5.0, -3.0]])
+        y = np.array([1.0, 0.0])
+        self.assert_matches_oracles(x, y)
+        assert np.array_equal(marginal_dcor2(x, y), [1.0, 0.0, 1.0])
+
+    def test_wider_panel_with_ties(self):
+        rng = np.random.default_rng(32)
+        x = rng.integers(0, 3, size=(40, 25)).astype(float)  # genotype-like codes
+        y = (rng.random(40) < 0.4).astype(float)
+        self.assert_matches_oracles(x, y)
+
+    def test_constant_columns_are_exactly_zero(self):
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(15, 4))
+        x[:, 1] = 0.1
+        x[:, 3] = -7.3e5
+        r2 = marginal_dcor2(x, rng.normal(size=15))
+        assert r2[1] == 0.0
+        assert r2[3] == 0.0
+        assert r2[0] > 0.0
+
+    def test_constant_response_warns_and_zeroes(self):
+        x = np.random.default_rng(34).normal(size=(12, 3))
+        with pytest.warns(UserWarning, match="constant"):
+            r2 = marginal_dcor2(x, np.zeros(12))
+        assert np.array_equal(r2, np.zeros(3))
+
+    def test_duplicate_columns_get_identical_values(self):
+        rng = np.random.default_rng(35)
+        base = rng.normal(size=(50, 1))
+        # copies at many offsets, so any position-dependent summation shows
+        x = np.hstack([rng.normal(size=(50, 37)), base, rng.normal(size=(50, 20)), base, base])
+        r2 = marginal_dcor2(x, base[:, 0] + rng.normal(size=50))
+        assert r2[37] == r2[58] == r2[59]
+
+    def test_precomputed_response_matrix_gives_same_values(self):
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(20, 6))
+        y = rng.normal(size=(20, 2))
+        assert np.array_equal(marginal_dcor2(x, centered_distances(y)), marginal_dcor2(x, y))
+
+    def test_rejects_nonfinite_features(self):
+        x = np.ones((5, 2))
+        x[3, 1] = np.inf
+        with pytest.raises(DataValidationError):
+            marginal_dcor2(x, np.arange(5.0))
+
+    def test_rejects_mismatched_sample_counts(self):
+        with pytest.raises(ValueError):
+            marginal_dcor2(np.zeros((4, 2)), np.arange(5.0))
 
 
 def test_centered_distances_cache_fields():

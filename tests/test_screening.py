@@ -160,6 +160,25 @@ class TestGreedy:
             assert res.stop_reason == reason
             assert np.allclose(res.trajectory, traj, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    def test_every_step_equals_joint_dcov(self, response):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 8))
+        signal = x[:, 2] + 0.5 * x[:, 5]
+        y = {
+            "binary": (signal > 0).astype(float),
+            "continuous": signal + 0.3 * rng.normal(size=40),
+            "two_columns": np.column_stack([signal, x[:, 0] ** 2]),
+        }[response]
+        res = dcov_greedy(x, y, ScreeningConfig(epsilon=0.05, m_lookahead=2))
+        xs = standardize_columns(x)
+        selected = []
+        for value, j, accepted in zip(res.trajectory, res.trajectory_features, res.trajectory_accepted):
+            assert abs(value - dcov2_joint([xs[:, selected + [j]]], y)) < 1e-12
+            if accepted:
+                selected.append(j)
+        assert selected == res.selected
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 8))
