@@ -54,7 +54,10 @@ def parse_fraction(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
+        den = float(den)
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return float(num) / den
     return float(text)
 
 
@@ -84,7 +87,7 @@ def _dataset_flags(parser):
 def _screen_flags(parser):
     parser.add_argument("--method", choices=("dcsis", "dcov"), default="dcov")
     parser.add_argument("--model-size", type=int, default=None)
-    parser.add_argument("--epsilon", type=float, default=0.0)
+    parser.add_argument("--epsilon", type=parse_fraction, default=0.0)
     parser.add_argument("--lookahead", type=int, default=1)
     parser.add_argument(
         "--standardize",
@@ -96,7 +99,6 @@ def _screen_flags(parser):
 
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--config", default=None, help="JSON file of option defaults")
 
@@ -110,10 +112,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--active", type=int, default=4)
-    p.add_argument("--coef", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--coef", type=parse_fraction, default=1.0)
+    p.add_argument("--noise", type=parse_fraction, default=1.0)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--class-sep", type=float, default=2.0)
+    p.add_argument("--class-sep", type=parse_fraction, default=2.0)
     p.add_argument("--prior", type=parse_fraction, default=None)
     p.add_argument("--class-counts", type=_int_pair, default=None)
     _common_flags(p)
@@ -126,8 +128,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("svmr-fit", help="fit one reject-option classifier")
     _dataset_flags(p)
     p.add_argument("--d", type=parse_fraction, required=True, help="rejection cost")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--r", type=float, required=True, help="l1 penalty weight")
+    p.add_argument("--delta", type=parse_fraction, default=0.5)
+    p.add_argument("--r", type=parse_fraction, required=True, help="l1 penalty weight")
     p.add_argument("--features", default=None, help="selected.csv restricting the design")
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True)
@@ -142,7 +144,7 @@ def build_parser() -> _Parser:
     _dataset_flags(p)
     _screen_flags(p)
     p.add_argument("--d", type=_float_list, default=list(DEFAULT_D))
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--delta", type=parse_fraction, default=0.5)
     p.add_argument("--r-grid", type=_float_list, default=list(DEFAULT_R_GRID))
     _common_flags(p)
 
@@ -151,7 +153,7 @@ def build_parser() -> _Parser:
         _dataset_flags(p)
         _screen_flags(p)
         p.add_argument("--d", type=_float_list, default=list(DEFAULT_D))
-        p.add_argument("--delta", type=float, default=0.5)
+        p.add_argument("--delta", type=parse_fraction, default=0.5)
         p.add_argument("--r-grid", type=_float_list, default=list(DEFAULT_R_GRID))
         p.add_argument("--reps", type=int, default=50)
         p.add_argument("--voting", choices=("testing", "all"), default="testing")
@@ -181,7 +183,8 @@ def _apply_config(parser, args, argv):
 
     Config values become the command's defaults and the command line is
     parsed again, so explicit flags win and argparse converts the values as
-    it converts flags.
+    it converts flags.  Only the chosen command's options may be set:
+    ``command`` and ``config`` are not options.
     """
     if not getattr(args, "config", None):
         return args
@@ -190,7 +193,7 @@ def _apply_config(parser, args, argv):
     defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config") or not hasattr(args, attr):
             raise DataValidationError(f"config key {key!r} is not a recognized option")
         defaults[attr] = _flag_text(value)
     parser.command_parsers[args.command].set_defaults(**defaults)
@@ -464,16 +467,16 @@ def cmd_cv5(args) -> int:
         "seed": args.seed,
         "runs": {},
     }
-    selections = None
+    results = five_fold_cv(ds, args.d, args.r_grid, args.seed, config=config, delta=args.delta)
     for d in args.d:
-        result = five_fold_cv(ds, d, args.r_grid, args.seed, config=config, delta=args.delta)
-        selections = result.selections  # identical across d: folds/screening fixed by seed
+        result = results[d]
         tag = _d_tag(d)
         rpt.write_mcv_records(out / f"folds_d{tag}.csv", result.records)
         payload["runs"][tag] = {
             "d": d,
             "records": [_record_payload(rec) for rec in result.records],
         }
+    selections = results[args.d[0]].selections  # one screen per fold serves every d
     # the overlap table pairs the fold selections with the all-subjects one
     full = screen(ds.X, ds.y.astype(float), config)
     payload["selections"] = selections + [full.selected]
@@ -505,18 +508,12 @@ def _run_mcv(args, ds: Dataset, command: str) -> int:
         "voting_mode": args.voting,
         "runs": {},
     }
+    results = mcv_run(
+        ds, args.d, args.r_grid, n_reps=args.reps, seed=args.seed, config=config, delta=args.delta
+    )
     summaries = []
     for d in args.d:
-        result = mcv_run(
-            ds,
-            d,
-            args.r_grid,
-            n_reps=args.reps,
-            seed=args.seed,
-            config=config,
-            delta=args.delta,
-            threads=args.threads,
-        )
+        result = results[d]
         tag = _d_tag(d)
         summaries.append(result.summary)
         rpt.write_mcv_records(out / f"records_d{tag}.csv", result.records)

@@ -8,6 +8,11 @@ Two resampling pipelines wrap screening + reject-option fitting:
   testing); screen and fit on training, tune on tuning, predict testing;
   repeated ``n_reps`` times with independent per-replication streams.
 
+Both take a list of rejection costs ``d``.  Each split is screened once, and
+its whole ``d`` x penalty grid of linear programs is solved concurrently on
+the usable CPUs (HiGHS releases the GIL while it solves); models are
+gathered in submission order, so results do not depend on the worker count.
+
 Per-subject three-way decisions from the replications aggregate into voting
 scores ``v = (s - r) / w`` (support minus against, scaled by withhold
 count), summarized over score bins.  Label permutation and a k-nearest
@@ -15,6 +20,7 @@ neighbor check complete the evaluation toolkit.
 """
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -240,56 +246,88 @@ def _accuracy_over_decided(decisions, truths):
     return correct / n_dec, n_dec
 
 
-def _fit_and_evaluate(
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lp_pool(jobs_per_split: int) -> ThreadPoolExecutor:
+    """Threads for one run's LP fits: ``min(jobs per split, usable CPUs)``.
+
+    The pool lives for the whole run: creating one per split costs more
+    than the overlap saves on small grids.
+    """
+    return ThreadPoolExecutor(max_workers=max(1, min(jobs_per_split, _usable_cpus())))
+
+
+def _screen_fit_evaluate(
     ds: Dataset,
     rep_id: int,
     tune_idx: np.ndarray,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
-    d: float,
+    grid_params: list[RejectLossParams],
     r_grid,
     config: ScreeningConfig,
-    delta: float,
     tie: str,
-) -> ReplicationRecord:
+    pool: ThreadPoolExecutor,
+) -> list[ReplicationRecord]:
+    """Screen one split once, fit every (d, r) pair, and tune per ``d``.
+
+    Returns one record per entry of ``grid_params``, in order.
+    """
     y = ds.y.astype(float)
     scr = screen(ds.X[train_idx], y[train_idx], config)
     selected = scr.selected
-    params = RejectLossParams(d=d, delta=delta)
-    models = [
-        fit(ds.X[np.ix_(train_idx, selected)], y[train_idx], r, params) for r in r_grid
-    ]
-    if tune_idx.size:
-        chosen, losses = tune_penalty(models, ds.X[np.ix_(tune_idx, selected)], y[tune_idx], d, tie)
-    else:
-        chosen, losses = 0, []
-    model = models[chosen]
+    x_train = ds.X[np.ix_(train_idx, selected)]
+    y_train = y[train_idx]
+    jobs = [(r, params) for params in grid_params for r in r_grid]
+    # ``fit`` is looked up at call time, so a wrapper installed on this
+    # module sees every solve
+    models = list(pool.map(lambda job: fit(x_train, y_train, *job), jobs))
+    x_all = ds.X[:, selected]
+    x_tune = x_all[tune_idx]
+    max_marginal_r2 = float(scr.marginal_r2.max())
 
-    scores = decision_scores(model, ds.X[:, selected])
-    decisions = decide(scores, delta)
-    train_acc, n_train_dec = _accuracy_over_decided(decisions[train_idx], y[train_idx])
-    if test_idx.size:
-        test_acc, n_test_dec = _accuracy_over_decided(decisions[test_idx], y[test_idx])
-    else:
-        test_acc, n_test_dec = float("nan"), 0
+    records = []
+    for k, params in enumerate(grid_params):
+        grid = models[k * len(r_grid) : (k + 1) * len(r_grid)]
+        if tune_idx.size:
+            chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
+        else:
+            chosen, losses = 0, []
+        model = grid[chosen]
 
-    return ReplicationRecord(
-        rep_id=rep_id,
-        tune_idx=tune_idx,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        selected=list(selected),
-        post_model_features=[selected[j] for j in model.nonzero_features],
-        tuned_r=model.r,
-        tuning_losses=losses,
-        decisions=decisions,
-        scores=scores,
-        training_accuracy=train_acc,
-        testing_accuracy=test_acc,
-        n_decision_train=n_train_dec,
-        n_decision_test=n_test_dec,
-        max_marginal_r2=float(scr.marginal_r2.max()),
-    )
+        scores = decision_scores(model, x_all)
+        decisions = decide(scores, params.delta)
+        train_acc, n_train_dec = _accuracy_over_decided(decisions[train_idx], y_train)
+        if test_idx.size:
+            test_acc, n_test_dec = _accuracy_over_decided(decisions[test_idx], y[test_idx])
+        else:
+            test_acc, n_test_dec = float("nan"), 0
+
+        records.append(
+            ReplicationRecord(
+                rep_id=rep_id,
+                tune_idx=tune_idx,
+                train_idx=train_idx,
+                test_idx=test_idx,
+                selected=list(selected),
+                post_model_features=[selected[j] for j in model.nonzero_features],
+                tuned_r=model.r,
+                tuning_losses=losses,
+                decisions=decisions,
+                scores=scores,
+                training_accuracy=train_acc,
+                testing_accuracy=test_acc,
+                n_decision_train=n_train_dec,
+                n_decision_test=n_test_dec,
+                max_marginal_r2=max_marginal_r2,
+            )
+        )
+    return records
 
 
 def _degenerate_record(rep_id, tune_idx, train_idx, test_idx, n, reason) -> ReplicationRecord:
@@ -324,9 +362,17 @@ def _binary_or_raise(ds: Dataset):
 # ---------------------------------------------------------------------------
 
 
+def _grid_params(d_values, delta: float) -> list[RejectLossParams]:
+    """Loss parameters per distinct ``d``, in first-seen order (validated up front)."""
+    params = [RejectLossParams(d=d, delta=delta) for d in dict.fromkeys(d_values)]
+    if not params:
+        raise ValueError("need at least one rejection cost d")
+    return params
+
+
 def five_fold_cv(
     ds: Dataset,
-    d: float,
+    d_values,
     r_grid,
     seed: int,
     *,
@@ -334,36 +380,46 @@ def five_fold_cv(
     delta: float = 0.5,
     k: int = 5,
     tie: str = "smallest",
-) -> FoldResult:
+) -> dict[float, FoldResult]:
     """Screen/fit on k-1 folds, tune the penalty on the held-out fold.
 
-    Returns the per-fold selections and records; tuning ties go to the
-    smallest penalty here.  Folds whose training side is single-class are
-    flagged and skipped while the run continues.
+    Returns ``{d: FoldResult}`` for each distinct ``d`` in ``d_values``.
+    Folds and screening depend only on ``seed``, so every ``d`` shares the
+    per-fold selections.  Tuning ties go to the smallest penalty here.
+    Folds whose training side is single-class are flagged and skipped while
+    the run continues.
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()
     r_grid = sorted(float(r) for r in r_grid)
+    grid_params = _grid_params(d_values, delta)
     folds = kfold_partition(ds.n, k, stream(seed, "partition", "kfold"))
     y = ds.y.astype(float)
 
+    no_test = np.array([], dtype=int)
     selections = []
-    records = []
-    for fold_id, held_out in enumerate(folds):
-        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
-        if np.unique(y[train_idx]).size < 2:
-            warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
-            records.append(
-                _degenerate_record(fold_id, held_out, train_idx, np.array([], dtype=int), ds.n, "single_class_train")
+    records = {params.d: [] for params in grid_params}
+    with _lp_pool(len(grid_params) * len(r_grid)) as pool:
+        for fold_id, held_out in enumerate(folds):
+            train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
+            if np.unique(y[train_idx]).size < 2:
+                warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
+                for params in grid_params:
+                    records[params.d].append(
+                        _degenerate_record(fold_id, held_out, train_idx, no_test, ds.n, "single_class_train")
+                    )
+                selections.append([])
+                continue
+            fold_records = _screen_fit_evaluate(
+                ds, fold_id, held_out, train_idx, no_test, grid_params, r_grid, config, tie, pool
             )
-            selections.append([])
-            continue
-        record = _fit_and_evaluate(
-            ds, fold_id, held_out, train_idx, np.array([], dtype=int), d, r_grid, config, delta, tie
-        )
-        records.append(record)
-        selections.append(record.selected)
-    return FoldResult(d=d, seed=seed, selections=selections, records=records)
+            for params, record in zip(grid_params, fold_records):
+                records[params.d].append(record)
+            selections.append(fold_records[0].selected)
+    return {
+        d: FoldResult(d=d, seed=seed, selections=selections, records=recs)
+        for d, recs in records.items()
+    }
 
 
 def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -392,7 +448,7 @@ def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int
 # ---------------------------------------------------------------------------
 
 
-def _mcv_replication(ds, rep_id, seed, d, r_grid, config, delta, tie) -> ReplicationRecord:
+def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, pool) -> list[ReplicationRecord]:
     y = ds.y.astype(float)
     rng = stream(seed, "partition", "mcv", rep_id)
 
@@ -404,14 +460,14 @@ def _mcv_replication(ds, rep_id, seed, d, r_grid, config, delta, tie) -> Replica
         # one resample from the replication's own stream, then give up
         splits = tune_train_test_split(ds.n, rng)
         if not both_classes_everywhere(splits):
-            return _degenerate_record(rep_id, *splits, ds.n, "single_class_split")
+            return [_degenerate_record(rep_id, *splits, ds.n, "single_class_split") for _ in grid_params]
     tune_idx, train_idx, test_idx = splits
-    return _fit_and_evaluate(ds, rep_id, tune_idx, train_idx, test_idx, d, r_grid, config, delta, tie)
+    return _screen_fit_evaluate(ds, rep_id, tune_idx, train_idx, test_idx, grid_params, r_grid, config, tie, pool)
 
 
 def mcv_run(
     ds: Dataset,
-    d: float,
+    d_values,
     r_grid,
     n_reps: int = 50,
     seed: int = 0,
@@ -419,30 +475,33 @@ def mcv_run(
     config: ScreeningConfig | None = None,
     delta: float = 0.5,
     tie: str = "largest",
-    threads: int = 1,
-) -> McvResult:
+) -> dict[float, McvResult]:
     """Repeated tune/train/test resplits with screening and penalty tuning.
 
+    Returns ``{d: McvResult}`` for each distinct ``d`` in ``d_values``.
     Each replication draws its partition from a stream keyed by (seed,
-    replication id), so results are independent of execution order and of
-    ``threads``.  Single-class training splits are resampled once, then
-    flagged and excluded from the summary.
+    replication id) and screens it once for all ``d``, so results are
+    independent of execution order and of the number of CPUs.
+    Single-class training splits are resampled once, then flagged and
+    excluded from the summary.
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()
     r_grid = sorted(float(r) for r in r_grid)
+    grid_params = _grid_params(d_values, delta)
     if n_reps < 1:
         raise ValueError("need at least one replication")
 
-    def job(rep_id):
-        return _mcv_replication(ds, rep_id, seed, d, r_grid, config, delta, tie)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, range(n_reps)))
-    else:
-        records = [job(rep_id) for rep_id in range(n_reps)]
-    return McvResult(d=d, seed=seed, records=records, summary=summarize_mcv(records, d))
+    records = {params.d: [] for params in grid_params}
+    with _lp_pool(len(grid_params) * len(r_grid)) as pool:
+        for rep_id in range(n_reps):
+            rep_records = _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, pool)
+            for params, record in zip(grid_params, rep_records):
+                records[params.d].append(record)
+    return {
+        d: McvResult(d=d, seed=seed, records=recs, summary=summarize_mcv(recs, d))
+        for d, recs in records.items()
+    }
 
 
 def _mean_std(values) -> tuple[float, float]:

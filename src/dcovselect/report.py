@@ -87,12 +87,12 @@ def write_json(path, payload: dict) -> None:
 def write_manifest(out_dir, command: str, options: dict) -> Path:
     """Record everything needed to replay a run (no out-dir, no clock).
 
-    The output directory and thread count are deliberately excluded (results
-    are independent of both), so replays into a fresh directory produce
-    byte-identical files, manifest included.
+    The output directory is deliberately excluded (results do not depend on
+    it, nor on the number of CPUs the run used), so replays into a fresh
+    directory produce byte-identical files, manifest included.
     """
     out_dir = Path(out_dir)
-    options = {k: v for k, v in options.items() if k not in ("out_dir", "threads")}
+    options = {k: v for k, v in options.items() if k != "out_dir"}
     payload = {
         "command": command,
         "options": options,

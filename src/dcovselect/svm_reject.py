@@ -17,6 +17,7 @@ synthetic-data validation.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog, lsq_linear
 
 from .errors import SolverError
@@ -156,13 +157,16 @@ def fit(
         [np.full(2 * m_feats, r), np.zeros(n_b), np.full(n, 1.0 / n)]
     )
     yx = y[:, None] * xs
-    eye = np.eye(n)
-    # xi_i >= 1 - z_i  and  xi_i >= 1 - a z_i, with z_i = y_i (xs_i . (p-m) + b)
-    row1 = np.hstack([-yx, yx, -y[:, None] if fit_intercept else np.empty((n, 0)), -eye])
-    row2 = np.hstack(
-        [-a * yx, a * yx, -a * y[:, None] if fit_intercept else np.empty((n, 0)), -eye]
+    # xi_i >= 1 - z_i  and  xi_i >= 1 - a z_i, with z_i = y_i (xs_i . (p-m) + b);
+    # the slack columns are two stacked -I blocks, kept sparse so memory
+    # grows as n (2m + 3), not n^2.  Converting the dense block drops its
+    # exact zeros, so HiGHS gets the same nonzeros as from a dense matrix.
+    lin = np.hstack([-yx, yx, -y[:, None]] if fit_intercept else [-yx, yx])
+    eye = sparse.identity(n, format="csc")
+    a_ub = sparse.hstack(
+        [sparse.csc_matrix(np.vstack([lin, a * lin])), -sparse.vstack([eye, eye])],
+        format="csc",
     )
-    a_ub = np.vstack([row1, row2])
     b_ub = np.full(2 * n, -1.0)
     bounds = (
         [(0.0, None)] * (2 * m_feats)

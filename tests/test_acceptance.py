@@ -200,8 +200,8 @@ def test_criterion_7_null_calibration():
     )
     permuted = permute_response(ds, 11)
     decisive = {}
-    for d in (1 / 3, 1 / 5):
-        result = mcv_run(permuted, d, R_GRID, n_reps=50, seed=3, threads=2)
+    results = mcv_run(permuted, [1 / 3, 1 / 5], R_GRID, n_reps=50, seed=3)
+    for d, result in results.items():
         summary = result.summary
         decisive[d] = summary.n_decisive
         # the +-0.05 window needs enough decisive replications to average;
@@ -226,7 +226,7 @@ def test_criterion_8_voting_monotonicity():
         279, 500, model="logistic", active=4, coef=0.45,
         prior=PRIOR, class_counts=(191, 88), seed=7,
     )
-    planted = mcv_run(ds, 1 / 5, R_GRID, n_reps=50, seed=3, threads=2)
+    planted = mcv_run(ds, [1 / 5], R_GRID, n_reps=50, seed=3)[1 / 5]
     votes = voting_scores(planted.records, ds.n, mode="testing")
     rows = voting_bins(votes, ds.y.astype(float))[:5]
     occupied = [row for row in rows if row["frequency"] > 0]
@@ -235,7 +235,7 @@ def test_criterion_8_voting_monotonicity():
         assert later >= earlier, f"bin proportions not monotone: {proportions}"
 
     permuted = permute_response(ds, 11)
-    null_run = mcv_run(permuted, 1 / 5, R_GRID, n_reps=50, seed=3, threads=2)
+    null_run = mcv_run(permuted, [1 / 5], R_GRID, n_reps=50, seed=3)[1 / 5]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         null_votes = voting_scores(null_run.records, ds.n, mode="testing")

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcovselect import cv
 from dcovselect.cli import main, parse_fraction
+from dcovselect.errors import SolverError
 
 
 def run(*argv):
@@ -33,6 +35,39 @@ class TestParsing:
     def test_fractions(self):
         assert parse_fraction("1/3") == pytest.approx(1 / 3)
         assert parse_fraction("0.25") == 0.25
+
+    def test_zero_denominator_is_usage_error(self, synth_dir, tmp_path):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("1/0")
+        assert run(
+            "cv5", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--delta", "1/0", "--out-dir", str(tmp_path / "o"),
+        ) == 1
+
+    @pytest.mark.parametrize(
+        "argv, option, expected",
+        [
+            (("cv5", "--d", "1/4", "--delta", "1/2"), "delta", 0.5),
+            (("mcv", "--d", "1/4", "--reps", "1", "--delta", "2/5"), "delta", 0.4),
+            (("screen", "--epsilon", "1/10"), "epsilon", 0.1),
+            (("svmr-fit", "--d", "1/4", "--r", "1/10", "--delta", "1/2"), "r", 0.1),
+            (("synth", "--n", "30", "--p", "4", "--coef", "6/5"), "coef", 1.2),
+            (("synth", "--n", "30", "--p", "4", "--noise", "1/2"), "noise", 0.5),
+            (("synth", "--model", "multiclass", "--n", "30", "--p", "8", "--class-sep", "5/2"), "class_sep", 2.5),
+        ],
+    )
+    def test_every_real_flag_takes_fractions(self, synth_dir, tmp_path, argv, option, expected):
+        data = () if argv[0] == "synth" else ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        out = tmp_path / "o"
+        assert run(*argv, *data, "--out-dir", str(out)) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["options"][option] == pytest.approx(expected)
+
+    def test_threads_flag_is_gone(self, synth_dir, tmp_path):
+        assert run(
+            "mcv", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--reps", "1", "--threads", "2", "--out-dir", str(tmp_path / "o"),
+        ) == 1
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run("mcv", "--bogus") == 1
@@ -114,6 +149,25 @@ class TestExitCodes:
             "mcv", "--input", str(data_dir / "data.csv"), "--label-col", "response",
             "--reps", "2", "--out-dir", str(tmp_path / "o"),
         ) == 2
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_solver_failure_in_the_lp_grid_is_three(self, synth_dir, tmp_path, monkeypatch, finishes, cpus):
+        real_fit = cv.fit
+
+        def failing_fit(x, y, r, params):
+            if r == 0.3:
+                raise SolverError("linear program failed (status 4)")
+            return real_fit(x, y, r, params)
+
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cv, "fit", failing_fit)
+        for command, extra in (("mcv", ("--reps", "2")), ("cv5", ())):
+            argv = [
+                command, "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+                *extra, "--out-dir", str(tmp_path / command),
+            ]
+            assert finishes(lambda: run(*argv)) == {"value": 3}
 
 
 class TestFitPredict:
@@ -257,6 +311,18 @@ class TestConfigFile:
             "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
             "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
         ) == 2
+
+    @pytest.mark.parametrize("key, value", [("command", "report"), ("config", "other.json")])
+    def test_non_option_config_key_rejected(self, synth_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert run(
+            "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--config", str(cfg), "--out-dir", str(out),
+        ) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReplay:

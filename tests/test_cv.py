@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dcovselect import cv
 from dcovselect.cv import (
     DEFAULT_VOTING_BINS,
     VotingRecord,
@@ -20,6 +22,7 @@ from dcovselect.cv import (
     voting_scores,
 )
 from dcovselect.data import synth_generate
+from dcovselect.errors import SolverError
 from dcovselect.screening import ScreeningConfig
 from dcovselect.svm_reject import RejectLossParams, fit
 
@@ -112,15 +115,15 @@ class TestTunePenalty:
 class TestFiveFold:
     def test_strong_signal_selections_share_drivers(self):
         ds, truth = planted_dataset(n=150, p=25, coef=2.0)
-        result = five_fold_cv(ds, 1 / 4, R_GRID, seed=2)
+        result = five_fold_cv(ds, [1 / 4], R_GRID, seed=2)[1 / 4]
         assert len(result.selections) == 5
         for sel in result.selections:
             assert set(truth["active"]) & set(sel)
 
     def test_deterministic(self):
         ds, _ = planted_dataset(n=100, p=15)
-        a = five_fold_cv(ds, 1 / 4, R_GRID, seed=3)
-        b = five_fold_cv(ds, 1 / 4, R_GRID, seed=3)
+        a = five_fold_cv(ds, [1 / 4], R_GRID, seed=3)[1 / 4]
+        b = five_fold_cv(ds, [1 / 4], R_GRID, seed=3)[1 / 4]
         assert a.selections == b.selections
         assert [r.tuned_r for r in a.records] == [r.tuned_r for r in b.records]
 
@@ -128,14 +131,14 @@ class TestFiveFold:
         # with the positive share above 1/3 the all-reject model never wins
         # tuning outright, so decisive models exist
         ds, _ = planted_dataset(n=150, p=20, prior=0.7)
-        result = five_fold_cv(ds, 1 / 3, R_GRID, seed=4)
+        result = five_fold_cv(ds, [1 / 3], R_GRID, seed=4)[1 / 3]
         decisive = [r for r in result.records if r.flagged is None and np.any(r.decisions != 0)]
         assert decisive
 
     def test_requires_binary_response(self):
         ds, _ = synth_generate(40, 6, model="linear", active=2, seed=0)
         with pytest.raises(ValueError, match="binary"):
-            five_fold_cv(ds, 1 / 4, R_GRID, seed=0)
+            five_fold_cv(ds, [1 / 4], R_GRID, seed=0)
 
 
 class TestSelectionOverlap:
@@ -163,31 +166,22 @@ class TestSelectionOverlap:
 class TestMcv:
     def test_planted_signal_beats_prior(self):
         ds, _ = planted_dataset(n=200, p=40, coef=1.5, prior=0.65)
-        res = mcv_run(ds, 1 / 5, R_GRID, n_reps=8, seed=6)
+        res = mcv_run(ds, [1 / 5], R_GRID, n_reps=8, seed=6)[1 / 5]
         assert res.summary.n_decisive >= 6
         assert res.summary.mean_test_accuracy > 0.65 + 0.1
 
     def test_single_rep_summary_matches_record(self):
         ds, _ = planted_dataset(n=120, p=15)
-        res = mcv_run(ds, 1 / 4, R_GRID, n_reps=1, seed=7)
+        res = mcv_run(ds, [1 / 4], R_GRID, n_reps=1, seed=7)[1 / 4]
         rec = res.records[0]
         if rec.n_decision_test > 0:
             assert res.summary.mean_test_accuracy == rec.testing_accuracy
             assert math.isnan(res.summary.std_test_accuracy)
             assert res.summary.n_decisive == 1
 
-    def test_deterministic_and_thread_independent(self):
-        ds, _ = planted_dataset(n=120, p=15)
-        a = mcv_run(ds, 1 / 4, R_GRID, n_reps=4, seed=8, threads=1)
-        b = mcv_run(ds, 1 / 4, R_GRID, n_reps=4, seed=8, threads=3)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.decisions, rb.decisions)
-            assert ra.tuned_r == rb.tuned_r
-            assert ra.selected == rb.selected
-
     def test_records_account_decisions(self):
         ds, _ = planted_dataset(n=120, p=15)
-        res = mcv_run(ds, 1 / 4, R_GRID, n_reps=3, seed=9)
+        res = mcv_run(ds, [1 / 4], R_GRID, n_reps=3, seed=9)[1 / 4]
         for rec in res.records:
             assert rec.n_decision_test == int(np.sum(rec.decisions[rec.test_idx] != 0))
             assert rec.n_decision_train == int(np.sum(rec.decisions[rec.train_idx] != 0))
@@ -199,6 +193,115 @@ class TestMcv:
         assert math.isnan(summary.mean_test_accuracy)
 
 
+def raw(value):
+    """A result as nested plain values, with arrays and floats as bytes (NaN-safe)."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {k: raw(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [raw(v) for v in value]
+    if isinstance(value, (np.ndarray, float)):
+        arr = np.asarray(value)
+        return str(arr.dtype), arr.shape, arr.tobytes()
+    return value
+
+
+class TestLpGrid:
+    """One screen per split; the (d, r) fits of a split solved on a thread pool."""
+
+    D_VALUES = [1 / 3, 1 / 4, 1 / 5]
+
+    def test_pooled_models_equal_sequential_fits(self, monkeypatch):
+        ds, _ = planted_dataset(n=120, p=15)
+        calls = []
+
+        def recording_fit(x, y, r, params):
+            model = fit(x, y, r, params)
+            calls.append((x, y, r, params, model))
+            return model
+
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cv, "fit", recording_fit)
+        results = mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8)
+        assert len(calls) == 3 * len(self.D_VALUES) * len(R_GRID)
+        for rec in results[1 / 4].records:
+            x = ds.X[np.ix_(rec.train_idx, rec.selected)]
+            y = ds.y[rec.train_idx].astype(float)
+            for d in self.D_VALUES:
+                for r in R_GRID:
+                    pooled = [
+                        m for cx, cy, cr, cp, m in calls
+                        if cr == r and cp.d == d and np.array_equal(cx, x) and np.array_equal(cy, y)
+                    ]
+                    assert len(pooled) == 1
+                    expected = fit(x, y, r, RejectLossParams(d=d))
+                    assert pooled[0].coef.tobytes() == expected.coef.tobytes()
+                    assert pooled[0].intercept == expected.intercept
+                    assert pooled[0].objective == expected.objective
+
+    def test_records_independent_of_cpu_count(self, monkeypatch):
+        ds, _ = planted_dataset(n=120, p=15)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cv, "_usable_cpus", lambda cpus=cpus: cpus)
+            runs.append((
+                mcv_run(ds, self.D_VALUES, R_GRID, n_reps=4, seed=8),
+                five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3),
+            ))
+        (mcv_1, folds_1), (mcv_2, folds_2) = runs
+        assert raw(mcv_1) == raw(mcv_2)
+        assert raw(folds_1) == raw(folds_2)
+
+    def test_d_list_equals_per_d_runs_and_screens_once_per_split(self, monkeypatch):
+        ds, _ = planted_dataset(n=120, p=15)
+        screened = []
+        real_screen = cv.screen
+
+        def counting_screen(x, y, config):
+            screened.append(x.shape)
+            return real_screen(x, y, config)
+
+        monkeypatch.setattr(cv, "screen", counting_screen)
+        joint_mcv = mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8)
+        assert len(screened) == 3
+        screened.clear()
+        joint_folds = five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3)
+        assert len(screened) == 5
+        for d in self.D_VALUES:
+            assert raw(joint_mcv[d]) == raw(mcv_run(ds, [d], R_GRID, n_reps=3, seed=8)[d])
+            assert raw(joint_folds[d]) == raw(five_fold_cv(ds, [d], R_GRID, seed=3)[d])
+
+    def test_repeated_d_is_run_once(self):
+        ds, _ = planted_dataset(n=60, p=8)
+        assert list(mcv_run(ds, [1 / 4, 1 / 4], R_GRID, n_reps=1, seed=1)) == [1 / 4]
+
+    def test_empty_d_list_rejected(self):
+        ds, _ = planted_dataset(n=60, p=8)
+        with pytest.raises(ValueError, match="rejection cost"):
+            mcv_run(ds, [], R_GRID, n_reps=1, seed=1)
+        with pytest.raises(ValueError, match="rejection cost"):
+            five_fold_cv(ds, [], R_GRID, seed=1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_solver_failure_leaves_the_pool(self, monkeypatch, finishes, cpus):
+        ds, _ = planted_dataset(n=120, p=15)
+
+        def failing_fit(x, y, r, params):
+            if r == 0.3:
+                raise SolverError("linear program failed (status 4)")
+            return fit(x, y, r, params)
+
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cv, "fit", failing_fit)
+        for call in (
+            lambda: mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8),
+            lambda: five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3),
+        ):
+            outcome = finishes(call)
+            assert isinstance(outcome.get("error"), SolverError)
+
+
 class TestVoting:
     def test_score_arithmetic(self):
         rec = VotingRecord(subject=0, s=30, w=10, r=10, v=(30 - 10) / 10)
@@ -206,7 +309,7 @@ class TestVoting:
 
     def test_always_withheld_subject_scores_zero(self):
         ds, _ = planted_dataset(n=30, p=6)
-        rec = mcv_run(ds, 1 / 4, [1e6], n_reps=1, seed=1).records[0]
+        rec = mcv_run(ds, [1 / 4], [1e6], n_reps=1, seed=1)[1 / 4].records[0]
         # an absurd penalty forces withholding wherever the intercept-only
         # model stays inside the reject band
         votes = voting_scores([rec], ds.n, mode="all")
@@ -222,7 +325,7 @@ class TestVoting:
 
     def test_conservation(self):
         ds, _ = planted_dataset(n=120, p=15)
-        res = mcv_run(ds, 1 / 4, R_GRID, n_reps=6, seed=10)
+        res = mcv_run(ds, [1 / 4], R_GRID, n_reps=6, seed=10)[1 / 4]
         votes = voting_scores(res.records, ds.n, mode="all")
         usable = sum(1 for rec in res.records if rec.flagged is None)
         for v in votes:
@@ -230,7 +333,7 @@ class TestVoting:
 
     def test_testing_mode_counts_test_membership(self):
         ds, _ = planted_dataset(n=120, p=15)
-        res = mcv_run(ds, 1 / 4, R_GRID, n_reps=6, seed=11)
+        res = mcv_run(ds, [1 / 4], R_GRID, n_reps=6, seed=11)[1 / 4]
         votes = voting_scores(res.records, ds.n, mode="testing")
         appearances = np.zeros(ds.n, dtype=int)
         for rec in res.records:

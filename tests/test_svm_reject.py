@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
+from dcovselect import svm_reject
 from dcovselect.svm_reject import (
     RejectLossParams,
     bayes_risk,
@@ -184,6 +187,44 @@ class TestFit:
         m2 = fit(x, y, 0.1, p)
         assert np.array_equal(m1.coef, m2.coef)
         assert m1.objective == m2.objective
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_sparse_lp_equals_dense_lp(self, monkeypatch, fit_intercept):
+        # the constraint matrix, written out densely with its two n x n -I
+        # blocks, is the reference: same nonzeros, no stored zeros, and the
+        # same solution bit for bit
+        rng = np.random.default_rng(7)
+        n, m = 40, 4
+        x = rng.normal(size=(n, m))
+        x[:, 1] = 2.0  # constant: an all-zero column after standardizing
+        x[::4, 2] = 0.0
+        y = np.where(x[:, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+        p = RejectLossParams(d=0.2)
+        seen = {}
+
+        def recording_linprog(c, A_ub, **kwargs):
+            seen.update(c=c, A_ub=A_ub, **kwargs)
+            return linprog(c, A_ub=A_ub, **kwargs)
+
+        monkeypatch.setattr(svm_reject, "linprog", recording_linprog)
+        model = fit(x, y, 0.05, p, standardize=False, fit_intercept=fit_intercept)
+
+        yx = y[:, None] * x
+        intercept = -y[:, None] if fit_intercept else np.empty((n, 0))
+        dense = np.vstack([
+            np.hstack([-yx, yx, intercept, -np.eye(n)]),
+            np.hstack([-p.a * yx, p.a * yx, p.a * intercept, -np.eye(n)]),
+        ])
+        a_ub = seen["A_ub"]
+        assert sparse.issparse(a_ub)
+        assert np.all(a_ub.data != 0.0)
+        assert a_ub.nnz == np.count_nonzero(dense)
+        assert np.array_equal(a_ub.toarray(), dense)
+        reference = linprog(seen["c"], A_ub=dense, b_ub=seen["b_ub"], bounds=seen["bounds"], method="highs")
+        assert np.array_equal(
+            model.coef_internal, reference.x[:m] - reference.x[m : 2 * m]
+        )
+        assert model.objective == reference.fun
 
 
 class TestPredict:
