@@ -26,9 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
+from .dcov import euclidean_distances
 from .rng import stream
 from .screening import ScreeningConfig, screen
 from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit, l_loss
@@ -661,7 +661,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 3) -> np.ndarray:
         raise ValueError("empty training set")
     if k < 1 or k > train_x.shape[0]:
         raise ValueError(f"k must be in [1, {train_x.shape[0]}], got {k}")
-    distances = cdist(test_x, train_x, metric="euclidean")
+    distances = euclidean_distances(test_x, train_x)
     order = np.argsort(distances, axis=1, kind="stable")[:, :k]
     labels = np.empty(test_x.shape[0], dtype=train_y.dtype)
     for i in range(test_x.shape[0]):

@@ -2,10 +2,13 @@
 
 A dataset is an ``n x p`` feature matrix with unique column names plus one
 response channel: binary labels coded -1/+1, free-form class labels, or a
-real-valued vector.  Ingestion is strict: any missing or non-numeric cell is
-a hard error that names the offending row and column.  The synthetic
-generators stand in for non-redistributable expression datasets and emit a
-ground-truth manifest alongside the data.
+real-valued vector.  Ingestion is strict: any missing, non-numeric or
+non-finite cell, a ragged row, or a ``positive_label`` that matches no row is
+a hard error that names the offending row and column (or label).  The
+feature block is converted in one numpy call; only a file that fails it is
+walked cell by cell, in file order, to report its first bad row or cell.
+The synthetic generators stand in for non-redistributable expression
+datasets and emit a ground-truth manifest alongside the data.
 """
 
 import csv
@@ -107,7 +110,50 @@ def ingest(
 
     label_pos = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_pos]
-    n, p = len(rows), len(feature_names)
+    x = None
+    if all(len(row) == len(header) for row in rows):
+        label_cells = [row.pop(label_pos) for row in rows]
+        x = _feature_block(rows, log_transform)
+        if x is None:  # _parse_cells reads whole rows to name the first bad one
+            for row, cell in zip(rows, label_cells):
+                row.insert(label_pos, cell)
+        else:
+            labels_raw = [cell.strip() for cell in label_cells]
+    if x is None:
+        x, labels_raw = _parse_cells(path, header, rows, label_pos, log_transform)
+
+    y = _parse_labels(labels_raw, positive_label, path)
+    return Dataset(
+        X=x,
+        feature_names=feature_names,
+        y=y,
+        subject_ids=_default_ids(len(rows)),
+        label_name=label_column,
+    )
+
+
+def _feature_block(rows, log_transform):
+    """The label-free rows as one float matrix, or None if any cell is bad.
+
+    numpy converts each ``str`` cell with ``float()``, so the accepted
+    spellings and values are those of ``_parse_cells``, which finds and
+    reports the first bad cell.
+    """
+    try:
+        x = np.array(rows, dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(x).all() or (log_transform and not (x > 0.0).all()):
+        return None
+    if log_transform:
+        # math.log per value keeps the results bitwise equal to _parse_cells
+        x = np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
+    return x
+
+
+def _parse_cells(path, header, rows, label_pos, log_transform):
+    """Cell-by-cell parse that raises on the first bad row or cell, in file order."""
+    n, p = len(rows), len(header) - 1
     x = np.empty((n, p))
     labels_raw = []
     for i, row in enumerate(rows):
@@ -144,15 +190,7 @@ def ingest(
                 value = math.log(value)
             x[i, col] = value
             col += 1
-
-    y = _parse_labels(labels_raw, positive_label, path)
-    return Dataset(
-        X=x,
-        feature_names=feature_names,
-        y=y,
-        subject_ids=_default_ids(n),
-        label_name=label_column,
-    )
+    return x, labels_raw
 
 
 def _parse_labels(labels_raw, positive_label, path):
@@ -160,6 +198,14 @@ def _parse_labels(labels_raw, positive_label, path):
         if lab in MISSING_TOKENS:
             raise DataValidationError(f"{path}: missing label at row {i + 1}")
     if positive_label is not None:
+        if positive_label not in labels_raw:
+            seen = sorted(set(labels_raw))
+            shown = ", ".join(map(repr, seen[:10]))
+            if len(seen) > 10:
+                shown += f", ... ({len(seen)} in all)"
+            raise DataValidationError(
+                f"{path}: positive label {positive_label!r} matches no row; labels seen: {shown}"
+            )
         return np.where(np.asarray(labels_raw) == positive_label, 1.0, -1.0)
     try:
         values = np.array([float(lab) for lab in labels_raw])
@@ -185,9 +231,10 @@ def emit(ds: Dataset, path) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ds.feature_names + [ds.label_name]) + "\n")
-        for i in range(ds.n):
-            cells = [_fmt(v) for v in ds.X[i]]
-            cells.append(_fmt(ds.y[i]))
+        # repr of a Python float is what _fmt writes for each feature value
+        for row, label in zip(ds.X.tolist(), ds.y):
+            cells = list(map(repr, row))
+            cells.append(_fmt(label))
             fh.write(",".join(cells) + "\n")
 
 

@@ -15,15 +15,17 @@ Screening a large feature panel against one response does not build a
 matrix per feature: ``marginal_dcor2`` centers the response once and obtains
 every feature's statistics from sorted columns and row sweeps (see its
 docstring).  The per-matrix functions are the reference that path is tested
-against.  All functions are pure, apart from the constant-response
-warning; results depend only on the inputs.
+against.  Distances come from ``euclidean_distances``, a numpy kernel
+that sums squared coordinate differences in column order, as
+``scipy.spatial.distance.cdist`` does, so this module needs no scipy.
+All functions are pure, apart from the constant-response warning; results
+depend only on the inputs.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataValidationError
 
@@ -31,6 +33,7 @@ __all__ = [
     "CenteredDistanceMatrix",
     "DCovStats",
     "as_block",
+    "euclidean_distances",
     "pairwise_distances",
     "double_center",
     "centered_distances",
@@ -95,14 +98,30 @@ def as_block(values) -> np.ndarray:
     return x
 
 
+def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` (m x k) and ``b`` (n x k).
+
+    Squared differences are added one coordinate at a time, in column order,
+    and the root taken last, so entry (i, j) is computed exactly as
+    ``scipy.spatial.distance.cdist`` computes it, without importing scipy.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
+
+
 def pairwise_distances(block) -> np.ndarray:
     """Euclidean distance matrix of the rows of ``block``.
 
     Symmetric with zero diagonal; entry (i, j) is ``|row_i - row_j|``.
     """
     x = as_block(block)
-    d = cdist(x, x, metric="euclidean")
-    return d
+    return euclidean_distances(x, x)
 
 
 def double_center(d: np.ndarray) -> CenteredDistanceMatrix:

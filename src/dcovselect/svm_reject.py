@@ -17,8 +17,6 @@ synthetic-data validation.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, lsq_linear
 
 from .errors import SolverError
 
@@ -37,6 +35,14 @@ __all__ = [
 ]
 
 COEF_ZERO_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve."""
+    # scipy.optimize adds ~0.25 s to start-up; commands without an LP never pay it
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,9 @@ def fit(
     ``standardize`` is off) and the solution mapped back, so penalties are
     comparable across feature scales.
     """
+    # scipy.sparse adds ~0.12 s to start-up; imported here, where the LP is built
+    from scipy import sparse
+
     x, y = _validate_training(x, y)
     if not r > 0.0:
         raise ValueError(f"penalty r must be positive, got {r}")
@@ -301,6 +310,9 @@ def kkt_residual(model: RejectModel, x, y, kink_tol: float = 1e-7) -> float:
         mat[j, free_g.size + k] = model.r
     lower = np.concatenate([g_lo[free_g], s_lo[free_s]])
     upper = np.concatenate([g_hi[free_g], s_hi[free_s]])
+
+    # scipy.optimize adds ~0.25 s to start-up; only this check needs lsq_linear
+    from scipy.optimize import lsq_linear
 
     sol = lsq_linear(mat, -const, bounds=(lower, upper), tol=1e-14)
     residual = mat @ sol.x + const

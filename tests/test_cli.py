@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcovselect
 from dcovselect import cv
 from dcovselect.cli import main, parse_fraction
 from dcovselect.errors import SolverError
@@ -150,6 +154,15 @@ class TestExitCodes:
             "--reps", "2", "--out-dir", str(tmp_path / "o"),
         ) == 2
 
+    def test_positive_label_matching_no_row_is_two(self, tmp_path, capsys):
+        data = tmp_path / "cc.csv"
+        data.write_text("g1,g2,label\n1.0,2.0,case\n2.0,3.5,control\n0.5,1.0,case\n4.0,0.5,control\n")
+        assert run(
+            "screen", "--input", str(data), "--label-col", "label", "--positive-label", "Case",
+            "--out-dir", str(tmp_path / "o"),
+        ) == 2
+        assert "positive label 'Case' matches no row" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "selected.csv").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_in_the_lp_grid_is_three(self, synth_dir, tmp_path, monkeypatch, finishes, cpus):
@@ -168,6 +181,44 @@ class TestExitCodes:
                 *extra, "--out-dir", str(tmp_path / command),
             ]
             assert finishes(lambda: run(*argv)) == {"value": 3}
+
+
+STARTUP_SCRIPT = """
+import json, sys
+import numpy as np
+from dcovselect.cli import main
+
+out, mcv_results = sys.argv[1], sys.argv[2]
+assert main(["synth", "--model", "linear", "--n", "30", "--p", "8", "--seed", "1", "--out-dir", out + "/synth"]) == 0
+assert main(["screen", "--input", out + "/synth/data.csv", "--label-col", "response", "--out-dir", out + "/screen"]) == 0
+assert main(["report", "--kind", "pairwise_distance", "--input", out + "/screen/results.json", "--out-dir", out + "/r1"]) == 0
+assert main(["report", "--kind", "voting_bins", "--input", mcv_results, "--out-dir", out + "/r2"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"], ["scipy", "spatial"]))
+
+from dcovselect.svm_reject import RejectLossParams, fit
+x = np.array([[0.0], [1.0], [2.0], [3.0]])
+model = fit(x, np.array([-1.0, -1.0, 1.0, 1.0]), 0.01, RejectLossParams(d=0.25))
+print(json.dumps({"loaded": loaded, "coef": model.coef.tolist()}))
+"""
+
+
+class TestStartup:
+    def test_commands_without_an_lp_load_no_scipy_solver(self, synth_dir, tmp_path):
+        mcv_out = tmp_path / "mcv"
+        assert run(
+            "mcv", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--reps", "2", "--seed", "4", "--out-dir", str(mcv_out),
+        ) == 0
+        src = str(Path(dcovselect.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="ignore")
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "runs"), str(mcv_out / "results.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["loaded"] == []
+        assert result["coef"][0] > 0.0
 
 
 class TestFitPredict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcovselect.data import Dataset, emit, ingest, response_kind, synth_generate
+from dcovselect.data import Dataset, _fmt, _parse_cells, emit, ingest, response_kind, synth_generate
 from dcovselect.errors import DataValidationError
 from dcovselect.screening import marginal_rank
 
@@ -66,6 +66,104 @@ class TestIngest:
         path = write(tmp_path, "g1,g2,label\n1.0,a\n")
         with pytest.raises(DataValidationError, match="cells"):
             ingest(path, label_column="label")
+
+
+    def test_positive_label_matching_no_row_rejected(self, tmp_path):
+        path = write(tmp_path, "g1,label\n1.0,case\n2.0,control\n3.0,case\n")
+        with pytest.raises(
+            DataValidationError, match=r"positive label 'Case' matches no row; labels seen: 'case', 'control'"
+        ):
+            ingest(path, label_column="label", positive_label="Case")
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBlockConversion:
+    """The one-call conversion of the feature block against per-cell parsing."""
+
+    CELLS = [" 1.5 ", "+.5", "1_0", "-0.0", "1e-320", "\xa02.5\xa0", '"3.25"']
+
+    @pytest.mark.parametrize("label_pos", [0, 3, 7])
+    def test_values_bitwise_equal_to_float(self, tmp_path, label_pos):
+        names = [f"g{j + 1}" for j in range(len(self.CELLS))]
+        header = names[:label_pos] + ["label"] + names[label_pos:]
+        lines = []
+        for i in range(3):
+            row = self.CELLS[i:] + self.CELLS[:i]
+            lines.append(",".join(row[:label_pos] + [f"c{i}"] + row[label_pos:]))
+        path = write(tmp_path, ",".join(header) + "\n" + "\n".join(lines) + "\n")
+        ds = ingest(path, label_column="label")
+        want = [[float(c.strip('"')) for c in self.CELLS[i:] + self.CELLS[:i]] for i in range(3)]
+        assert ds.feature_names == names
+        assert np.array_equal(bits(ds.X), bits(want))
+        assert list(ds.y) == ["c0", "c1", "c2"]
+
+    @pytest.mark.parametrize("log_transform", [False, True])
+    def test_matches_per_cell_parse(self, tmp_path, log_transform):
+        rng = np.random.default_rng(3)
+        x = np.exp(rng.normal(size=(9, 12)) * 5)
+        header = [f"g{j}" for j in range(6)] + ["label"] + [f"g{j}" for j in range(6, 12)]
+        lines = [",".join(header)]
+        for i, row in enumerate(x.tolist()):
+            cells = [repr(v) for v in row]
+            lines.append(",".join(cells[:6] + [str(i % 2)] + cells[6:]))
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        ds = ingest(path, label_column="label", log_transform=log_transform)
+        rows = [line.split(",") for line in lines[1:]]
+        want, labels = _parse_cells(path, header, rows, 6, log_transform)
+        assert np.array_equal(bits(ds.X), bits(want))
+        assert np.array_equal(ds.y, [float(lab) for lab in labels])
+
+    @pytest.mark.parametrize(
+        "cell, kind",
+        [("nan", "missing value"), ("NA", "missing value"), (" NaN ", "missing value"),
+         ("inf", "non-finite value"), ("-1e400", "non-finite value")],
+    )
+    def test_bad_cells_named_with_row_and_column(self, tmp_path, cell, kind):
+        path = write(tmp_path, f"g1,g2,label\n1.0,2.0,a\n3.0,{cell},b\n")
+        with pytest.raises(DataValidationError, match=rf"{kind} at row 2, column 'g2'"):
+            ingest(path, label_column="label")
+
+    def test_bad_cell_before_ragged_row_is_reported(self, tmp_path):
+        path = write(tmp_path, "g1,g2,label\n1.0,x,a\n2.0,b\n")
+        with pytest.raises(DataValidationError, match=r"non-numeric value 'x' at row 1, column 'g2'"):
+            ingest(path, label_column="label")
+
+    def test_ragged_row_before_bad_cell_is_reported(self, tmp_path):
+        path = write(tmp_path, "g1,g2,label\n2.0,b\n1.0,x,a\n")
+        with pytest.raises(DataValidationError, match=r"row 1 has 2 cells, expected 3"):
+            ingest(path, label_column="label")
+
+    def test_nonpositive_before_non_numeric_under_log(self, tmp_path):
+        path = write(tmp_path, "g1,label\n1.0,a\n-2.0,b\nx,a\n")
+        with pytest.raises(DataValidationError, match=r"got -2.0 at row 2, column 'g1'"):
+            ingest(path, label_column="label", log_transform=True)
+
+    def test_every_row_with_an_extra_cell_rejected(self, tmp_path):
+        path = write(tmp_path, "g1,g2,label\n1.0,2.0,a,4.0\n3.0,4.0,b,5.0\n")
+        with pytest.raises(DataValidationError, match=r"row 1 has 4 cells, expected 3"):
+            ingest(path, label_column="label")
+
+
+class TestEmit:
+    VALUES = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, -1e-7, 2.5e-310, 123456789.0]
+
+    @pytest.mark.parametrize(
+        "y", [np.array([1.0, -1.0, 1.0]), np.array(["c1", "c2", "c1"], dtype=object), np.array([0.5, -0.0, 1e16])]
+    )
+    def test_bytes_equal_per_cell_formatting(self, tmp_path, y):
+        x = np.array([self.VALUES, self.VALUES[::-1], np.roll(self.VALUES, 3)])
+        ds = Dataset(
+            X=x, feature_names=[f"f{j}" for j in range(x.shape[1])], y=y, subject_ids=["s1", "s2", "s3"]
+        )
+        path = tmp_path / "out.csv"
+        emit(ds, path)
+        want = ",".join(ds.feature_names + ["label"]) + "\n"
+        for i in range(ds.n):
+            want += ",".join([_fmt(v) for v in x[i]] + [_fmt(y[i])]) + "\n"
+        assert path.read_bytes() == want.encode()
 
 
 class TestRoundTrip:

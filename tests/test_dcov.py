@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from dcovselect.dcov import (
     as_block,
@@ -9,6 +10,7 @@ from dcovselect.dcov import (
     dcov2_joint,
     double_center,
     dvar2,
+    euclidean_distances,
     marginal_dcor2,
     pairwise_distances,
 )
@@ -45,6 +47,25 @@ class TestPairwiseDistances:
     def test_rejects_single_row(self):
         with pytest.raises(DataValidationError):
             as_block(np.array([1.0]))
+
+
+class TestEuclideanDistances:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_bitwise_equal_to_cdist(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(31, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
+        a[:, 0] = np.round(a[:, 0])  # tied coordinates
+        a[4] = a[9]  # tied rows
+        b = rng.normal(size=(17, k))
+        b[2] = a[5]
+        assert np.array_equal(euclidean_distances(a, a), cdist(a, a))
+        assert np.array_equal(euclidean_distances(a, b), cdist(a, b))
+        assert np.array_equal(euclidean_distances(b, a), cdist(b, a))
+        assert np.array_equal(pairwise_distances(a), cdist(a, a))
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="column counts differ"):
+            euclidean_distances(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
 class TestDoubleCenter:
