@@ -8,10 +8,12 @@ Two resampling pipelines wrap screening + reject-option fitting:
   testing); screen and fit on training, tune on tuning, predict testing;
   repeated ``n_reps`` times with independent per-replication streams.
 
-Both take a list of rejection costs ``d``.  Each split is screened once, and
-its whole ``d`` x penalty grid of linear programs is solved concurrently on
-the usable CPUs (HiGHS releases the GIL while it solves); models are
-gathered in submission order, so results do not depend on the worker count.
+Both take a list of rejection costs ``d``.  Each split is screened once.
+For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
+warm-starts HiGHS along the grid.  With more than one ``d`` the paths run
+concurrently on the usable CPUs (HiGHS releases the GIL while it solves);
+models are gathered in ``d`` order, so results do not depend on the worker
+count.
 
 Per-subject three-way decisions from the replications aggregate into voting
 scores ``v = (s - r) / w`` (support minus against, scaled by withhold
@@ -23,6 +25,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ from .data import Dataset
 from .dcov import euclidean_distances
 from .rng import stream
 from .screening import ScreeningConfig, screen
-from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit, l_loss
+from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit_path, l_loss
 
 __all__ = [
     "FoldResult",
@@ -253,13 +256,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _lp_pool(jobs_per_split: int) -> ThreadPoolExecutor:
-    """Threads for one run's LP fits: ``min(jobs per split, usable CPUs)``.
+@contextmanager
+def _lp_map(paths_per_split: int):
+    """``map`` for one run's LP paths, on ``min(paths per split, usable CPUs)`` threads.
 
-    The pool lives for the whole run: creating one per split costs more
-    than the overlap saves on small grids.
+    With one worker it is the builtin ``map`` and no thread starts.  A pool
+    lives for the whole run: creating one per split costs more than the
+    overlap saves.
     """
-    return ThreadPoolExecutor(max_workers=max(1, min(jobs_per_split, _usable_cpus())))
+    workers = min(paths_per_split, _usable_cpus())
+    if workers < 2:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def _screen_fit_evaluate(
@@ -272,9 +282,9 @@ def _screen_fit_evaluate(
     r_grid,
     config: ScreeningConfig,
     tie: str,
-    pool: ThreadPoolExecutor,
+    lp_map,
 ) -> list[ReplicationRecord]:
-    """Screen one split once, fit every (d, r) pair, and tune per ``d``.
+    """Screen one split once, fit the penalty path of every ``d``, and tune per ``d``.
 
     Returns one record per entry of ``grid_params``, in order.
     """
@@ -283,17 +293,15 @@ def _screen_fit_evaluate(
     selected = scr.selected
     x_train = ds.X[np.ix_(train_idx, selected)]
     y_train = y[train_idx]
-    jobs = [(r, params) for params in grid_params for r in r_grid]
-    # ``fit`` is looked up at call time, so a wrapper installed on this
-    # module sees every solve
-    models = list(pool.map(lambda job: fit(x_train, y_train, *job), jobs))
+    # ``fit_path`` is looked up at call time, so a wrapper installed on this
+    # module sees every path
+    paths = list(lp_map(lambda params: fit_path(x_train, y_train, r_grid, params), grid_params))
     x_all = ds.X[:, selected]
     x_tune = x_all[tune_idx]
     max_marginal_r2 = float(scr.marginal_r2.max())
 
     records = []
-    for k, params in enumerate(grid_params):
-        grid = models[k * len(r_grid) : (k + 1) * len(r_grid)]
+    for params, grid in zip(grid_params, paths):
         if tune_idx.size:
             chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
         else:
@@ -399,7 +407,7 @@ def five_fold_cv(
     no_test = np.array([], dtype=int)
     selections = []
     records = {params.d: [] for params in grid_params}
-    with _lp_pool(len(grid_params) * len(r_grid)) as pool:
+    with _lp_map(len(grid_params)) as lp_map:
         for fold_id, held_out in enumerate(folds):
             train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
             if np.unique(y[train_idx]).size < 2:
@@ -411,7 +419,7 @@ def five_fold_cv(
                 selections.append([])
                 continue
             fold_records = _screen_fit_evaluate(
-                ds, fold_id, held_out, train_idx, no_test, grid_params, r_grid, config, tie, pool
+                ds, fold_id, held_out, train_idx, no_test, grid_params, r_grid, config, tie, lp_map
             )
             for params, record in zip(grid_params, fold_records):
                 records[params.d].append(record)
@@ -448,7 +456,7 @@ def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int
 # ---------------------------------------------------------------------------
 
 
-def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, pool) -> list[ReplicationRecord]:
+def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, lp_map) -> list[ReplicationRecord]:
     y = ds.y.astype(float)
     rng = stream(seed, "partition", "mcv", rep_id)
 
@@ -462,7 +470,7 @@ def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, pool) -
         if not both_classes_everywhere(splits):
             return [_degenerate_record(rep_id, *splits, ds.n, "single_class_split") for _ in grid_params]
     tune_idx, train_idx, test_idx = splits
-    return _screen_fit_evaluate(ds, rep_id, tune_idx, train_idx, test_idx, grid_params, r_grid, config, tie, pool)
+    return _screen_fit_evaluate(ds, rep_id, tune_idx, train_idx, test_idx, grid_params, r_grid, config, tie, lp_map)
 
 
 def mcv_run(
@@ -493,9 +501,9 @@ def mcv_run(
         raise ValueError("need at least one replication")
 
     records = {params.d: [] for params in grid_params}
-    with _lp_pool(len(grid_params) * len(r_grid)) as pool:
+    with _lp_map(len(grid_params)) as lp_map:
         for rep_id in range(n_reps):
-            rep_records = _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, pool)
+            rep_records = _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, lp_map)
             for params, record in zip(grid_params, rep_records):
                 records[params.d].append(record)
     return {

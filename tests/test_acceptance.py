@@ -37,12 +37,11 @@ from dcovselect.svm_reject import (
     bayes_risk,
     fit,
     generalized_hinge,
-    kkt_residual,
     l_loss,
     predict,
 )
 
-from oracles import brute_dcor2, brute_dcov2, brute_dvar2, subgradient_fit
+from oracles import brute_dcor2, brute_dcov2, brute_dvar2, kkt_residual, subgradient_fit
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 PRIOR = 191 / 279

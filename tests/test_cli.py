@@ -166,15 +166,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_in_the_lp_grid_is_three(self, synth_dir, tmp_path, monkeypatch, finishes, cpus):
-        real_fit = cv.fit
+        real_fit_path = cv.fit_path
 
-        def failing_fit(x, y, r, params):
-            if r == 0.3:
-                raise SolverError("linear program failed (status 4)")
-            return real_fit(x, y, r, params)
+        def failing_fit_path(x, y, r_grid, params):
+            if 0.3 in r_grid:
+                raise SolverError("linear program failed (status 4) [r=0.3]")
+            return real_fit_path(x, y, r_grid, params)
 
         monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cv, "fit", failing_fit)
+        monkeypatch.setattr(cv, "fit_path", failing_fit_path)
         for command, extra in (("mcv", ("--reps", "2")), ("cv5", ())):
             argv = [
                 command, "--input", str(synth_dir / "data.csv"), "--label-col", "status",

@@ -24,7 +24,7 @@ from dcovselect.cv import (
 from dcovselect.data import synth_generate
 from dcovselect.errors import SolverError
 from dcovselect.screening import ScreeningConfig
-from dcovselect.svm_reject import RejectLossParams, fit
+from dcovselect.svm_reject import RejectLossParams, fit, predict
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 
@@ -208,37 +208,41 @@ def raw(value):
 
 
 class TestLpGrid:
-    """One screen per split; the (d, r) fits of a split solved on a thread pool."""
+    """One screen per split; one penalty path per (split, d), the paths on a thread pool."""
 
     D_VALUES = [1 / 3, 1 / 4, 1 / 5]
 
-    def test_pooled_models_equal_sequential_fits(self, monkeypatch):
+    def test_path_models_match_cold_fits(self, monkeypatch):
+        # a warm-started path may end on another optimal vertex of a
+        # degenerate program, so only its first grid point is bitwise equal
+        # to a cold fit; objectives agree to rounding and decisions exactly
         ds, _ = planted_dataset(n=120, p=15)
         calls = []
+        real_fit_path = cv.fit_path
 
-        def recording_fit(x, y, r, params):
-            model = fit(x, y, r, params)
-            calls.append((x, y, r, params, model))
-            return model
+        def recording_fit_path(x, y, r_grid, params):
+            models = real_fit_path(x, y, r_grid, params)
+            calls.append((x, params, models))
+            return models
 
         monkeypatch.setattr(cv, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cv, "fit", recording_fit)
+        monkeypatch.setattr(cv, "fit_path", recording_fit_path)
         results = mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8)
-        assert len(calls) == 3 * len(self.D_VALUES) * len(R_GRID)
-        for rec in results[1 / 4].records:
-            x = ds.X[np.ix_(rec.train_idx, rec.selected)]
-            y = ds.y[rec.train_idx].astype(float)
-            for d in self.D_VALUES:
-                for r in R_GRID:
-                    pooled = [
-                        m for cx, cy, cr, cp, m in calls
-                        if cr == r and cp.d == d and np.array_equal(cx, x) and np.array_equal(cy, y)
-                    ]
-                    assert len(pooled) == 1
-                    expected = fit(x, y, r, RejectLossParams(d=d))
-                    assert pooled[0].coef.tobytes() == expected.coef.tobytes()
-                    assert pooled[0].intercept == expected.intercept
-                    assert pooled[0].objective == expected.objective
+        assert len(calls) == 3 * len(self.D_VALUES)
+        for d in self.D_VALUES:
+            for rec in results[d].records:
+                x = ds.X[np.ix_(rec.train_idx, rec.selected)]
+                (models,) = [m for cx, cp, m in calls if cp.d == d and np.array_equal(cx, x)]
+                assert [m.r for m in models] == R_GRID
+                y = ds.y[rec.train_idx].astype(float)
+                cold = [fit(x, y, r, RejectLossParams(d=d)) for r in R_GRID]
+                assert models[0].coef.tobytes() == cold[0].coef.tobytes()
+                assert models[0].intercept == cold[0].intercept
+                assert models[0].objective == cold[0].objective
+                x_all = ds.X[:, rec.selected]
+                for model, reference in zip(models, cold):
+                    assert abs(model.objective - reference.objective) <= 1e-9 * abs(reference.objective)
+                    assert np.array_equal(predict(model, x_all), predict(reference, x_all))
 
     def test_records_independent_of_cpu_count(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)
@@ -286,14 +290,15 @@ class TestLpGrid:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_leaves_the_pool(self, monkeypatch, finishes, cpus):
         ds, _ = planted_dataset(n=120, p=15)
+        real_fit_path = cv.fit_path
 
-        def failing_fit(x, y, r, params):
-            if r == 0.3:
-                raise SolverError("linear program failed (status 4)")
-            return fit(x, y, r, params)
+        def failing_fit_path(x, y, r_grid, params):
+            if params.d == 1 / 4 and 0.3 in r_grid:
+                raise SolverError("linear program failed (status 4) [r=0.3]")
+            return real_fit_path(x, y, r_grid, params)
 
         monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cv, "fit", failing_fit)
+        monkeypatch.setattr(cv, "fit_path", failing_fit_path)
         for call in (
             lambda: mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8),
             lambda: five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3),

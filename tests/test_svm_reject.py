@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from dcovselect import svm_reject
+from dcovselect.errors import SolverError
 from dcovselect.svm_reject import (
     RejectLossParams,
     bayes_risk,
@@ -12,13 +13,17 @@ from dcovselect.svm_reject import (
     decide,
     decision_scores,
     fit,
+    fit_path,
     generalized_hinge,
-    kkt_residual,
     l_loss,
     predict,
 )
 
-from oracles import subgradient_fit
+from oracles import kkt_residual, subgradient_fit
+
+R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
+HAS_HIGHS = svm_reject._highs_core() is not None
+needs_highs = pytest.mark.skipif(not HAS_HIGHS, reason="this scipy has no private _Highs class")
 
 
 def reject_loss(z, d, delta=0.5):
@@ -144,6 +149,17 @@ class TestFit:
             model = fit(x, y, r, p)
             assert kkt_residual(model, x, y) <= 1e-6
 
+    def test_kkt_residual_exact_on_tied_design(self):
+        # every coefficient is zero and every margin sits on the kink at 0,
+        # so all 322 subgradient terms are free; a box least squares that
+        # stops early (lsq_linear's default trf) reports ~5e-3 here
+        rng = np.random.default_rng(46)
+        x = np.round(rng.normal(size=(300, 22)), 1)
+        y = np.where(x @ rng.normal(size=22) + rng.normal(size=300) > 0, 1.0, -1.0)
+        model = fit(x, y, 0.3, RejectLossParams(d=0.2), fit_intercept=False)
+        assert np.all(model.coef_internal == 0.0)
+        assert kkt_residual(model, x, y) <= 1e-6
+
     def test_sparsity_monotone_in_penalty(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 6))
@@ -225,6 +241,93 @@ class TestFit:
             model.coef_internal, reference.x[:m] - reference.x[m : 2 * m]
         )
         assert model.objective == reference.fun
+
+
+def path_instance(rng, kind):
+    """A random design of one of the degenerate kinds the path must survive."""
+    n = int(rng.integers(8, 121))
+    m = int(rng.integers(2, 26))
+    x = rng.normal(size=(n, m))
+    if kind == "tied":
+        x = np.round(x, int(rng.integers(0, 2)))
+    elif kind == "zero_columns":
+        x[:, rng.choice(m, size=max(1, m // 3), replace=False)] = 0.0
+    elif kind == "duplicate_columns":
+        x[:, 1:] = x[:, rng.integers(0, 2, size=m - 1)]
+    y = np.where(x[:, 0] + x[:, 1] + rng.normal(size=n) > 0, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return x, y
+
+
+class TestFitPath:
+    # the last penalty zeroes every coefficient, on standardized and raw designs
+    GRID = R_GRID + [1000.0]
+
+    @needs_highs
+    def test_matches_cold_fits(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            kind = ("normal", "tied", "zero_columns", "duplicate_columns")[trial % 4]
+            x, y = path_instance(rng, kind)
+            p = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
+            options = dict(fit_intercept=bool(rng.integers(0, 2)), standardize=bool(rng.integers(0, 2)))
+            path = fit_path(x, y, self.GRID, p, **options)
+            cold = [fit(x, y, r, p, **options) for r in self.GRID]
+            assert [m.r for m in path] == self.GRID
+            first, oracle = path[0], cold[0]
+            assert first.coef.tobytes() == oracle.coef.tobytes()
+            assert first.coef_internal.tobytes() == oracle.coef_internal.tobytes()
+            assert first.intercept == oracle.intercept
+            assert first.objective == oracle.objective
+            for model, reference in zip(path, cold):
+                assert abs(model.objective - reference.objective) <= 1e-9 * abs(reference.objective)
+                assert kkt_residual(model, x, y) <= 1e-6
+            assert np.all(path[-1].coef_internal == 0.0)
+            assert np.all(cold[-1].coef_internal == 0.0)
+
+    def test_without_highs_class_equals_cold_fits(self, monkeypatch):
+        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+        rng = np.random.default_rng(12)
+        for kind in ("normal", "tied"):
+            x, y = path_instance(rng, kind)
+            p = RejectLossParams(d=0.25)
+            path = fit_path(x, y, self.GRID, p, fit_intercept=False)
+            cold = [fit(x, y, r, p, fit_intercept=False) for r in self.GRID]
+            for model, reference in zip(path, cold):
+                assert model.coef.tobytes() == reference.coef.tobytes()
+                assert model.coef_internal.tobytes() == reference.coef_internal.tobytes()
+                assert model.intercept == reference.intercept
+                assert model.objective == reference.objective
+
+    def test_rejects_bad_penalties_and_takes_an_empty_grid(self):
+        x, y = random_instance(np.random.default_rng(13))
+        p = RejectLossParams(d=0.25)
+        with pytest.raises(ValueError, match="penalty r must be positive"):
+            fit_path(x, y, [0.1, 0.0], p)
+        assert fit_path(x, y, [], p) == []
+
+    @needs_highs
+    def test_non_optimal_status_raises(self, monkeypatch):
+        core = svm_reject._highs_core()
+
+        class StalledHighs(core._Highs):
+            """Reports an iteration limit from the third solve on."""
+
+            runs = 0
+
+            def run(self):
+                self.runs += 1
+                return super().run()
+
+            def getModelStatus(self):
+                if self.runs >= 3:
+                    return core.HighsModelStatus.kIterationLimit
+                return super().getModelStatus()
+
+        monkeypatch.setattr(core, "_Highs", StalledHighs)
+        x, y = random_instance(np.random.default_rng(14))
+        with pytest.raises(SolverError, match=r"linear program failed \(status \d+\): .*\[n=\d+, features=\d+, r=0\.1, d=0\.25\]"):
+            fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
 
 
 class TestPredict:
