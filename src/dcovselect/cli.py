@@ -7,6 +7,14 @@ values, which override defaults.  Every run writes ``manifest.json`` with
 the resolved options and library versions, sufficient to replay the run
 byte-identically into a fresh output directory.
 
+Results are written once, as ``dataclasses.asdict`` payloads of the result
+dataclasses (``results.json``; ``model.json`` for ``svmr-fit``).  The
+voting tables and selection histograms of an ``mcv`` run are derived from
+its payload records by the same helpers that ``report`` applies to
+``results.json``, so a ``report`` table equals the run's own.  Files and
+runs of one rejection cost are tagged ``f"{d:.6g}"``: a repeated ``--d`` is
+run once, and distinct values that share a tag are a usage error.
+
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3 solver
 failure.
 """
@@ -14,12 +22,16 @@ failure.
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import report as rpt
 from .cv import (
+    McvSummary,
     five_fold_cv,
     mcv_run,
     permute_response,
@@ -107,7 +119,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dcovselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic benchmark")
+    p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--model", choices=("linear", "logistic", "multiclass"), default="linear")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -224,17 +236,29 @@ def _screen_config(args) -> ScreeningConfig:
     )
 
 
+def _dataset_meta(args) -> dict:
+    """``ingest``'s arguments for the run's input, as recorded in ``results.json``."""
+    return {
+        "path": str(args.input),
+        "label_column": args.label_col,
+        "positive_label": args.positive_label,
+        "log_transform": args.log_transform,
+    }
+
+
 def _load_dataset(args) -> Dataset:
-    return ingest(
-        args.input,
-        label_column=args.label_col,
-        positive_label=args.positive_label,
-        log_transform=args.log_transform,
-    )
+    return ingest(**_dataset_meta(args))
+
+
+def _load_binary(args) -> Dataset:
+    ds = _load_dataset(args)
+    if response_kind(ds) != "binary":
+        raise DataValidationError(f"{args.command} needs a binary -1/+1 response (use --positive-label)")
+    return ds
 
 
 def _options_dict(args) -> dict:
-    skip = {"command", "func", "config"}
+    skip = {"command", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -244,13 +268,59 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _dataset_meta(args) -> dict:
+def _d_tags(d_values) -> dict[float, str]:
+    """The tag that names each ``d``'s files and ``results.json`` run.
+
+    A repeated ``d`` reuses its tag; two distinct values with one tag would
+    overwrite each other's files, so they are a usage error.
+    """
+    first = {}
+    for d in d_values:
+        tag = f"{d:.6g}"
+        seen = first.setdefault(tag, d)
+        if seen != d:
+            raise ValueError(
+                f"--d values {seen!r} and {d!r} share the file tag d{tag}; "
+                "give values that differ within 6 significant digits"
+            )
+    return {d: tag for tag, d in first.items()}
+
+
+def _record_payloads(records) -> list[dict]:
+    """Each record as ``asdict``, without its per-subject scores and tuning losses."""
+    return [{k: v for k, v in asdict(rec).items() if k not in ("scores", "tuning_losses")} for rec in records]
+
+
+def _resampling_payload(args, ds: Dataset) -> dict:
+    """The ``results.json`` header shared by ``cv5``, ``mcv`` and ``permute-mcv``."""
     return {
-        "path": str(args.input),
-        "label_column": args.label_col,
-        "positive_label": args.positive_label,
-        "log_transform": args.log_transform,
+        "command": args.command,
+        "dataset": _dataset_meta(args),
+        "feature_names": ds.feature_names,
+        "subject_ids": ds.subject_ids,
+        "truth_labels": ds.y.astype(float),
+        "d_values": args.d,
+        "r_grid": args.r_grid,
+        "seed": args.seed,
+        "runs": {},
     }
+
+
+def _votes(records, n_subjects: int, mode: str):
+    """Voting scores over one ``d``'s payload records; flagged replications do not vote."""
+    usable = [rec for rec in records if rec["flagged"] is None]
+    return voting_scores(
+        [rec["test_idx"] for rec in usable], [rec["decisions"] for rec in usable], n_subjects, mode=mode
+    )
+
+
+def _selection_counts(records) -> tuple[Counter, Counter]:
+    """How often payload records screened each feature in, and kept it after the fit."""
+    pre, post = Counter(), Counter()
+    for rec in records:
+        pre.update(rec["selected"])
+        post.update(rec["post_model_features"])
+    return pre, post
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +360,7 @@ def cmd_screen(args) -> int:
         "dataset": _dataset_meta(args),
         "feature_names": ds.feature_names,
         "response_kind": kind,
-        "config": {
-            "method": config.method,
-            "d_model_size": config.d_model_size,
-            "epsilon": config.epsilon,
-            "m_lookahead": config.m_lookahead,
-            "standardize": config.standardize,
-        },
+        "config": asdict(config),
     }
     if kind == "classes":
         per_class, union = one_vs_rest_screen(ds.X, ds.y, config)
@@ -338,35 +402,19 @@ def _read_feature_column(path) -> list[int]:
 
 def cmd_svmr_fit(args) -> int:
     out = _out_dir(args)
-    ds = _load_dataset(args)
-    if response_kind(ds) != "binary":
-        raise DataValidationError("svmr-fit needs a binary -1/+1 response (use --positive-label)")
+    ds = _load_binary(args)
     features = _read_feature_column(args.features) if args.features else list(range(ds.p))
-    params = RejectLossParams(d=args.d, delta=args.delta)
     model = fit(
         ds.X[:, features],
         ds.y.astype(float),
         args.r,
-        params,
+        RejectLossParams(d=args.d, delta=args.delta),
         fit_intercept=args.intercept,
         standardize=args.standardize,
     )
-    payload = {
-        "coef": model.coef,
-        "intercept": model.intercept,
-        "coef_internal": model.coef_internal,
-        "intercept_internal": model.intercept_internal,
-        "center": model.center,
-        "scale": model.scale,
-        "r": model.r,
-        "d": params.d,
-        "delta": params.delta,
-        "objective": model.objective,
-        "standardize": model.standardize,
-        "fit_intercept": model.fit_intercept,
-        "features": features,
-        "feature_names": [ds.feature_names[j] for j in features],
-    }
+    # model.json is the model's fields with ``params`` flattened into d and delta
+    payload = asdict(model)
+    payload.update(payload.pop("params"), features=features, feature_names=[ds.feature_names[j] for j in features])
     rpt.write_json(out / "model.json", payload)
     rpt.write_manifest(out, "svmr-fit", _options_dict(args))
     kept = len(model.nonzero_features)
@@ -375,23 +423,17 @@ def cmd_svmr_fit(args) -> int:
 
 
 def _load_model(path) -> tuple[RejectModel, list[str]]:
+    """The ``RejectModel`` that ``svmr-fit`` wrote to ``model.json``, and its feature names."""
     with open(path) as fh:
         raw = json.load(fh)
+    # each field's annotation (ndarray, float or bool) converts its JSON value
+    values = {
+        f.name: np.asarray(raw[f.name], dtype=float) if f.type is np.ndarray else f.type(raw[f.name])
+        for f in fields(RejectModel)
+        if f.name != "params"
+    }
     params = RejectLossParams(d=raw["d"], delta=raw["delta"])
-    model = RejectModel(
-        coef=np.asarray(raw["coef"], dtype=float),
-        intercept=float(raw["intercept"]),
-        r=float(raw["r"]),
-        params=params,
-        objective=float(raw["objective"]),
-        standardize=bool(raw["standardize"]),
-        fit_intercept=bool(raw["fit_intercept"]),
-        coef_internal=np.asarray(raw["coef_internal"], dtype=float),
-        intercept_internal=float(raw["intercept_internal"]),
-        center=np.asarray(raw["center"], dtype=float),
-        scale=np.asarray(raw["scale"], dtype=float),
-    )
-    return model, raw["feature_names"]
+    return RejectModel(params=params, **values), raw["feature_names"]
 
 
 def cmd_svmr_predict(args) -> int:
@@ -411,71 +453,17 @@ def cmd_svmr_predict(args) -> int:
     return 0
 
 
-def _record_payload(rec) -> dict:
-    return {
-        "rep_id": rec.rep_id,
-        "tune_idx": rec.tune_idx,
-        "train_idx": rec.train_idx,
-        "test_idx": rec.test_idx,
-        "selected": rec.selected,
-        "post_model_features": rec.post_model_features,
-        "tuned_r": rec.tuned_r,
-        "decisions": rec.decisions,
-        "training_accuracy": rec.training_accuracy,
-        "testing_accuracy": rec.testing_accuracy,
-        "n_decision_train": rec.n_decision_train,
-        "n_decision_test": rec.n_decision_test,
-        "max_marginal_r2": rec.max_marginal_r2,
-        "flagged": rec.flagged,
-    }
-
-
-def _summary_payload(s) -> dict:
-    return {
-        "d": s.d,
-        "n_reps": s.n_reps,
-        "n_decisive": s.n_decisive,
-        "mean_train_accuracy": s.mean_train_accuracy,
-        "std_train_accuracy": s.std_train_accuracy,
-        "mean_test_accuracy": s.mean_test_accuracy,
-        "std_test_accuracy": s.std_test_accuracy,
-        "mean_n_train_decision": s.mean_n_train_decision,
-        "std_n_train_decision": s.std_n_train_decision,
-        "mean_n_test_decision": s.mean_n_test_decision,
-        "std_n_test_decision": s.std_n_test_decision,
-    }
-
-
-def _d_tag(d: float) -> str:
-    return f"{d:.6g}"
-
-
 def cmd_cv5(args) -> int:
+    tags = _d_tags(args.d)
     out = _out_dir(args)
-    ds = _load_dataset(args)
-    if response_kind(ds) != "binary":
-        raise DataValidationError("cv5 needs a binary -1/+1 response (use --positive-label)")
+    ds = _load_binary(args)
     config = _screen_config(args)
-    payload = {
-        "command": "cv5",
-        "dataset": _dataset_meta(args),
-        "feature_names": ds.feature_names,
-        "subject_ids": ds.subject_ids,
-        "truth_labels": ds.y.astype(float),
-        "d_values": args.d,
-        "r_grid": args.r_grid,
-        "seed": args.seed,
-        "runs": {},
-    }
+    payload = _resampling_payload(args, ds)
     results = five_fold_cv(ds, args.d, args.r_grid, args.seed, config=config, delta=args.delta)
     for d in args.d:
         result = results[d]
-        tag = _d_tag(d)
-        rpt.write_mcv_records(out / f"folds_d{tag}.csv", result.records)
-        payload["runs"][tag] = {
-            "d": d,
-            "records": [_record_payload(rec) for rec in result.records],
-        }
+        rpt.write_mcv_records(out / f"folds_d{tags[d]}.csv", result.records)
+        payload["runs"][tags[d]] = {"d": d, "records": _record_payloads(result.records)}
     selections = results[args.d[0]].selections  # one screen per fold serves every d
     # the overlap table pairs the fold selections with the all-subjects one
     full = screen(ds.X, ds.y.astype(float), config)
@@ -492,89 +480,63 @@ def cmd_cv5(args) -> int:
     return 0
 
 
-def _run_mcv(args, ds: Dataset, command: str) -> int:
+def _run_mcv(args, ds: Dataset) -> dict:
+    """Run multiple cross validation on ``ds``, write its files, and return its payload.
+
+    Votes and selection counts are taken from the payload records, through
+    the helpers that ``report`` uses on ``results.json``.
+    """
+    tags = _d_tags(args.d)
     out = _out_dir(args)
-    config = _screen_config(args)
-    payload = {
-        "command": command,
-        "dataset": _dataset_meta(args),
-        "feature_names": ds.feature_names,
-        "subject_ids": ds.subject_ids,
-        "truth_labels": ds.y.astype(float),
-        "d_values": args.d,
-        "r_grid": args.r_grid,
-        "reps": args.reps,
-        "seed": args.seed,
-        "voting_mode": args.voting,
-        "runs": {},
-    }
+    payload = _resampling_payload(args, ds)
+    payload.update(reps=args.reps, voting_mode=args.voting)
     results = mcv_run(
-        ds, args.d, args.r_grid, n_reps=args.reps, seed=args.seed, config=config, delta=args.delta
+        ds, args.d, args.r_grid, n_reps=args.reps, seed=args.seed, config=_screen_config(args), delta=args.delta
     )
-    summaries = []
     for d in args.d:
         result = results[d]
-        tag = _d_tag(d)
-        summaries.append(result.summary)
+        tag = tags[d]
+        records = _record_payloads(result.records)
+        payload["runs"][tag] = {"d": d, "summary": asdict(result.summary), "records": records}
         rpt.write_mcv_records(out / f"records_d{tag}.csv", result.records)
-        votes = voting_scores(result.records, ds.n, mode=args.voting)
+        votes = _votes(records, ds.n, args.voting)
         rpt.write_voting(out / f"voting_d{tag}.csv", votes, ds.subject_ids)
         rpt.write_voting_bins(out / f"voting_bins_d{tag}.csv", votes, ds.y.astype(float))
-        pre = {}
-        post = {}
-        for rec in result.records:
-            for j in rec.selected:
-                pre[j] = pre.get(j, 0) + 1
-            for j in rec.post_model_features:
-                post[j] = post.get(j, 0) + 1
-        rpt.write_frequency_histogram(out / f"histogram_d{tag}.csv", ds.feature_names, pre, post)
-        payload["runs"][tag] = {
-            "d": d,
-            "summary": _summary_payload(result.summary),
-            "records": [_record_payload(rec) for rec in result.records],
-        }
+        rpt.write_frequency_histogram(out / f"histogram_d{tag}.csv", ds.feature_names, *_selection_counts(records))
         print(
             f"d={d:.4g}: {result.summary.n_decisive}/{args.reps} decisive replications, "
             f"mean test accuracy {result.summary.mean_test_accuracy:.4f}"
             if result.summary.n_decisive
             else f"d={d:.4g}: 0/{args.reps} decisive replications"
         )
-    rpt.write_mcv_summary(out / "summary.csv", summaries)
+    rpt.write_mcv_summary(out / "summary.csv", [results[d].summary for d in args.d])
     rpt.write_results_json(out, payload)
-    rpt.write_manifest(out, command, _options_dict(args))
-    return 0
+    rpt.write_manifest(out, args.command, _options_dict(args))
+    return payload
 
 
 def cmd_mcv(args) -> int:
-    ds = _load_dataset(args)
-    if response_kind(ds) != "binary":
-        raise DataValidationError("mcv needs a binary -1/+1 response (use --positive-label)")
-    return _run_mcv(args, ds, "mcv")
+    _run_mcv(args, _load_binary(args))
+    return 0
 
 
 def cmd_permute_mcv(args) -> int:
-    ds = _load_dataset(args)
-    if response_kind(ds) != "binary":
-        raise DataValidationError("permute-mcv needs a binary -1/+1 response (use --positive-label)")
-    permuted = permute_response(ds, stream(args.seed, "permutation"))
-    code = _run_mcv(args, permuted, "permute-mcv")
+    ds = _load_binary(args)
+    payload = _run_mcv(args, permute_response(ds, stream(args.seed, "permutation")))
     # side-by-side check data: strongest marginal association per permuted
     # replication vs the original-label value on the full data
-    out = Path(args.out_dir)
-    config = _screen_config(args)
-    original = screen(ds.X, ds.y.astype(float), config)
-    with open(out / "results.json") as fh:
-        payload = json.load(fh)
-    rows = []
-    for tag, run in sorted(payload["runs"].items()):
-        for rec in run["records"]:
-            rows.append((tag, rec["rep_id"], rec["max_marginal_r2"], float(original.marginal_r2.max())))
+    original = float(screen(ds.X, ds.y.astype(float), _screen_config(args)).marginal_r2.max())
+    rows = [
+        (tag, rec["rep_id"], rec["max_marginal_r2"], original)
+        for tag, run in sorted(payload["runs"].items())
+        for rec in run["records"]
+    ]
     rpt.write_csv(
-        out / "max_dcor_compare.csv",
+        Path(args.out_dir) / "max_dcor_compare.csv",
         ["d", "rep", "max_marginal_r2_permuted", "max_marginal_r2_original"],
         rows,
     )
-    return code
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -590,8 +552,6 @@ def cmd_report(args) -> int:
         names = payload.get("selection_names") or [f"S{i + 1}" for i in range(len(selections))]
         rpt.write_overlap_table(out / "overlap.csv", matrix, names)
     elif kind == "mcv_summary":
-        from .cv import McvSummary
-
         runs = _require_runs(payload, args.input)
         rows = []
         for _, run in sorted(runs.items()):
@@ -607,42 +567,25 @@ def cmd_report(args) -> int:
     elif kind == "voting_bins":
         runs = _require_runs(payload, args.input)
         truths = np.asarray(payload["truth_labels"], dtype=float)
-        n = len(truths)
         for tag, run in sorted(runs.items()):
-            votes = _rebuild_votes(run["records"], n, payload.get("voting_mode", "testing"))
+            votes = _votes(run["records"], len(truths), payload.get("voting_mode", "testing"))
             rpt.write_voting_bins(out / f"voting_bins_d{tag}.csv", votes, truths)
     elif kind == "pairwise_distance":
         selected = payload.get("selected")
         if selected is None:
             raise DataValidationError(f"{args.input}: no selected feature set recorded")
-        meta = payload["dataset"]
-        ds = ingest(
-            meta["path"],
-            label_column=meta["label_column"],
-            positive_label=meta["positive_label"],
-            log_transform=meta["log_transform"],
-        )
+        ds = ingest(**payload["dataset"])
         rpt.write_pairwise_distance(
             out / "pairwise_distance.csv", ds.X[:, selected], ds.subject_ids
         )
     elif kind == "frequency_histogram":
-        feature_names = payload["feature_names"]
-        pre = {}
-        post = {}
         if "runs" in payload:
-            for _, run in sorted(payload["runs"].items()):
-                for rec in run["records"]:
-                    for j in rec["selected"]:
-                        pre[j] = pre.get(j, 0) + 1
-                    for j in rec.get("post_model_features", ()):
-                        post[j] = post.get(j, 0) + 1
+            pre, post = _selection_counts(rec for run in payload["runs"].values() for rec in run["records"])
         elif "selections" in payload:
-            for sel in payload["selections"]:
-                for j in sel:
-                    pre[j] = pre.get(j, 0) + 1
+            pre, post = Counter(chain.from_iterable(payload["selections"])), Counter()
         else:
             raise DataValidationError(f"{args.input}: nothing to histogram")
-        rpt.write_frequency_histogram(out / "histogram.csv", feature_names, pre, post)
+        rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
     rpt.write_manifest(out, "report", _options_dict(args))
     print(f"wrote {kind} table(s) to {out}")
     return 0
@@ -653,34 +596,6 @@ def _require_runs(payload, path):
     if not runs:
         raise DataValidationError(f"{path}: results.json has no recorded runs for this report kind")
     return runs
-
-
-def _rebuild_votes(records, n_subjects, mode):
-    from .cv import ReplicationRecord
-
-    rebuilt = []
-    for rec in records:
-        rebuilt.append(
-            ReplicationRecord(
-                rep_id=rec["rep_id"],
-                tune_idx=np.asarray(rec["tune_idx"], dtype=int),
-                train_idx=np.asarray(rec["train_idx"], dtype=int),
-                test_idx=np.asarray(rec["test_idx"], dtype=int),
-                selected=rec["selected"],
-                post_model_features=rec.get("post_model_features", []),
-                tuned_r=rec["tuned_r"] if rec["tuned_r"] is not None else float("nan"),
-                tuning_losses=[],
-                decisions=np.asarray(rec["decisions"], dtype=int),
-                scores=np.zeros(n_subjects),
-                training_accuracy=float("nan"),
-                testing_accuracy=float("nan"),
-                n_decision_train=rec["n_decision_train"],
-                n_decision_test=rec["n_decision_test"],
-                max_marginal_r2=float("nan"),
-                flagged=rec.get("flagged"),
-            )
-        )
-    return voting_scores(rebuilt, n_subjects, mode=mode)
 
 
 COMMANDS = {

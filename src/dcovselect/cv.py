@@ -549,28 +549,29 @@ def summarize_mcv(records: list[ReplicationRecord], d: float) -> McvSummary:
 
 
 def voting_scores(
-    records: list[ReplicationRecord],
+    test_sets,
+    decisions,
     n_subjects: int,
     mode: str = "testing",
 ) -> list[VotingRecord]:
     """Accumulate per-subject decision frequencies across replications.
 
-    ``mode='testing'`` counts a subject only in replications whose testing
-    set contains it (each subject is out of sample in a fraction of the
-    replications); ``mode='all'`` counts every subject in every
-    non-flagged replication.  ``s + w + r`` equals the number of
-    replications in which the subject was counted.
+    ``test_sets[k]`` holds the testing-subject indices of replication k and
+    ``decisions[k]`` its -1/0/+1 decision for every subject; pass only the
+    replications that were not flagged.  ``mode='testing'`` counts a
+    subject only in replications whose testing set contains it (each
+    subject is out of sample in a fraction of the replications);
+    ``mode='all'`` counts every subject in every replication.  ``s + w + r``
+    equals the number of replications in which the subject was counted.
     """
     if mode not in ("testing", "all"):
         raise ValueError(f"mode must be 'testing' or 'all', got {mode!r}")
     s = np.zeros(n_subjects, dtype=int)
     w = np.zeros(n_subjects, dtype=int)
     r = np.zeros(n_subjects, dtype=int)
-    for rec in records:
-        if rec.flagged is not None:
-            continue
-        idx = rec.test_idx if mode == "testing" else np.arange(n_subjects)
-        dec = rec.decisions[idx]
+    for test_idx, rep_decisions in zip(test_sets, decisions, strict=True):
+        idx = np.asarray(test_idx, dtype=int) if mode == "testing" else np.arange(n_subjects)
+        dec = np.asarray(rep_decisions)[idx]
         np.add.at(s, idx[dec == 1], 1)
         np.add.at(w, idx[dec == 0], 1)
         np.add.at(r, idx[dec == -1], 1)

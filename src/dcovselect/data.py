@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataValidationError
 from .rng import stream
 
-__all__ = ["Dataset", "ingest", "emit", "synth_generate", "response_kind"]
+__all__ = ["Dataset", "ingest", "emit", "fmt", "synth_generate", "response_kind"]
 
 MISSING_TOKENS = {"", "NA", "N/A", "NaN", "nan", "NAN", "null", "NULL", "None"}
 
@@ -217,9 +217,16 @@ def _parse_labels(labels_raw, positive_label, path):
     return values
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """Deterministic text cell: shortest round-trip floats; NaN and None are blank."""
+    if value is None:
+        return ""
     if isinstance(value, (float, np.floating)):
+        if math.isnan(value):
+            return ""
         return repr(float(value))
+    if isinstance(value, (np.integer,)):
+        return str(int(value))
     return str(value)
 
 
@@ -231,10 +238,10 @@ def emit(ds: Dataset, path) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ds.feature_names + [ds.label_name]) + "\n")
-        # repr of a Python float is what _fmt writes for each feature value
+        # repr of a Python float is what fmt writes for each (finite) feature value
         for row, label in zip(ds.X.tolist(), ds.y):
             cells = list(map(repr, row))
-            cells.append(_fmt(label))
+            cells.append(fmt(label))
             fh.write(",".join(cells) + "\n")
 
 

@@ -1,15 +1,20 @@
 """Plot-ready table emission and run manifests.
 
 Everything is written as delimited text (or JSON for structured results)
-with deterministic formatting: floats use shortest round-trip ``repr``,
-rows use ``\\n`` terminators, JSON keys are sorted, and no timestamps are
-recorded, so identical runs produce byte-identical files.  Missing values
-are blank in summary tables and ``NA`` in voting-bin tables.
+with deterministic formatting: cells go through ``data.fmt`` (shortest
+round-trip ``repr`` for floats, the formatter ``data.emit`` uses), rows use
+``\\n`` terminators, JSON keys are sorted, and no timestamps are recorded,
+so identical runs produce byte-identical files.  Missing values are blank
+in summary tables and ``NA`` in voting-bin tables.  The writers take the
+result dataclasses of ``cv`` and ``screening`` or values read back from a
+run's ``results.json``; the summary table's columns are ``McvSummary``'s
+fields.
 """
 
 import json
 import math
 import platform
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +22,7 @@ import scipy
 
 from . import __version__
 from .cv import DEFAULT_VOTING_BINS, McvSummary, ReplicationRecord, voting_bins
+from .data import fmt
 
 __all__ = [
     "fmt",
@@ -35,19 +41,6 @@ __all__ = [
     "write_frequency_histogram",
     "write_predictions",
 ]
-
-
-def fmt(value) -> str:
-    """Deterministic cell formatting; NaN becomes an empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return ""
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -187,39 +180,9 @@ def write_mcv_records(path, records: list[ReplicationRecord]) -> None:
 
 
 def write_mcv_summary(path, summaries: list[McvSummary]) -> None:
-    rows = [
-        (
-            s.d,
-            s.n_reps,
-            s.n_decisive,
-            s.mean_train_accuracy,
-            s.std_train_accuracy,
-            s.mean_test_accuracy,
-            s.std_test_accuracy,
-            s.mean_n_train_decision,
-            s.std_n_train_decision,
-            s.mean_n_test_decision,
-            s.std_n_test_decision,
-        )
-        for s in summaries
-    ]
-    write_csv(
-        path,
-        [
-            "d",
-            "n_reps",
-            "n_decisive",
-            "mean_train_accuracy",
-            "std_train_accuracy",
-            "mean_test_accuracy",
-            "std_test_accuracy",
-            "mean_n_train_decision",
-            "std_n_train_decision",
-            "mean_n_test_decision",
-            "std_n_test_decision",
-        ],
-        rows,
-    )
+    """One row per summary; the columns are ``McvSummary``'s fields, in order."""
+    header = [f.name for f in fields(McvSummary)]
+    write_csv(path, header, [astuple(s) for s in summaries])
 
 
 def write_voting(path, votes, subject_ids) -> None:

@@ -226,7 +226,8 @@ def test_criterion_8_voting_monotonicity():
         prior=PRIOR, class_counts=(191, 88), seed=7,
     )
     planted = mcv_run(ds, [1 / 5], R_GRID, n_reps=50, seed=3)[1 / 5]
-    votes = voting_scores(planted.records, ds.n, mode="testing")
+    kept = [rec for rec in planted.records if rec.flagged is None]
+    votes = voting_scores([rec.test_idx for rec in kept], [rec.decisions for rec in kept], ds.n, mode="testing")
     rows = voting_bins(votes, ds.y.astype(float))[:5]
     occupied = [row for row in rows if row["frequency"] > 0]
     proportions = [row["positive_proportion"] for row in occupied]
@@ -237,7 +238,10 @@ def test_criterion_8_voting_monotonicity():
     null_run = mcv_run(permuted, [1 / 5], R_GRID, n_reps=50, seed=3)[1 / 5]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        null_votes = voting_scores(null_run.records, ds.n, mode="testing")
+        kept = [rec for rec in null_run.records if rec.flagged is None]
+        null_votes = voting_scores(
+            [rec.test_idx for rec in kept], [rec.decisions for rec in kept], ds.n, mode="testing"
+        )
     null_rows = voting_bins(null_votes, permuted.y.astype(float))[:5]
     top = null_rows[-1]
     assert top["frequency"] == 0 or top["positive_proportion"] <= PRIOR + 0.05

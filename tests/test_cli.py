@@ -11,7 +11,9 @@ import pytest
 import dcovselect
 from dcovselect import cv
 from dcovselect.cli import main, parse_fraction
+from dcovselect.data import ingest
 from dcovselect.errors import SolverError
+from dcovselect.svm_reject import RejectLossParams, decision_scores, fit
 
 
 def run(*argv):
@@ -182,6 +184,19 @@ class TestExitCodes:
             ]
             assert finishes(lambda: run(*argv)) == {"value": 3}
 
+    @pytest.mark.parametrize("command, extra", [("mcv", ("--reps", "1")), ("cv5", ())])
+    def test_distinct_d_values_sharing_a_file_tag_are_usage_errors(self, synth_dir, tmp_path, capsys, command, extra):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status", *extra)
+        out = tmp_path / "clash"
+        # 1/3 and 0.333333 both format as d0.333333, so one would overwrite the other
+        assert run(command, *data, "--d", "1/3,0.333333", "--out-dir", str(out)) == 1
+        assert f"--d values {1 / 3!r} and 0.333333 share the file tag d0.333333" in capsys.readouterr().err
+        assert not out.exists()
+        # an exactly repeated d is one run under one tag
+        assert run(command, *data, "--d", "1/4,0.25", "--out-dir", str(tmp_path / "repeat")) == 0
+        results = json.loads(read(tmp_path / "repeat" / "results.json"))
+        assert list(results["runs"]) == ["0.25"]
+
 
 STARTUP_SCRIPT = """
 import json, sys
@@ -242,6 +257,28 @@ class TestFitPredict:
         decisions = {line.split(",")[2] for line in lines[1:]}
         assert decisions <= {"-1", "0", "1"}
 
+    def test_model_json_round_trip_predicts_bitwise(self, synth_dir, tmp_path):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0
+        fit_dir = tmp_path / "fit"
+        assert run(
+            "svmr-fit", *data, "--d", "1/4", "--r", "0.1",
+            "--features", str(tmp_path / "scr" / "selected.csv"), "--out-dir", str(fit_dir),
+        ) == 0
+        model = json.loads(read(fit_dir / "model.json"))
+        assert set(model) == {
+            "coef", "intercept", "coef_internal", "intercept_internal", "center", "scale", "r", "d",
+            "delta", "objective", "standardize", "fit_intercept", "features", "feature_names",
+        }
+        pred_dir = tmp_path / "pred"
+        assert run("svmr-predict", *data, "--model", str(fit_dir / "model.json"), "--out-dir", str(pred_dir)) == 0
+        ds = ingest(synth_dir / "data.csv", label_column="status")
+        x = ds.X[:, model["features"]]
+        want = decision_scores(fit(x, ds.y.astype(float), 0.1, RejectLossParams(d=0.25, delta=0.5)), x)
+        lines = read(pred_dir / "predictions.csv").strip().splitlines()[1:]
+        got = np.array([float(line.split(",")[1]) for line in lines])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPipelines:
     def test_cv5_overlap(self, synth_dir, tmp_path):
@@ -287,6 +324,41 @@ class TestPipelines:
         lines = read(out / "max_dcor_compare.csv").strip().splitlines()
         assert lines[0] == "d,rep,max_marginal_r2_permuted,max_marginal_r2_original"
         assert len(lines) == 3
+
+    def test_permute_mcv_compare_rows_equal_the_results(self, synth_dir, tmp_path):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        out = tmp_path / "pmcv"
+        assert run("permute-mcv", *data, "--d", "1/3,1/4", "--reps", "2", "--seed", "4", "--out-dir", str(out)) == 0
+        assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0
+        original = json.loads(read(tmp_path / "scr" / "results.json"))["max_marginal_r2"]
+        runs = json.loads(read(out / "results.json"))["runs"]
+        want = [(tag, rec["rep_id"], rec["max_marginal_r2"]) for tag in sorted(runs) for rec in runs[tag]["records"]]
+        assert [tag for tag, _, _ in want] == ["0.25", "0.25", "0.333333", "0.333333"]
+        rows = [line.split(",") for line in read(out / "max_dcor_compare.csv").strip().splitlines()[1:]]
+        assert [(tag, int(rep), float(permuted)) for tag, rep, permuted, _ in rows] == want
+        assert [float(row[3]) for row in rows] == [original] * len(want)
+
+    def test_reports_equal_the_run_with_a_flagged_replication(self, tmp_path):
+        data_dir = tmp_path / "rare"
+        assert run(
+            "synth", "--model", "logistic", "--n", "30", "--p", "12", "--active", "2",
+            "--class-counts", "4,26", "--seed", "3", "--out-dir", str(data_dir),
+        ) == 0
+        out = tmp_path / "mcv"
+        assert run(
+            "mcv", "--input", str(data_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--reps", "6", "--seed", "1", "--out-dir", str(out),
+        ) == 0
+        records = json.loads(read(out / "results.json"))["runs"]["0.25"]["records"]
+        flags = [rec["flagged"] for rec in records]
+        assert "single_class_split" in flags and None in flags
+        for kind, made, wrote in (
+            ("voting_bins", "voting_bins_d0.25.csv", "voting_bins_d0.25.csv"),
+            ("frequency_histogram", "histogram.csv", "histogram_d0.25.csv"),
+        ):
+            rep = tmp_path / kind
+            assert run("report", "--kind", kind, "--input", str(out / "results.json"), "--out-dir", str(rep)) == 0
+            assert (rep / made).read_bytes() == (out / wrote).read_bytes(), kind
 
     def test_pairwise_distance_report_scaled_to_one(self, synth_dir, tmp_path):
         scr = tmp_path / "scr"

@@ -317,21 +317,23 @@ class TestVoting:
         rec = mcv_run(ds, [1 / 4], [1e6], n_reps=1, seed=1)[1 / 4].records[0]
         # an absurd penalty forces withholding wherever the intercept-only
         # model stays inside the reject band
-        votes = voting_scores([rec], ds.n, mode="all")
+        usable = [r for r in [rec] if r.flagged is None]
+        votes = voting_scores([r.test_idx for r in usable], [r.decisions for r in usable], ds.n, mode="all")
         withheld = [v for v in votes if v.w > 0 and v.s == 0 and v.r == 0]
         assert withheld
         assert all(v.v == 0.0 for v in withheld)
 
     def test_all_withheld_scores_zero(self):
         ds, _ = planted_dataset(n=60, p=8)
-        votes = voting_scores([], ds.n, mode="testing")
+        votes = voting_scores([], [], ds.n, mode="testing")
         # no records at all: every subject flagged as never scored
         assert all(math.isnan(v.v) for v in votes)
 
     def test_conservation(self):
         ds, _ = planted_dataset(n=120, p=15)
         res = mcv_run(ds, [1 / 4], R_GRID, n_reps=6, seed=10)[1 / 4]
-        votes = voting_scores(res.records, ds.n, mode="all")
+        kept = [rec for rec in res.records if rec.flagged is None]
+        votes = voting_scores([rec.test_idx for rec in kept], [rec.decisions for rec in kept], ds.n, mode="all")
         usable = sum(1 for rec in res.records if rec.flagged is None)
         for v in votes:
             assert v.s + v.w + v.r == usable
@@ -339,7 +341,8 @@ class TestVoting:
     def test_testing_mode_counts_test_membership(self):
         ds, _ = planted_dataset(n=120, p=15)
         res = mcv_run(ds, [1 / 4], R_GRID, n_reps=6, seed=11)[1 / 4]
-        votes = voting_scores(res.records, ds.n, mode="testing")
+        kept = [rec for rec in res.records if rec.flagged is None]
+        votes = voting_scores([rec.test_idx for rec in kept], [rec.decisions for rec in kept], ds.n, mode="testing")
         appearances = np.zeros(ds.n, dtype=int)
         for rec in res.records:
             if rec.flagged is None:

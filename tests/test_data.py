@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcovselect.data import Dataset, _fmt, _parse_cells, emit, ingest, response_kind, synth_generate
+from dcovselect.data import Dataset, _parse_cells, emit, fmt, ingest, response_kind, synth_generate
 from dcovselect.errors import DataValidationError
 from dcovselect.screening import marginal_rank
 
@@ -162,7 +162,7 @@ class TestEmit:
         emit(ds, path)
         want = ",".join(ds.feature_names + ["label"]) + "\n"
         for i in range(ds.n):
-            want += ",".join([_fmt(v) for v in x[i]] + [_fmt(y[i])]) + "\n"
+            want += ",".join([fmt(v) for v in x[i]] + [fmt(y[i])]) + "\n"
         assert path.read_bytes() == want.encode()
 
 
