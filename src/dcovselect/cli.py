@@ -552,20 +552,16 @@ def cmd_report(args) -> int:
         names = payload.get("selection_names") or [f"S{i + 1}" for i in range(len(selections))]
         rpt.write_overlap_table(out / "overlap.csv", matrix, names)
     elif kind == "mcv_summary":
-        runs = _require_runs(payload, args.input)
+        runs = _require_mcv_runs(payload, args.input)
         rows = []
         for _, run in sorted(runs.items()):
-            if "summary" not in run:
-                raise DataValidationError(
-                    f"{args.input}: results carry no summaries (not an mcv run?)"
-                )
             cleaned = {
                 k: (float("nan") if v is None else v) for k, v in run["summary"].items()
             }
             rows.append(McvSummary(**cleaned))
         rpt.write_mcv_summary(out / "summary.csv", rows)
     elif kind == "voting_bins":
-        runs = _require_runs(payload, args.input)
+        runs = _require_mcv_runs(payload, args.input)
         truths = np.asarray(payload["truth_labels"], dtype=float)
         for tag, run in sorted(runs.items()):
             votes = _votes(run["records"], len(truths), payload.get("voting_mode", "testing"))
@@ -579,13 +575,17 @@ def cmd_report(args) -> int:
             out / "pairwise_distance.csv", ds.X[:, selected], ds.subject_ids
         )
     elif kind == "frequency_histogram":
+        # every d of a run shares each replication's screen, so each d gets its own table
         if "runs" in payload:
-            pre, post = _selection_counts(rec for run in payload["runs"].values() for rec in run["records"])
+            for tag, run in sorted(_require_runs(payload, args.input).items()):
+                rpt.write_frequency_histogram(
+                    out / f"histogram_d{tag}.csv", payload["feature_names"], *_selection_counts(run["records"])
+                )
         elif "selections" in payload:
             pre, post = Counter(chain.from_iterable(payload["selections"])), Counter()
+            rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
         else:
             raise DataValidationError(f"{args.input}: nothing to histogram")
-        rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
     rpt.write_manifest(out, "report", _options_dict(args))
     print(f"wrote {kind} table(s) to {out}")
     return 0
@@ -595,6 +595,14 @@ def _require_runs(payload, path):
     runs = payload.get("runs")
     if not runs:
         raise DataValidationError(f"{path}: results.json has no recorded runs for this report kind")
+    return runs
+
+
+def _require_mcv_runs(payload, path):
+    """The runs of an ``mcv`` or ``permute-mcv`` payload; a ``cv5`` payload has no summaries."""
+    runs = _require_runs(payload, path)
+    if any("summary" not in run for run in runs.values()):
+        raise DataValidationError(f"{path}: results carry no summaries (not an mcv run?)")
     return runs
 
 

@@ -18,10 +18,17 @@ synthetic-data validation.
 of the coefficient columns depends on the penalty, so each later grid point
 restarts the dual simplex from the previous optimal basis.  It uses scipy's
 private HiGHS bindings where they exist and falls back to ``fit`` per
-penalty where they do not.
+penalty where they do not.  The bindings' extension module is loaded from
+its file, so ``fit_path`` imports neither ``scipy.optimize`` nor
+``scipy.sparse``; the program's CSC arrays are built with numpy, and only
+``fit`` wraps them in a ``scipy.sparse`` matrix for ``linprog``.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +60,33 @@ def linprog(*args, **kwargs):
     return _linprog(*args, **kwargs)
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_extension(name: str):
+    """Load scipy's extension module ``name`` from its file, without its parent packages.
+
+    The module is registered under its real name, so a later ``import`` of
+    it (or of ``scipy.optimize``, which imports it) returns this object.
+    Returns None where the file is missing or does not load.
+    """
+    import scipy
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)]
+    if not paths:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location(name, paths[0])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        sys.modules.pop(name, None)
+        return None
+    return module
+
+
 @functools.cache
 def _highs_core():
     """scipy's private HiGHS bindings, or None where they have no ``_Highs``.
@@ -60,11 +94,14 @@ def _highs_core():
     ``_Highs`` is not public scipy API (scipy 1.10 lacks it), so its presence
     is checked once, on the first ``fit_path``.
     """
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    return _core if hasattr(_core, "_Highs") else None
+    # importing scipy.optimize costs ~0.2 s and ~48 MB of RSS; the extension alone loads in ~3 ms
+    core = sys.modules.get(_HIGHS_MODULE) or _load_extension(_HIGHS_MODULE)
+    if core is None:
+        try:
+            from scipy.optimize._highspy import _core as core
+        except ImportError:
+            return None
+    return core if hasattr(core, "_Highs") else None
 
 
 # the options linprog(method="highs") sets; every other option keeps its default
@@ -171,7 +208,9 @@ class _Program:
     standardize: bool
     center: np.ndarray
     scale: np.ndarray
-    a_ub: object
+    a_data: np.ndarray  # A_ub in CSC form: values, row indices, column starts
+    a_indices: np.ndarray
+    a_indptr: np.ndarray
     b_ub: np.ndarray
     bounds: np.ndarray
 
@@ -182,6 +221,11 @@ class _Program:
     @property
     def m_feats(self) -> int:
         return self.center.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Rows and columns of ``A_ub``."""
+        return self.b_ub.size, self.bounds.shape[0]
 
     def cost(self, r: float) -> np.ndarray:
         # variable layout: [p (m), m (m), b?, xi (n)]
@@ -217,9 +261,6 @@ class _Program:
 
 def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: bool) -> _Program:
     """Validate the training data and build the program ``fit`` and ``fit_path`` solve."""
-    # scipy.sparse adds ~0.12 s to start-up; imported here, where the LP is built
-    from scipy import sparse
-
     x, y = _validate_training(x, y)
     n, m_feats = x.shape
     if standardize:
@@ -233,15 +274,15 @@ def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: b
 
     yx = y[:, None] * xs
     # xi_i >= 1 - z_i  and  xi_i >= 1 - a z_i, with z_i = y_i (xs_i . (p-m) + b);
-    # the slack columns are two stacked -I blocks, kept sparse so memory
-    # grows as n (2m + 3), not n^2.  Converting the dense block drops its
-    # exact zeros, so HiGHS gets the same nonzeros as from a dense matrix.
+    # the slack columns are two stacked -I blocks, stored as CSC so memory
+    # grows as n (2m + 3), not n^2.  The dense block's exact zeros (-0.0
+    # too) are dropped, so HiGHS gets the same nonzeros as from a dense
+    # matrix, laid out as scipy.sparse would lay them out.
     lin = np.hstack([-yx, yx, -y[:, None]] if fit_intercept else [-yx, yx])
-    eye = sparse.identity(n, format="csc")
-    a_ub = sparse.hstack(
-        [sparse.csc_matrix(np.vstack([lin, params.a * lin])), -sparse.vstack([eye, eye])],
-        format="csc",
-    )
+    block = np.vstack([lin, params.a * lin]).T  # one row per column of A_ub
+    cols, rows = np.nonzero(block)
+    slack_rows = np.column_stack([np.arange(n), np.arange(n, 2 * n)]).ravel()
+    counts = np.concatenate([np.count_nonzero(block, axis=1), np.full(n, 2)])
     lower = np.concatenate([np.zeros(2 * m_feats), np.full(1 if fit_intercept else 0, -np.inf), np.zeros(n)])
     return _Program(
         params=params,
@@ -249,7 +290,9 @@ def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: b
         standardize=standardize,
         center=center,
         scale=scale,
-        a_ub=a_ub,
+        a_data=np.concatenate([block[cols, rows], np.full(2 * n, -1.0)]),
+        a_indices=np.concatenate([rows, slack_rows]).astype(np.int32),
+        a_indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
         b_ub=np.full(2 * n, -1.0),
         bounds=np.column_stack([lower, np.full(lower.size, np.inf)]),
     )
@@ -277,9 +320,13 @@ def fit(
     ``standardize`` is off) and the solution mapped back, so penalties are
     comparable across feature scales.  Each call solves from scratch.
     """
+    # importing scipy.sparse costs ~0.07 s and ~21 MB of RSS; only linprog needs it
+    from scipy import sparse
+
     lp = _program(x, y, params, fit_intercept, standardize)
     _check_penalty(r)
-    res = linprog(lp.cost(r), A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
+    a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
+    res = linprog(lp.cost(r), A_ub=a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
     if res.status != 0 or res.x is None:
         raise lp.failure(res.status, res.message, r)
     return lp.model(res.x, res.fun, r)
@@ -325,14 +372,13 @@ def fit_path(
     highs = core._Highs()
     for option, value in _HIGHS_OPTIONS:
         highs.setOptionValue(option, value)
-    a_ub = lp.a_ub
     model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = a_ub.shape[1]
-    model.num_row_ = model.a_matrix_.num_row_ = a_ub.shape[0]
+    model.num_col_ = model.a_matrix_.num_col_ = lp.shape[1]
+    model.num_row_ = model.a_matrix_.num_row_ = lp.shape[0]
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = a_ub.indptr
-    model.a_matrix_.index_ = a_ub.indices
-    model.a_matrix_.value_ = a_ub.data
+    model.a_matrix_.start_ = lp.a_indptr
+    model.a_matrix_.index_ = lp.a_indices
+    model.a_matrix_.value_ = lp.a_data
     model.col_cost_ = lp.cost(r_grid[0])
     model.col_lower_ = lp.bounds[:, 0]
     model.col_upper_ = lp.bounds[:, 1]

@@ -166,6 +166,17 @@ class TestExitCodes:
         assert "positive label 'Case' matches no row" in capsys.readouterr().err
         assert not (tmp_path / "o" / "selected.csv").exists()
 
+    def test_voting_bins_of_a_cv5_run_is_two(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "cv5"
+        assert run(
+            "cv5", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--seed", "3", "--out-dir", str(out),
+        ) == 0
+        rep = tmp_path / "bins"
+        assert run("report", "--kind", "voting_bins", "--input", str(out / "results.json"), "--out-dir", str(rep)) == 2
+        assert "not an mcv run?" in capsys.readouterr().err
+        assert not list(rep.glob("voting_bins*.csv"))
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_in_the_lp_grid_is_three(self, synth_dir, tmp_path, monkeypatch, finishes, cpus):
         real_fit_path = cv.fit_path
@@ -208,12 +219,25 @@ assert main(["synth", "--model", "linear", "--n", "30", "--p", "8", "--seed", "1
 assert main(["screen", "--input", out + "/synth/data.csv", "--label-col", "response", "--out-dir", out + "/screen"]) == 0
 assert main(["report", "--kind", "pairwise_distance", "--input", out + "/screen/results.json", "--out-dir", out + "/r1"]) == 0
 assert main(["report", "--kind", "voting_bins", "--input", mcv_results, "--out-dir", out + "/r2"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"], ["scipy", "spatial"]))
 
-from dcovselect.svm_reject import RejectLossParams, fit
+
+def solver_modules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"], ["scipy", "spatial"]))
+
+
+loaded = solver_modules()
+# the LP commands load HiGHS's extension module, and nothing else of scipy.optimize
+from dcovselect.svm_reject import RejectLossParams, _highs_core, fit
+binary = ["--input", out + "/binary/data.csv", "--label-col", "status", "--d", "1/4"]
+assert main(["synth", "--model", "logistic", "--n", "40", "--p", "6", "--active", "2", "--seed", "2", "--out-dir", out + "/binary"]) == 0
+assert main(["mcv", *binary, "--reps", "2", "--out-dir", out + "/mcv"]) == 0
+assert main(["cv5", *binary, "--out-dir", out + "/cv5"]) == 0
+lp_loaded = [m for m in solver_modules() if not m.startswith("scipy.optimize._highspy._core")]
+direct = _highs_core() is not None
+
 x = np.array([[0.0], [1.0], [2.0], [3.0]])
 model = fit(x, np.array([-1.0, -1.0, 1.0, 1.0]), 0.01, RejectLossParams(d=0.25))
-print(json.dumps({"loaded": loaded, "coef": model.coef.tolist()}))
+print(json.dumps({"loaded": loaded, "lp_loaded": lp_loaded, "direct": direct, "coef": model.coef.tolist()}))
 """
 
 
@@ -233,6 +257,8 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["loaded"] == []
+        if result["direct"]:  # without a _Highs class every LP goes through linprog
+            assert result["lp_loaded"] == []
         assert result["coef"][0] > 0.0
 
 
@@ -312,7 +338,7 @@ class TestPipelines:
 
         rep3 = tmp_path / "rep3"
         assert run("report", "--kind", "frequency_histogram", "--input", str(out / "results.json"), "--out-dir", str(rep3)) == 0
-        assert (rep3 / "histogram.csv").exists()
+        assert (rep3 / "histogram_d0.25.csv").exists()
 
     def test_permute_mcv_compare_table(self, synth_dir, tmp_path):
         out = tmp_path / "pmcv"
@@ -352,13 +378,24 @@ class TestPipelines:
         records = json.loads(read(out / "results.json"))["runs"]["0.25"]["records"]
         flags = [rec["flagged"] for rec in records]
         assert "single_class_split" in flags and None in flags
-        for kind, made, wrote in (
-            ("voting_bins", "voting_bins_d0.25.csv", "voting_bins_d0.25.csv"),
-            ("frequency_histogram", "histogram.csv", "histogram_d0.25.csv"),
-        ):
+        for kind, name in (("voting_bins", "voting_bins_d0.25.csv"), ("frequency_histogram", "histogram_d0.25.csv")):
             rep = tmp_path / kind
             assert run("report", "--kind", kind, "--input", str(out / "results.json"), "--out-dir", str(rep)) == 0
-            assert (rep / made).read_bytes() == (out / wrote).read_bytes(), kind
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), kind
+
+    def test_histogram_report_has_one_table_per_d(self, synth_dir, tmp_path):
+        # every d shares each replication's screen; one summed table would count it once per d
+        out = tmp_path / "mcv"
+        assert run(
+            "mcv", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/3,1/4,1/5", "--reps", "4", "--seed", "4", "--out-dir", str(out),
+        ) == 0
+        rep = tmp_path / "hist"
+        assert run("report", "--kind", "frequency_histogram", "--input", str(out / "results.json"), "--out-dir", str(rep)) == 0
+        made = sorted(path.name for path in rep.glob("histogram*.csv"))
+        assert made == ["histogram_d0.2.csv", "histogram_d0.25.csv", "histogram_d0.333333.csv"]
+        for name in made:
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_pairwise_distance_report_scaled_to_one(self, synth_dir, tmp_path):
         scr = tmp_path / "scr"

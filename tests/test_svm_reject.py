@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
+import dcovselect
 from dcovselect import svm_reject
 from dcovselect.errors import SolverError
 from dcovselect.svm_reject import (
@@ -328,6 +335,138 @@ class TestFitPath:
         x, y = random_instance(np.random.default_rng(14))
         with pytest.raises(SolverError, match=r"linear program failed \(status \d+\): .*\[n=\d+, features=\d+, r=0\.1, d=0\.25\]"):
             fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
+
+
+class TestProgramArrays:
+    """``_program`` lays out A_ub exactly as ``scipy.sparse`` would."""
+
+    @staticmethod
+    def scipy_matrix(x, y, p, fit_intercept, standardize):
+        # the reference: scipy.sparse laying out the same dense block and -I slack blocks
+        if standardize:
+            scale = x.std(axis=0)
+            xs = (x - x.mean(axis=0)) / np.where(scale > 0.0, scale, 1.0)
+        else:
+            xs = (x - np.zeros(x.shape[1])) / np.ones(x.shape[1])
+        yx = y[:, None] * xs
+        lin = np.hstack([-yx, yx, -y[:, None]] if fit_intercept else [-yx, yx])
+        eye = sparse.identity(y.size, format="csc")
+        return sparse.hstack(
+            [sparse.csc_matrix(np.vstack([lin, p.a * lin])), -sparse.vstack([eye, eye])], format="csc"
+        )
+
+    def test_arrays_equal_scipy_sparse_bitwise(self):
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            n = int(rng.integers(2, 41))
+            m = int(rng.integers(1, 7))
+            x = rng.normal(size=(n, m))
+            kind = trial % 4
+            if kind == 1:
+                x[:, rng.integers(0, m)] = 0.0  # a zero column, also after standardizing
+            elif kind == 2:
+                x = np.round(x)  # exact zeros, and -0.0 from rounding small negatives
+            elif kind == 3:
+                x[rng.random(size=x.shape) < 0.4] = -0.0
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            p = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
+            options = (bool(trial // 4 % 2), bool(trial // 8 % 2))  # intercept, standardize
+            lp = svm_reject._program(x, y, p, *options)
+            reference = self.scipy_matrix(x, y, p, *options)
+            assert lp.shape == reference.shape
+            for ours, theirs in ((lp.a_indptr, reference.indptr), (lp.a_indices, reference.indices), (lp.a_data, reference.data)):
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_negative_zero_is_dropped(self):
+        x = np.array([[-0.0, 1.0], [0.0, -1.0], [-0.0, 2.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        lp = svm_reject._program(x, y, RejectLossParams(d=0.25), False, False)
+        # the first feature's p and m columns (0 and 2) hold only zeros, -0.0 among them
+        assert list(np.diff(lp.a_indptr)[:4]) == [0, 6, 0, 6]
+        assert np.all(lp.a_data != 0.0)
+
+
+SRC = str(Path(dcovselect.__file__).resolve().parents[1])
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter and return the JSON on its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="ignore")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# a small program that fit_path and fit both solve
+LP_SETUP = """
+import json, sys
+import numpy as np
+from dcovselect import svm_reject
+from dcovselect.svm_reject import RejectLossParams, fit, fit_path
+
+rng = np.random.default_rng(3)
+x = rng.normal(size=(30, 4))
+y = np.where(x[:, 0] + rng.normal(size=30) > 0, 1.0, -1.0)
+y[:2] = (1.0, -1.0)
+p = RejectLossParams(d=0.25)
+NAME = "scipy.optimize._highspy._core"
+"""
+
+
+@needs_highs
+class TestHighsLoader:
+    """``_highs_core`` loads the same module object whichever way it is reached."""
+
+    def test_direct_load_is_the_module_scipy_imports_later(self):
+        result = run_python(LP_SETUP + """
+first = fit_path(x, y, [0.05, 0.5], p)[0]
+before = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+import scipy.optimize
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+import scipy.optimize._highspy._core as dotted
+core = svm_reject._highs_core()
+cold = fit(x, y, 0.05, p)
+res = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+print(json.dumps({
+    "before": before,
+    "same": [core is _core, core is dotted, core is sys.modules[NAME]],
+    "linprog": [int(res.status), float(res.fun)],
+    "bitwise": [first.coef.tobytes() == cold.coef.tobytes(), first.intercept == cold.intercept,
+                first.objective == cold.objective],
+}))
+""")
+        assert all(name.startswith("scipy.optimize._highspy._core") for name in result["before"])
+        assert "scipy.optimize._highspy._core" in result["before"]
+        assert result["same"] == [True, True, True]
+        assert result["linprog"] == [0, 1.0]
+        assert result["bitwise"] == [True, True, True]
+
+    def test_a_registered_module_is_used(self):
+        result = run_python(LP_SETUP + """
+import scipy.optimize
+registered = sys.modules[NAME]
+svm_reject._load_extension = None  # must not be reached
+models = fit_path(x, y, [0.05, 0.5], p)
+print(json.dumps({"same": svm_reject._highs_core() is registered, "points": len(models)}))
+""")
+        assert result == {"same": True, "points": 2}
+
+    def test_without_the_file_the_import_route_gives_the_same_module(self):
+        result = run_python(LP_SETUP + """
+svm_reject._load_extension = lambda name: None  # as where the file is not found
+core = svm_reject._highs_core()
+first = fit_path(x, y, [0.05, 0.5], p)[0]
+cold = fit(x, y, 0.05, p)
+from scipy.optimize._highspy import _core
+print(json.dumps({
+    "same": [core is _core, core is sys.modules[NAME]],
+    "bitwise": first.coef.tobytes() == cold.coef.tobytes() and first.objective == cold.objective,
+}))
+""")
+        assert result == {"same": [True, True], "bitwise": True}
 
 
 class TestPredict:
