@@ -287,8 +287,8 @@ def _d_tags(d_values) -> dict[float, str]:
 
 
 def _record_payloads(records) -> list[dict]:
-    """Each record as ``asdict``, without its per-subject scores and tuning losses."""
-    return [{k: v for k, v in asdict(rec).items() if k not in ("scores", "tuning_losses")} for rec in records]
+    """Each record as ``asdict``, without its tuning losses."""
+    return [{k: v for k, v in asdict(rec).items() if k != "tuning_losses"} for rec in records]
 
 
 def _resampling_payload(args, ds: Dataset) -> dict:
@@ -390,20 +390,33 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _read_feature_column(path) -> list[int]:
+def _read_feature_column(path, p: int) -> list[int]:
+    """The ``feature_index`` column of a ``selected.csv``; each must be a column of the ``p``-feature design."""
     import csv as _csv
 
     with open(path, newline="") as fh:
         rows = list(_csv.DictReader(fh))
     if not rows or "feature_index" not in rows[0]:
         raise DataValidationError(f"{path}: expected a selected.csv with a feature_index column")
-    return [int(row["feature_index"]) for row in rows]
+    features = []
+    for row_number, row in enumerate(rows, start=1):
+        value = row["feature_index"]
+        try:
+            j = int(value)
+        except (TypeError, ValueError):  # not an integer, or a missing cell
+            j = None
+        if j is None or not 0 <= j < p:
+            raise DataValidationError(
+                f"{path}: row {row_number}: feature_index {value!r} is not an integer in [0, {p})"
+            )
+        features.append(j)
+    return features
 
 
 def cmd_svmr_fit(args) -> int:
     out = _out_dir(args)
     ds = _load_binary(args)
-    features = _read_feature_column(args.features) if args.features else list(range(ds.p))
+    features = _read_feature_column(args.features, ds.p) if args.features else list(range(ds.p))
     model = fit(
         ds.X[:, features],
         ds.y.astype(float),

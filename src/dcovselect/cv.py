@@ -17,8 +17,7 @@ count.
 
 Per-subject three-way decisions from the replications aggregate into voting
 scores ``v = (s - r) / w`` (support minus against, scaled by withhold
-count), summarized over score bins.  Label permutation and a k-nearest
-neighbor check complete the evaluation toolkit.
+count), summarized over score bins; label permutation gives the null run.
 """
 
 import math
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .dcov import euclidean_distances
 from .rng import stream
 from .screening import ScreeningConfig, screen
 from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit_path, l_loss
@@ -53,7 +51,6 @@ __all__ = [
     "voting_scores",
     "voting_bins",
     "permute_response",
-    "knn_classify",
 ]
 
 VOTE_SENTINEL = float("inf")
@@ -171,7 +168,6 @@ class ReplicationRecord:
     tuned_r: float
     tuning_losses: list[float]
     decisions: np.ndarray
-    scores: np.ndarray
     training_accuracy: float
     testing_accuracy: float
     n_decision_train: int
@@ -308,8 +304,7 @@ def _screen_fit_evaluate(
             chosen, losses = 0, []
         model = grid[chosen]
 
-        scores = decision_scores(model, x_all)
-        decisions = decide(scores, params.delta)
+        decisions = decide(decision_scores(model, x_all), params.delta)
         train_acc, n_train_dec = _accuracy_over_decided(decisions[train_idx], y_train)
         if test_idx.size:
             test_acc, n_test_dec = _accuracy_over_decided(decisions[test_idx], y[test_idx])
@@ -327,7 +322,6 @@ def _screen_fit_evaluate(
                 tuned_r=model.r,
                 tuning_losses=losses,
                 decisions=decisions,
-                scores=scores,
                 training_accuracy=train_acc,
                 testing_accuracy=test_acc,
                 n_decision_train=n_train_dec,
@@ -349,7 +343,6 @@ def _degenerate_record(rep_id, tune_idx, train_idx, test_idx, n, reason) -> Repl
         tuned_r=float("nan"),
         tuning_losses=[],
         decisions=np.zeros(n, dtype=int),
-        scores=np.zeros(n),
         training_accuracy=float("nan"),
         testing_accuracy=float("nan"),
         n_decision_train=0,
@@ -640,7 +633,7 @@ def voting_bins(
 
 
 # ---------------------------------------------------------------------------
-# Permutation and k-NN
+# Permutation
 # ---------------------------------------------------------------------------
 
 
@@ -655,26 +648,3 @@ def permute_response(ds: Dataset, seed_or_rng) -> Dataset:
         rng = stream(int(seed_or_rng), "permutation")
     perm = rng.permutation(ds.n)
     return ds.with_response(np.asarray(ds.y)[perm])
-
-
-def knn_classify(train_x, train_y, test_x, k: int = 3) -> np.ndarray:
-    """Majority vote over the k nearest training rows (Euclidean).
-
-    Neighbor order is stable for distance ties; vote ties go to the smallest
-    label in sort order, so results are deterministic.
-    """
-    train_x = np.asarray(train_x, dtype=float)
-    test_x = np.asarray(test_x, dtype=float)
-    train_y = np.asarray(train_y)
-    if train_x.shape[0] == 0:
-        raise ValueError("empty training set")
-    if k < 1 or k > train_x.shape[0]:
-        raise ValueError(f"k must be in [1, {train_x.shape[0]}], got {k}")
-    distances = euclidean_distances(test_x, train_x)
-    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    labels = np.empty(test_x.shape[0], dtype=train_y.dtype)
-    for i in range(test_x.shape[0]):
-        neigh = train_y[order[i]]
-        values, counts = np.unique(neigh, return_counts=True)
-        labels[i] = values[np.argmax(counts)]  # unique sorts: smallest label wins ties
-    return labels

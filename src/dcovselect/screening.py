@@ -15,7 +15,7 @@ indicators and the per-class selections are unioned.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class ScreeningConfig:
     def __post_init__(self):
         if self.method not in ("dc_sis", "dcov_greedy"):
             raise ValueError(f"unknown screening method {self.method!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:  # NaN compares false with every value
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.m_lookahead < 1:
             raise ValueError("m_lookahead must be a positive integer")
         if self.d_model_size is not None and self.d_model_size < 1:
@@ -86,7 +86,6 @@ class ScreeningResult:
     trajectory_accepted: list[bool]
     stop_reason: str
     standardized: bool = True
-    notes: list[str] = field(default_factory=list)
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:

@@ -13,20 +13,18 @@ negative parts.  The plug-in reference rule on a known class-1 probability
 ``eta`` (reject on ``d <= eta <= 1 - d``) and its risk are provided for
 synthetic-data validation.
 
-``fit`` solves one penalty cold through ``scipy.optimize.linprog``.
-``fit_path`` solves a whole penalty grid on one HiGHS model: only the cost
-of the coefficient columns depends on the penalty, so each later grid point
-restarts the dual simplex from the previous optimal basis.  It uses scipy's
-private HiGHS bindings where they exist and falls back to ``fit`` per
-penalty where they do not.  The bindings' extension module is loaded from
-its file, so ``fit_path`` imports neither ``scipy.optimize`` nor
-``scipy.sparse``; the program's CSC arrays are built with numpy, and only
-``fit`` wraps them in a ``scipy.sparse`` matrix for ``linprog``.
+``fit_path`` solves a penalty grid on one program; ``fit`` is its one-point
+grid.  Where scipy's private HiGHS bindings have a ``_Highs`` class, the
+grid is one HiGHS model warm-started along the penalties; the bindings'
+extension module is loaded from its file and the CSC arrays are built with
+numpy, so neither ``scipy.optimize`` nor ``scipy.sparse`` is imported.
+Elsewhere each penalty is solved cold by ``scipy.optimize.linprog``.
 """
 
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -50,15 +48,6 @@ __all__ = [
 ]
 
 COEF_ZERO_TOL = 1e-9
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first solve."""
-    # scipy.optimize adds ~0.25 s to start-up; commands without an LP never pay it
-    from scipy.optimize import linprog as _linprog
-
-    return _linprog(*args, **kwargs)
-
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
@@ -260,7 +249,7 @@ class _Program:
 
 
 def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: bool) -> _Program:
-    """Validate the training data and build the program ``fit`` and ``fit_path`` solve."""
+    """Validate the training data and build the program ``fit_path`` solves."""
     x, y = _validate_training(x, y)
     n, m_feats = x.shape
     if standardize:
@@ -299,8 +288,8 @@ def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: b
 
 
 def _check_penalty(r: float) -> None:
-    if not r > 0.0:
-        raise ValueError(f"penalty r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"penalty r must be positive and finite, got {r}")
 
 
 def fit(
@@ -318,18 +307,11 @@ def fit(
     an unpenalized free intercept, and one slack per subject bounded below by
     every linear piece of the hinge.  Columns are z-scored first (unless
     ``standardize`` is off) and the solution mapped back, so penalties are
-    comparable across feature scales.  Each call solves from scratch.
+    comparable across feature scales.  Each call solves from scratch: it is
+    the one-point grid of ``fit_path``, whose first grid point is the cold
+    solution on either route.
     """
-    # importing scipy.sparse costs ~0.07 s and ~21 MB of RSS; only linprog needs it
-    from scipy import sparse
-
-    lp = _program(x, y, params, fit_intercept, standardize)
-    _check_penalty(r)
-    a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
-    res = linprog(lp.cost(r), A_ub=a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
-    if res.status != 0 or res.x is None:
-        raise lp.failure(res.status, res.message, r)
-    return lp.model(res.x, res.fun, r)
+    return fit_path(x, y, [r], params, fit_intercept=fit_intercept, standardize=standardize)[0]
 
 
 def fit_path(
@@ -341,33 +323,29 @@ def fit_path(
     fit_intercept: bool = True,
     standardize: bool = True,
 ) -> list[RejectModel]:
-    """``fit`` at every penalty of ``r_grid``, in grid order, on one warm-started model.
+    """``fit`` at every penalty of ``r_grid``, in grid order, on one program.
 
-    The program is built once and handed to HiGHS with the options
-    ``linprog(method="highs")`` uses, so the first grid point is bitwise
-    equal to ``fit``.  For each later ``r`` only the cost of the ``2m``
-    coefficient columns changes, and the dual simplex restarts from the
-    previous optimal basis.  Objectives agree with ``fit`` to rounding
-    (within 1e-9 relative).  On a degenerate program a warm start can end on
-    another optimal vertex, so coefficients, and rarely decisions, may
-    differ from ``fit``'s: of 4 800 fits on random designs with tied values,
-    zero columns or duplicate columns, 29 differed in at least one training
-    decision (27 of them on tied designs).  Any non-optimal model status
-    raises ``SolverError``.  Where scipy has no ``_Highs`` class this is
-    ``[fit(x, y, r, params, ...) for r in r_grid]``.
+    Where scipy has a ``_Highs`` class the program is one HiGHS model with
+    the options ``linprog(method="highs")`` sets, so the first grid point is
+    bitwise ``linprog``'s solution; for each later ``r`` only the cost of the
+    ``2m`` coefficient columns changes, and the dual simplex restarts from
+    the previous optimal basis.  Objectives agree with a cold solve within
+    1e-9 relative, but on a degenerate program a warm start can end on
+    another optimal vertex: of 4 800 fits on random designs with tied
+    values, zero columns or duplicate columns, 29 differed from a cold solve
+    in a training decision (27 of them on tied designs).  Without ``_Highs``
+    each penalty is solved cold by ``linprog``.  Any non-optimal status
+    raises ``SolverError``.
     """
-    core = _highs_core()
-    if core is None:
-        return [
-            fit(x, y, r, params, fit_intercept=fit_intercept, standardize=standardize)
-            for r in r_grid
-        ]
-    lp = _program(x, y, params, fit_intercept, standardize)
     r_grid = list(r_grid)
     for r in r_grid:
         _check_penalty(r)
+    lp = _program(x, y, params, fit_intercept, standardize)
     if not r_grid:
         return []
+    core = _highs_core()
+    if core is None:
+        return _linprog_path(lp, r_grid)
 
     highs = core._Highs()
     for option, value in _HIGHS_OPTIONS:
@@ -399,6 +377,22 @@ def fit_path(
             raise lp.failure(int(status), highs.modelStatusToString(status), r)
         sol = np.array(highs.getSolution().col_value)
         models.append(lp.model(sol, highs.getInfo().objective_function_value, r))
+    return models
+
+
+def _linprog_path(lp: _Program, r_grid) -> list[RejectModel]:
+    """Each penalty of ``r_grid`` solved cold by ``linprog``: the route where scipy has no ``_Highs``."""
+    # importing scipy.optimize and scipy.sparse costs ~0.27 s and ~69 MB of RSS
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
+    models = []
+    for r in r_grid:
+        res = linprog(lp.cost(r), A_ub=a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
+        if res.status != 0 or res.x is None:
+            raise lp.failure(res.status, res.message, r)
+        models.append(lp.model(res.x, res.fun, r))
     return models
 
 

@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from dcovselect import svm_reject
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 
@@ -30,3 +32,16 @@ def finishes():
         return box
 
     return run
+
+
+@pytest.fixture
+def cold_fit_path(monkeypatch):
+    """``svm_reject.fit_path`` on its cold route, as where scipy has no ``_Highs``:
+    every penalty solved from scratch by ``linprog``."""
+
+    def solve(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(svm_reject, "_highs_core", lambda: None)
+            return svm_reject.fit_path(*args, **kwargs)
+
+    return solve

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,11 +10,14 @@ import numpy as np
 import pytest
 
 import dcovselect
-from dcovselect import cv
+from dcovselect import cv, svm_reject
 from dcovselect.cli import main, parse_fraction
 from dcovselect.data import ingest
 from dcovselect.errors import SolverError
 from dcovselect.svm_reject import RejectLossParams, decision_scores, fit
+
+
+HAS_HIGHS = svm_reject._highs_core() is not None
 
 
 def run(*argv):
@@ -195,6 +199,60 @@ class TestExitCodes:
             ]
             assert finishes(lambda: run(*argv)) == {"value": 3}
 
+    @pytest.mark.skipif(not HAS_HIGHS, reason="this scipy has no private _Highs class")
+    def test_solver_failure_in_svmr_fit_is_three(self, synth_dir, tmp_path, monkeypatch, capsys):
+        core = svm_reject._highs_core()
+
+        class StalledHighs(core._Highs):
+            """Reports an iteration limit on every solve."""
+
+            def getModelStatus(self):
+                return core.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(core, "_Highs", StalledHighs)
+        out = tmp_path / "fit"
+        assert run(
+            "svmr-fit", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--r", "0.1", "--out-dir", str(out),
+        ) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"solver failure: linear program failed \(status \d+\): .+ \[n=80, features=15, r=0\.1, d=0\.25\]", err)
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("svmr-fit", "--d", "1/4", "--r", "inf"),
+        ("mcv", "--d", "1/4", "--reps", "1", "--r-grid", "0.1,inf"),
+        ("cv5", "--d", "1/4", "--r-grid", "inf"),
+    ], ids=["svmr-fit", "mcv", "cv5"])
+    def test_infinite_penalty_is_a_usage_error(self, synth_dir, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        command, *flags = argv
+        assert run(
+            command, "--input", str(synth_dir / "data.csv"), "--label-col", "status", *flags, "--out-dir", str(out),
+        ) == 1
+        assert "error: penalty r must be positive and finite, got inf" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("row, shown", [
+        ("2,25,f26", "'25'"),
+        ("2,15,f16", "'15'"),  # p = 15: one past the last column
+        ("2,-1,f15", "'-1'"),
+        ("2,1.5,f2", "'1.5'"),
+        ("2,,f2", "''"),
+        ("2", "None"),  # a short row has no feature_index cell
+    ])
+    def test_feature_index_outside_the_design_is_two(self, synth_dir, tmp_path, capsys, row, shown):
+        selected = tmp_path / "selected.csv"
+        selected.write_text(f"order,feature_index,feature\n1,0,f1\n{row}\n")
+        out = tmp_path / "fit"
+        assert run(
+            "svmr-fit", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--r", "0.1", "--features", str(selected), "--out-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"data validation error: {selected}: row 2: feature_index {shown} is not an integer in [0, 15)" in err
+        assert not (out / "model.json").exists()
+
     @pytest.mark.parametrize("command, extra", [("mcv", ("--reps", "1")), ("cv5", ())])
     def test_distinct_d_values_sharing_a_file_tag_are_usage_errors(self, synth_dir, tmp_path, capsys, command, extra):
         data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status", *extra)
@@ -228,15 +286,18 @@ def solver_modules():
 loaded = solver_modules()
 # the LP commands load HiGHS's extension module, and nothing else of scipy.optimize
 from dcovselect.svm_reject import RejectLossParams, _highs_core, fit
-binary = ["--input", out + "/binary/data.csv", "--label-col", "status", "--d", "1/4"]
+data = ["--input", out + "/binary/data.csv", "--label-col", "status"]
+binary = [*data, "--d", "1/4"]
 assert main(["synth", "--model", "logistic", "--n", "40", "--p", "6", "--active", "2", "--seed", "2", "--out-dir", out + "/binary"]) == 0
 assert main(["mcv", *binary, "--reps", "2", "--out-dir", out + "/mcv"]) == 0
 assert main(["cv5", *binary, "--out-dir", out + "/cv5"]) == 0
-lp_loaded = [m for m in solver_modules() if not m.startswith("scipy.optimize._highspy._core")]
-direct = _highs_core() is not None
+assert main(["svmr-fit", *binary, "--r", "0.1", "--out-dir", out + "/fit"]) == 0
+assert main(["svmr-predict", *data, "--model", out + "/fit/model.json", "--out-dir", out + "/predict"]) == 0
 
 x = np.array([[0.0], [1.0], [2.0], [3.0]])
 model = fit(x, np.array([-1.0, -1.0, 1.0, 1.0]), 0.01, RejectLossParams(d=0.25))
+lp_loaded = [m for m in solver_modules() if not m.startswith("scipy.optimize._highspy._core")]
+direct = _highs_core() is not None
 print(json.dumps({"loaded": loaded, "lp_loaded": lp_loaded, "direct": direct, "coef": model.coef.tolist()}))
 """
 

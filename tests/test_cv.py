@@ -10,7 +10,6 @@ from dcovselect.cv import (
     VotingRecord,
     five_fold_cv,
     kfold_partition,
-    knn_classify,
     mcv_run,
     mean_l_loss,
     permute_response,
@@ -212,7 +211,7 @@ class TestLpGrid:
 
     D_VALUES = [1 / 3, 1 / 4, 1 / 5]
 
-    def test_path_models_match_cold_fits(self, monkeypatch):
+    def test_path_models_match_cold_fits(self, monkeypatch, cold_fit_path):
         # a warm-started path may end on another optimal vertex of a
         # degenerate program, so only its first grid point is bitwise equal
         # to a cold fit; objectives agree to rounding and decisions exactly
@@ -235,7 +234,7 @@ class TestLpGrid:
                 (models,) = [m for cx, cp, m in calls if cp.d == d and np.array_equal(cx, x)]
                 assert [m.r for m in models] == R_GRID
                 y = ds.y[rec.train_idx].astype(float)
-                cold = [fit(x, y, r, RejectLossParams(d=d)) for r in R_GRID]
+                cold = cold_fit_path(x, y, R_GRID, RejectLossParams(d=d))
                 assert models[0].coef.tobytes() == cold[0].coef.tobytes()
                 assert models[0].intercept == cold[0].intercept
                 assert models[0].objective == cold[0].objective
@@ -399,31 +398,15 @@ class TestPermutation:
 
 
 class TestKnn:
-    def test_exact_match_k1(self):
-        train = np.array([[0.0, 0.0], [5.0, 5.0]])
-        labels = np.array(["a", "b"])
-        out = knn_classify(train, labels, np.array([[5.0, 5.0]]), k=1)
-        assert out[0] == "b"
+    """Screened features separate held-out classes under a plain 3-nearest-neighbour vote."""
 
-    def test_separated_clusters(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(20, 2))
-        b = rng.normal(size=(20, 2)) + 50.0
-        train = np.vstack([a, b])
-        labels = np.array([0] * 20 + [1] * 20)
-        test = np.vstack([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + 50.0])
-        out = knn_classify(train, labels, test, k=3)
-        assert np.array_equal(out, [0] * 5 + [1] * 5)
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(ValueError):
-            knn_classify(np.empty((0, 2)), np.array([]), np.zeros((1, 2)))
-
-    def test_vote_tie_takes_smallest_label(self):
-        train = np.array([[0.0], [1.0]])
-        labels = np.array([5, 2])
-        out = knn_classify(train, labels, np.array([[0.5]]), k=2)
-        assert out[0] == 2
+    @staticmethod
+    def knn(train_x, train_y, test_x, k):
+        # stable neighbour order; unique sorts, so a vote tie goes to the smallest label
+        distances = np.linalg.norm(test_x[:, None, :] - train_x[None, :, :], axis=2)
+        order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        votes = [np.unique(train_y[row], return_counts=True) for row in order]
+        return np.array([values[np.argmax(counts)] for values, counts in votes])
 
     def test_screened_features_classify_held_out_tumors_perfectly(self):
         # 4 tumor-like classes with disjoint driver pairs: screen on the
@@ -436,5 +419,5 @@ class TestKnn:
         perm = rng.permutation(ds.n)
         train, test = perm[:63], perm[63:]
         _, union = one_vs_rest_screen(ds.X[train], ds.y[train])
-        predicted = knn_classify(ds.X[np.ix_(train, union)], ds.y[train], ds.X[np.ix_(test, union)], k=3)
+        predicted = self.knn(ds.X[np.ix_(train, union)], ds.y[train], ds.X[np.ix_(test, union)], k=3)
         assert np.array_equal(predicted, ds.y[test])

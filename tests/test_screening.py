@@ -314,6 +314,9 @@ def test_config_validation():
         ScreeningConfig(method="pearson")
     with pytest.raises(ValueError):
         ScreeningConfig(epsilon=-0.1)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative, got nan"):
+        ScreeningConfig(epsilon=float("nan"))  # every comparison with NaN is false
+    assert ScreeningConfig(epsilon=float("inf")).epsilon == float("inf")  # never stop
     with pytest.raises(ValueError):
         ScreeningConfig(m_lookahead=0)
 

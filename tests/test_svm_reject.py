@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import linprog
@@ -40,6 +42,17 @@ def reject_loss(z, d, delta=0.5):
     if abs(z) <= delta:
         return d
     return 0.0
+
+
+def dense_a_ub(xs, y, a, fit_intercept):
+    """The constraint matrix written out densely, with its two n x n -I slack blocks."""
+    n = y.size
+    yx = y[:, None] * xs
+    intercept = -y[:, None] if fit_intercept else np.empty((n, 0))
+    return np.vstack([
+        np.hstack([-yx, yx, intercept, -np.eye(n)]),
+        np.hstack([-a * yx, a * yx, a * intercept, -np.eye(n)]),
+    ])
 
 
 def random_instance(rng):
@@ -229,15 +242,11 @@ class TestFit:
             seen.update(c=c, A_ub=A_ub, **kwargs)
             return linprog(c, A_ub=A_ub, **kwargs)
 
-        monkeypatch.setattr(svm_reject, "linprog", recording_linprog)
+        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)  # the cold route, through linprog
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
         model = fit(x, y, 0.05, p, standardize=False, fit_intercept=fit_intercept)
 
-        yx = y[:, None] * x
-        intercept = -y[:, None] if fit_intercept else np.empty((n, 0))
-        dense = np.vstack([
-            np.hstack([-yx, yx, intercept, -np.eye(n)]),
-            np.hstack([-p.a * yx, p.a * yx, p.a * intercept, -np.eye(n)]),
-        ])
+        dense = dense_a_ub(x, y, p.a, fit_intercept)
         a_ub = seen["A_ub"]
         assert sparse.issparse(a_ub)
         assert np.all(a_ub.data != 0.0)
@@ -271,7 +280,7 @@ class TestFitPath:
     GRID = R_GRID + [1000.0]
 
     @needs_highs
-    def test_matches_cold_fits(self):
+    def test_matches_cold_fits(self, cold_fit_path):
         rng = np.random.default_rng(11)
         for trial in range(40):
             kind = ("normal", "tied", "zero_columns", "duplicate_columns")[trial % 4]
@@ -279,7 +288,7 @@ class TestFitPath:
             p = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
             options = dict(fit_intercept=bool(rng.integers(0, 2)), standardize=bool(rng.integers(0, 2)))
             path = fit_path(x, y, self.GRID, p, **options)
-            cold = [fit(x, y, r, p, **options) for r in self.GRID]
+            cold = cold_fit_path(x, y, self.GRID, p, **options)
             assert [m.r for m in path] == self.GRID
             first, oracle = path[0], cold[0]
             assert first.coef.tobytes() == oracle.coef.tobytes()
@@ -293,18 +302,31 @@ class TestFitPath:
             assert np.all(cold[-1].coef_internal == 0.0)
 
     def test_without_highs_class_equals_cold_fits(self, monkeypatch):
+        # the cold route is linprog on the program written out densely here,
+        # one penalty at a time, on a program built once per grid
         monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+        built = []
+        real_program = svm_reject._program
+        monkeypatch.setattr(svm_reject, "_program", lambda *args: built.append(args) or real_program(*args))
         rng = np.random.default_rng(12)
         for kind in ("normal", "tied"):
             x, y = path_instance(rng, kind)
             p = RejectLossParams(d=0.25)
+            built.clear()
             path = fit_path(x, y, self.GRID, p, fit_intercept=False)
-            cold = [fit(x, y, r, p, fit_intercept=False) for r in self.GRID]
-            for model, reference in zip(path, cold):
-                assert model.coef.tobytes() == reference.coef.tobytes()
-                assert model.coef_internal.tobytes() == reference.coef_internal.tobytes()
-                assert model.intercept == reference.intercept
-                assert model.objective == reference.objective
+            assert len(built) == 1
+            n, m = x.shape
+            center, scale = x.mean(axis=0), x.std(axis=0)
+            scale = np.where(scale > 0.0, scale, 1.0)
+            dense = dense_a_ub((x - center) / scale, y, p.a, fit_intercept=False)
+            for model, r in zip(path, self.GRID):
+                c = np.concatenate([np.full(2 * m, r), np.full(n, 1.0 / n)])
+                reference = linprog(c, A_ub=dense, b_ub=np.full(2 * n, -1.0), bounds=(0, None), method="highs")
+                coef_internal = reference.x[:m] - reference.x[m : 2 * m]
+                assert model.coef.tobytes() == (coef_internal / scale).tobytes()
+                assert model.coef_internal.tobytes() == coef_internal.tobytes()
+                assert model.intercept == -float(np.dot(coef_internal, center / scale))
+                assert model.objective == reference.fun
 
     def test_rejects_bad_penalties_and_takes_an_empty_grid(self):
         x, y = random_instance(np.random.default_rng(13))
@@ -312,6 +334,27 @@ class TestFitPath:
         with pytest.raises(ValueError, match="penalty r must be positive"):
             fit_path(x, y, [0.1, 0.0], p)
         assert fit_path(x, y, [], p) == []
+
+    @pytest.mark.parametrize("route", ["warm", "cold"])
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_penalty_rejected_on_both_routes(self, monkeypatch, route, r):
+        if route == "cold":
+            monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+        x, y = random_instance(np.random.default_rng(13))
+        with pytest.raises(ValueError, match=r"penalty r must be positive and finite, got (inf|nan)$"):
+            fit_path(x, y, [0.1, r], RejectLossParams(d=0.25))
+        with pytest.raises(ValueError, match="penalty r must be positive and finite"):
+            fit(x, y, r, RejectLossParams(d=0.25))
+
+    def test_cold_route_failure_raises(self, monkeypatch):
+        class Result:
+            status, message, x, fun = 1, "Iteration limit reached.", None, math.nan
+
+        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Result())
+        x, y = random_instance(np.random.default_rng(14))
+        with pytest.raises(SolverError, match=r"linear program failed \(status 1\): Iteration limit reached\. \[n=\d+, features=\d+, r=0\.01, d=0\.25\]"):
+            fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
 
     @needs_highs
     def test_non_optimal_status_raises(self, monkeypatch):
@@ -399,7 +442,7 @@ def run_python(script):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-# a small program that fit_path and fit both solve
+# a small program that both routes of fit_path solve
 LP_SETUP = """
 import json, sys
 import numpy as np
@@ -412,6 +455,16 @@ y = np.where(x[:, 0] + rng.normal(size=30) > 0, 1.0, -1.0)
 y[:2] = (1.0, -1.0)
 p = RejectLossParams(d=0.25)
 NAME = "scipy.optimize._highspy._core"
+
+
+def cold_fit(*args, **kwargs):
+    # fit on the cold route (linprog), as where scipy has no _Highs
+    warm = svm_reject._highs_core
+    svm_reject._highs_core = lambda: None
+    try:
+        return fit(*args, **kwargs)
+    finally:
+        svm_reject._highs_core = warm
 """
 
 
@@ -428,7 +481,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 import scipy.optimize._highspy._core as dotted
 core = svm_reject._highs_core()
-cold = fit(x, y, 0.05, p)
+cold = cold_fit(x, y, 0.05, p)
 res = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
 print(json.dumps({
     "before": before,
@@ -459,7 +512,7 @@ print(json.dumps({"same": svm_reject._highs_core() is registered, "points": len(
 svm_reject._load_extension = lambda name: None  # as where the file is not found
 core = svm_reject._highs_core()
 first = fit_path(x, y, [0.05, 0.5], p)[0]
-cold = fit(x, y, 0.05, p)
+cold = cold_fit(x, y, 0.05, p)
 from scipy.optimize._highspy import _core
 print(json.dumps({
     "same": [core is _core, core is sys.modules[NAME]],
