@@ -10,10 +10,13 @@ Two resampling pipelines wrap screening + reject-option fitting:
 
 Both take a list of rejection costs ``d``.  Each split is screened once.
 For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
-warm-starts HiGHS along the grid.  With more than one ``d`` the paths run
-concurrently on the usable CPUs (HiGHS releases the GIL while it solves);
-models are gathered in ``d`` order, so results do not depend on the worker
-count.
+warm-starts HiGHS along the grid.  Splits and (split, ``d``) paths share
+one thread pool per run, on at most the usable CPUs: it screens every
+split, then fits every path, split-major (numpy releases the GIL in the
+screening sweeps, HiGHS while it solves).  Tuning, evaluation and warnings
+stay in the calling thread, in split order, and results are gathered in
+that order, so they do not depend on the worker count.  The first failing
+path, in split-major order, raises, and the queued ones are dropped.
 
 Per-subject three-way decisions from the replications aggregate into voting
 scores ``v = (s - r) / w`` (support minus against, scaled by withhold
@@ -31,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .rng import stream
-from .screening import ScreeningConfig, screen
+from .screening import ScreeningConfig, ScreeningResult, screen
 from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit_path, l_loss
 
 __all__ = [
@@ -253,51 +256,99 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _lp_map(paths_per_split: int):
-    """``map`` for one run's LP paths, on ``min(paths per split, usable CPUs)`` threads.
+def _run_map(jobs: int):
+    """``map`` for one run's jobs, on ``min(jobs, usable CPUs)`` threads.
 
-    With one worker it is the builtin ``map`` and no thread starts.  A pool
-    lives for the whole run: creating one per split costs more than the
-    overlap saves.
+    Results come back in job order.  With one worker it is the builtin
+    ``map`` and no thread starts.  One pool lives for the whole run; when a
+    job fails, the jobs still queued are cancelled, not run.
     """
-    workers = min(paths_per_split, _usable_cpus())
+    workers = min(jobs, _usable_cpus())
     if workers < 2:
         yield map
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _screen_fit_evaluate(
+@dataclass
+class _Split:
+    """One resample's subject sets, and why it is skipped, if it is."""
+
+    rep_id: int
+    tune_idx: np.ndarray
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    flagged: str | None = None
+
+
+def _run_splits(
     ds: Dataset,
-    rep_id: int,
-    tune_idx: np.ndarray,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+    splits: list[_Split],
     grid_params: list[RejectLossParams],
-    r_grid,
+    r_grid: list[float],
     config: ScreeningConfig,
     tie: str,
-    lp_map,
-) -> list[ReplicationRecord]:
-    """Screen one split once, fit the penalty path of every ``d``, and tune per ``d``.
+) -> list[list[ReplicationRecord]]:
+    """One list of records per entry of ``grid_params``, each in split order.
 
-    Returns one record per entry of ``grid_params``, in order.
+    One pool serves the run.  It screens every split that is not flagged,
+    then fits the penalty path of every (split, ``d``) pair, split-major.
+    Tuning and evaluation follow in the calling thread, split by split.  A
+    flagged split gets degenerate records.  ``screen`` and ``fit_path`` are
+    looked up at call time, so a wrapper installed on this module sees
+    every call.
     """
     y = ds.y.astype(float)
-    scr = screen(ds.X[train_idx], y[train_idx], config)
+    live = [split for split in splits if split.flagged is None]
+
+    def screen_split(split):
+        return screen(ds.X[split.train_idx], y[split.train_idx], config)
+
+    def fit_job(job):
+        split, selected, params = job
+        return fit_path(ds.X[np.ix_(split.train_idx, selected)], y[split.train_idx], r_grid, params)
+
+    with _run_map(len(live) * len(grid_params)) as run_map:
+        screens = list(run_map(screen_split, live))
+        jobs = [(split, scr.selected, params) for split, scr in zip(live, screens) for params in grid_params]
+        paths = iter(list(run_map(fit_job, jobs)))
+
+    fitted = iter(screens)
+    records = [[] for _ in grid_params]
+    for split in splits:
+        if split.flagged is not None:
+            split_records = [_degenerate_record(split, ds.n) for _ in grid_params]
+        else:
+            grids = [next(paths) for _ in grid_params]
+            split_records = _evaluate(ds, y, split, next(fitted), grid_params, grids, tie)
+        for recs, record in zip(records, split_records):
+            recs.append(record)
+    return records
+
+
+def _evaluate(
+    ds: Dataset,
+    y: np.ndarray,
+    split: _Split,
+    scr: ScreeningResult,
+    grid_params: list[RejectLossParams],
+    grids: list[list[RejectModel]],
+    tie: str,
+) -> list[ReplicationRecord]:
+    """Tune each ``d``'s penalty path of one screened split and score its decisions."""
+    tune_idx, train_idx, test_idx = split.tune_idx, split.train_idx, split.test_idx
     selected = scr.selected
-    x_train = ds.X[np.ix_(train_idx, selected)]
     y_train = y[train_idx]
-    # ``fit_path`` is looked up at call time, so a wrapper installed on this
-    # module sees every path
-    paths = list(lp_map(lambda params: fit_path(x_train, y_train, r_grid, params), grid_params))
     x_all = ds.X[:, selected]
     x_tune = x_all[tune_idx]
     max_marginal_r2 = float(scr.marginal_r2.max())
 
     records = []
-    for params, grid in zip(grid_params, paths):
+    for params, grid in zip(grid_params, grids):
         if tune_idx.size:
             chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
         else:
@@ -313,7 +364,7 @@ def _screen_fit_evaluate(
 
         records.append(
             ReplicationRecord(
-                rep_id=rep_id,
+                rep_id=split.rep_id,
                 tune_idx=tune_idx,
                 train_idx=train_idx,
                 test_idx=test_idx,
@@ -332,12 +383,12 @@ def _screen_fit_evaluate(
     return records
 
 
-def _degenerate_record(rep_id, tune_idx, train_idx, test_idx, n, reason) -> ReplicationRecord:
+def _degenerate_record(split: _Split, n: int) -> ReplicationRecord:
     return ReplicationRecord(
-        rep_id=rep_id,
-        tune_idx=tune_idx,
-        train_idx=train_idx,
-        test_idx=test_idx,
+        rep_id=split.rep_id,
+        tune_idx=split.tune_idx,
+        train_idx=split.train_idx,
+        test_idx=split.test_idx,
         selected=[],
         post_model_features=[],
         tuned_r=float("nan"),
@@ -348,7 +399,7 @@ def _degenerate_record(rep_id, tune_idx, train_idx, test_idx, n, reason) -> Repl
         n_decision_train=0,
         n_decision_test=0,
         max_marginal_r2=float("nan"),
-        flagged=reason,
+        flagged=split.flagged,
     )
 
 
@@ -369,6 +420,14 @@ def _grid_params(d_values, delta: float) -> list[RejectLossParams]:
     if not params:
         raise ValueError("need at least one rejection cost d")
     return params
+
+
+def _penalty_grid(r_grid) -> list[float]:
+    """The penalties in increasing order (validated up front)."""
+    grid = sorted(float(r) for r in r_grid)
+    if not grid:
+        raise ValueError("need at least one penalty r (--r-grid is empty)")
+    return grid
 
 
 def five_fold_cv(
@@ -392,34 +451,25 @@ def five_fold_cv(
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()
-    r_grid = sorted(float(r) for r in r_grid)
+    r_grid = _penalty_grid(r_grid)
     grid_params = _grid_params(d_values, delta)
     folds = kfold_partition(ds.n, k, stream(seed, "partition", "kfold"))
     y = ds.y.astype(float)
 
     no_test = np.array([], dtype=int)
-    selections = []
-    records = {params.d: [] for params in grid_params}
-    with _lp_map(len(grid_params)) as lp_map:
-        for fold_id, held_out in enumerate(folds):
-            train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
-            if np.unique(y[train_idx]).size < 2:
-                warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
-                for params in grid_params:
-                    records[params.d].append(
-                        _degenerate_record(fold_id, held_out, train_idx, no_test, ds.n, "single_class_train")
-                    )
-                selections.append([])
-                continue
-            fold_records = _screen_fit_evaluate(
-                ds, fold_id, held_out, train_idx, no_test, grid_params, r_grid, config, tie, lp_map
-            )
-            for params, record in zip(grid_params, fold_records):
-                records[params.d].append(record)
-            selections.append(fold_records[0].selected)
+    splits = []
+    for fold_id, held_out in enumerate(folds):
+        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
+        split = _Split(fold_id, held_out, train_idx, no_test)
+        if np.unique(y[train_idx]).size < 2:
+            warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
+            split.flagged = "single_class_train"
+        splits.append(split)
+    records = _run_splits(ds, splits, grid_params, r_grid, config, tie)
+    selections = [rec.selected for rec in records[0]]  # one screen per fold serves every d
     return {
-        d: FoldResult(d=d, seed=seed, selections=selections, records=recs)
-        for d, recs in records.items()
+        params.d: FoldResult(d=params.d, seed=seed, selections=selections, records=recs)
+        for params, recs in zip(grid_params, records)
     }
 
 
@@ -449,7 +499,12 @@ def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int
 # ---------------------------------------------------------------------------
 
 
-def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, lp_map) -> list[ReplicationRecord]:
+def _mcv_split(ds: Dataset, rep_id: int, seed: int) -> _Split:
+    """Replication ``rep_id``'s split, drawn from its own stream.
+
+    A split with a single-class part is redrawn once from the same stream,
+    then flagged.
+    """
     y = ds.y.astype(float)
     rng = stream(seed, "partition", "mcv", rep_id)
 
@@ -458,12 +513,10 @@ def _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, lp_map)
 
     splits = tune_train_test_split(ds.n, rng)
     if not both_classes_everywhere(splits):
-        # one resample from the replication's own stream, then give up
         splits = tune_train_test_split(ds.n, rng)
         if not both_classes_everywhere(splits):
-            return [_degenerate_record(rep_id, *splits, ds.n, "single_class_split") for _ in grid_params]
-    tune_idx, train_idx, test_idx = splits
-    return _screen_fit_evaluate(ds, rep_id, tune_idx, train_idx, test_idx, grid_params, r_grid, config, tie, lp_map)
+            return _Split(rep_id, *splits, flagged="single_class_split")
+    return _Split(rep_id, *splits)
 
 
 def mcv_run(
@@ -488,20 +541,16 @@ def mcv_run(
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()
-    r_grid = sorted(float(r) for r in r_grid)
+    r_grid = _penalty_grid(r_grid)
     grid_params = _grid_params(d_values, delta)
     if n_reps < 1:
         raise ValueError("need at least one replication")
 
-    records = {params.d: [] for params in grid_params}
-    with _lp_map(len(grid_params)) as lp_map:
-        for rep_id in range(n_reps):
-            rep_records = _mcv_replication(ds, rep_id, seed, grid_params, r_grid, config, tie, lp_map)
-            for params, record in zip(grid_params, rep_records):
-                records[params.d].append(record)
+    splits = [_mcv_split(ds, rep_id, seed) for rep_id in range(n_reps)]
+    records = _run_splits(ds, splits, grid_params, r_grid, config, tie)
     return {
-        d: McvResult(d=d, seed=seed, records=recs, summary=summarize_mcv(recs, d))
-        for d, recs in records.items()
+        params.d: McvResult(d=params.d, seed=seed, records=recs, summary=summarize_mcv(recs, params.d))
+        for params, recs in zip(grid_params, records)
     }
 
 

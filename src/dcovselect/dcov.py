@@ -142,13 +142,23 @@ def double_center(d: np.ndarray) -> CenteredDistanceMatrix:
         raise DataValidationError("distance matrix is not symmetric")
     if np.abs(np.diag(d)).max() > 1e-9 * max(scale, 1.0):
         raise DataValidationError("distance matrix has a nonzero diagonal")
+    return _center(d, np.empty_like(d))
 
+
+def _center(d: np.ndarray, out: np.ndarray) -> CenteredDistanceMatrix:
+    """Double-center ``d`` into ``out``, which may be ``d`` itself.
+
+    ``out`` gets ``d - row_means - col_means + grand_mean``, evaluated left
+    to right, so centering in place gives the same entries as new arrays.
+    """
     row_means = d.mean(axis=1)
     col_means = d.mean(axis=0)
     grand_mean = float(d.mean())
-    entries = d - row_means[:, None] - col_means[None, :] + grand_mean
+    np.subtract(d, row_means[:, None], out=out)
+    out -= col_means[None, :]
+    out += grand_mean
     return CenteredDistanceMatrix(
-        entries=entries,
+        entries=out,
         row_means=row_means,
         col_means=col_means,
         grand_mean=grand_mean,
@@ -156,8 +166,16 @@ def double_center(d: np.ndarray) -> CenteredDistanceMatrix:
 
 
 def centered_distances(block) -> CenteredDistanceMatrix:
-    """Pairwise distances of ``block`` followed by double centering."""
-    return double_center(pairwise_distances(block))
+    """Pairwise distances of ``block`` followed by double centering.
+
+    The distance matrix is centered in place: it is square, symmetric and
+    zero on the diagonal by construction, so of ``double_center``'s checks
+    only the finiteness one applies (a finite block can overflow).
+    """
+    d = pairwise_distances(block)
+    if not np.all(np.isfinite(d)):
+        raise DataValidationError("distance matrix contains non-finite values")
+    return _center(d, d)
 
 
 def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
@@ -264,26 +282,47 @@ def marginal_dcor2(x, response) -> np.ndarray:
         return np.zeros(p)
 
     # Cross term, summed over the upper triangle (reductions along axis 0
-    # treat every column alike, unlike a BLAS product).
+    # treat every column alike, unlike a BLAS product).  Every sweep reuses
+    # the rows of one buffer.
     cross = np.zeros(p)
+    buf = np.empty((n - 1, p))
     for i in range(n - 1):
-        dist = np.abs(x[i + 1 :] - x[i])
+        dist = buf[: n - 1 - i]
+        np.subtract(x[i + 1 :], x[i], out=dist)
+        np.abs(dist, out=dist)
         dist *= b.entries[i, i + 1 :, None]
         cross += dist.sum(axis=0)
+    del buf, dist  # not held through the dVar^2 block
     v2 = np.maximum(2.0 * cross / (n * n), 0.0)
 
-    # Row sums of |x_i - x_l| in sorted order: gap m (between sorted entries
-    # m and m+1) is crossed by the m+1 entries below it and the n-1-m above.
-    gaps = np.diff(np.sort(x, axis=0), axis=0)
-    below = np.arange(1, n, dtype=float)[:, None]
-    rows = np.zeros((n, p))
-    np.cumsum(below * gaps, axis=0, out=rows[1:])
-    rows[:-1] += np.cumsum((below[::-1] * gaps)[::-1], axis=0)[::-1]
-    vx2 = 2.0 * x.var(axis=0) - 2.0 * (rows * rows).sum(axis=0) / n**3 + (rows.sum(axis=0) / n**2) ** 2
-    vx2 = np.maximum(vx2, 0.0)
-
+    vx2 = _column_dvar2(x)
     denom2 = vx2 * vy2
     r2 = np.zeros(p)
     pos = denom2 > 0.0
     r2[pos] = np.minimum(v2[pos] / np.sqrt(denom2[pos]), 1.0)
     return r2
+
+
+def _column_dvar2(x: np.ndarray) -> np.ndarray:
+    """Squared distance variance of every column of ``x``, from sorted gaps.
+
+    Row sums of |x_i - x_l| in sorted order: gap m (between sorted entries
+    m and m+1) is crossed by the m+1 entries below it and the n-1-m above.
+    Both cumulative sums run in place, one in ``rows`` and one in the gap
+    array, so the block holds two n x p arrays at a time.
+    """
+    n, p = x.shape
+    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    below = np.arange(1, n, dtype=float)[:, None]
+    rows = np.zeros((n, p))
+    np.multiply(below, gaps, out=rows[1:])
+    np.cumsum(rows[1:], axis=0, out=rows[1:])
+    # the sums from the top: cumulate the reversed products in the reversed gaps
+    np.multiply(below[::-1], gaps, out=gaps)
+    np.cumsum(gaps[::-1], axis=0, out=gaps[::-1])
+    rows[:-1] += gaps
+    del gaps
+    row_total = rows.sum(axis=0)
+    rows *= rows
+    vx2 = 2.0 * x.var(axis=0) - 2.0 * rows.sum(axis=0) / n**3 + (row_total / n**2) ** 2
+    return np.maximum(vx2, 0.0)

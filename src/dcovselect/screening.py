@@ -94,7 +94,9 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
-    return (x - mean) / std
+    z = x - mean
+    z /= std
+    return z
 
 
 def default_model_size(n: int) -> int:
@@ -148,9 +150,11 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
 
     top = int(ranking[0])
     # running sum of squared per-coordinate distances of the selected block;
-    # adding a column only adds its own squared differences
-    sq = _sq_diff(x[:, top])
-    current = _joint_dcov2(sq, b)
+    # adding a column only adds its own squared differences.  ``buf`` is the
+    # one n x n scratch array for candidate sums and joint values.
+    sq = _sq_diff(x[:, top], np.empty_like(b.entries))
+    buf = np.empty_like(sq)
+    current = _joint_dcov2(sq, b, buf)
 
     selected = [top]
     trajectory = [current]
@@ -163,15 +167,18 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
         window = remaining[: config.m_lookahead]
         admitted_pos = None
         for pos, j in enumerate(window):
-            cand_sq = sq + _sq_diff(x[:, j])
-            value = _joint_dcov2(cand_sq, b)
+            cand_sq = _sq_diff(x[:, j], buf)
+            cand_sq += sq
+            value = _joint_dcov2(cand_sq, b, buf)
             accepted = value >= current - config.epsilon
             trajectory.append(value)
             traj_features.append(j)
             traj_accepted.append(accepted)
             if accepted:
                 admitted_pos = pos
-                sq = cand_sq
+                # the joint value overwrote the candidate sum; addition
+                # commutes, so this is bitwise that sum
+                sq += _sq_diff(x[:, j], buf)
                 current = value
                 selected.append(j)
                 break
@@ -192,15 +199,23 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     )
 
 
-def _sq_diff(col: np.ndarray) -> np.ndarray:
-    d = col[:, None] - col[None, :]
-    return d * d
+def _sq_diff(col: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared pairwise differences of ``col``, written to ``out``."""
+    np.subtract(col[:, None], col[None, :], out=out)
+    out *= out
+    return out
 
 
-def _joint_dcov2(sq: np.ndarray, b) -> float:
-    # b has zero row and column sums, so double-centering the joint
-    # distances sqrt(sq) would not change their inner product with it
-    v2 = float(np.mean(np.sqrt(sq) * b.entries))
+def _joint_dcov2(sq: np.ndarray, b, out: np.ndarray) -> float:
+    """Joint squared distance covariance from summed squared differences.
+
+    ``out`` may be ``sq`` itself.  b has zero row and column sums, so
+    double-centering the joint distances sqrt(sq) would not change their
+    inner product with it.
+    """
+    np.sqrt(sq, out=out)
+    out *= b.entries
+    v2 = float(np.mean(out))
     return v2 if v2 > 0.0 else 0.0
 
 

@@ -27,6 +27,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,20 +77,26 @@ def _load_extension(name: str):
     return module
 
 
+_HIGHS_LOCK = threading.Lock()
+
+
 @functools.cache
 def _highs_core():
     """scipy's private HiGHS bindings, or None where they have no ``_Highs``.
 
     ``_Highs`` is not public scipy API (scipy 1.10 lacks it), so its presence
-    is checked once, on the first ``fit_path``.
+    is checked once, on the first ``fit_path``.  Pool threads may make that
+    first call together; the lock lets one load the extension, and the
+    others then find it in ``sys.modules``.
     """
-    # importing scipy.optimize costs ~0.2 s and ~48 MB of RSS; the extension alone loads in ~3 ms
-    core = sys.modules.get(_HIGHS_MODULE) or _load_extension(_HIGHS_MODULE)
-    if core is None:
-        try:
-            from scipy.optimize._highspy import _core as core
-        except ImportError:
-            return None
+    with _HIGHS_LOCK:
+        # importing scipy.optimize costs ~0.2 s and ~48 MB of RSS; the extension alone loads in ~3 ms
+        core = sys.modules.get(_HIGHS_MODULE) or _load_extension(_HIGHS_MODULE)
+        if core is None:
+            try:
+                from scipy.optimize._highspy import _core as core
+            except ImportError:
+                return None
     return core if hasattr(core, "_Highs") else None
 
 

@@ -204,3 +204,91 @@ def kkt_residual(model, x, y, kink_tol=1e-7):
     sol = lsq_linear(mat, -const, bounds=(lower, upper), method="bvls", tol=1e-14)
     residual = mat @ sol.x + const
     return float(np.abs(residual).max())
+
+
+# ---------------------------------------------------------------------------
+# The screening kernels as they were composed before they reused buffers:
+# every step makes new arrays.  The lean kernels must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def composed_center(d):
+    """``d - row means - column means + grand mean``, each step a new array."""
+    d = np.asarray(d, dtype=float)
+    return d - d.mean(axis=1)[:, None] - d.mean(axis=0)[None, :] + float(d.mean())
+
+
+def composed_standardize(x):
+    """Column z-scores as ``(x - mean) / std``; constant columns become zeros."""
+    x = np.asarray(x, dtype=float)
+    std = x.std(axis=0)
+    return (x - x.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
+
+
+def composed_marginal_dcor2(x, b_entries):
+    """Marginal squared distance correlations against a centered response matrix.
+
+    The row sweeps for the cross term, and dVar^2 from the sorted gaps with
+    each cumulative sum and square in a new array.
+    """
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    vy2 = float(np.mean(b_entries * b_entries))
+    vy2 = vy2 if vy2 > 0.0 else 0.0
+    cross = np.zeros(p)
+    for i in range(n - 1):
+        dist = np.abs(x[i + 1 :] - x[i])
+        dist *= b_entries[i, i + 1 :, None]
+        cross += dist.sum(axis=0)
+    v2 = np.maximum(2.0 * cross / (n * n), 0.0)
+    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    below = np.arange(1, n, dtype=float)[:, None]
+    rows = np.zeros((n, p))
+    np.cumsum(below * gaps, axis=0, out=rows[1:])
+    rows[:-1] += np.cumsum((below[::-1] * gaps)[::-1], axis=0)[::-1]
+    vx2 = 2.0 * x.var(axis=0) - 2.0 * (rows * rows).sum(axis=0) / n**3 + (rows.sum(axis=0) / n**2) ** 2
+    vx2 = np.maximum(vx2, 0.0)
+    denom2 = vx2 * vy2
+    r2 = np.zeros(p)
+    pos = denom2 > 0.0
+    r2[pos] = np.minimum(v2[pos] / np.sqrt(denom2[pos]), 1.0)
+    return r2
+
+
+def composed_greedy_walk(x, ranking, b_entries, epsilon, m):
+    """The greedy walk over ``ranking`` with every candidate sum a new array.
+
+    Each joint value is ``mean(sqrt(sq + d*d) * B)``, clamped at 0.  Returns
+    ``(selected, trajectory, trajectory_features, trajectory_accepted)``.
+    """
+
+    def sq_diff(col):
+        d = col[:, None] - col[None, :]
+        return d * d
+
+    def joint(sq):
+        v2 = float(np.mean(np.sqrt(sq) * b_entries))
+        return v2 if v2 > 0.0 else 0.0
+
+    top = int(ranking[0])
+    sq = sq_diff(x[:, top])
+    current = joint(sq)
+    selected, trajectory, features, accepted = [top], [current], [top], [True]
+    remaining = [int(i) for i in ranking[1:]]
+    while remaining:
+        admitted = None
+        for pos, j in enumerate(remaining[:m]):
+            cand = sq + sq_diff(x[:, j])
+            value = joint(cand)
+            ok = value >= current - epsilon
+            trajectory.append(value)
+            features.append(j)
+            accepted.append(ok)
+            if ok:
+                admitted, sq, current = pos, cand, value
+                selected.append(j)
+                break
+        if admitted is None:
+            break
+        remaining.pop(admitted)
+    return selected, trajectory, features, accepted

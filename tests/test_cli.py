@@ -233,6 +233,20 @@ class TestExitCodes:
         assert "error: penalty r must be positive and finite, got inf" in capsys.readouterr().err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("command, extra, grid", [
+        ("cv5", (), ""),
+        ("mcv", ("--reps", "1"), ","),
+        ("permute-mcv", ("--reps", "1"), " , "),
+    ], ids=["cv5", "mcv", "permute-mcv"])
+    def test_empty_penalty_grid_is_a_usage_error(self, synth_dir, tmp_path, capsys, command, extra, grid):
+        out = tmp_path / "o"
+        assert run(
+            command, "--input", str(synth_dir / "data.csv"), "--label-col", "status", "--d", "1/4",
+            *extra, "--r-grid", grid, "--out-dir", str(out),
+        ) == 1
+        assert "error: need at least one penalty r (--r-grid is empty)" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
     @pytest.mark.parametrize("row, shown", [
         ("2,25,f26", "'25'"),
         ("2,15,f16", "'15'"),  # p = 15: one past the last column

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -207,7 +210,7 @@ def raw(value):
 
 
 class TestLpGrid:
-    """One screen per split; one penalty path per (split, d), the paths on a thread pool."""
+    """One screen per split and one penalty path per (split, d); splits and paths share one thread pool."""
 
     D_VALUES = [1 / 3, 1 / 4, 1 / 5]
 
@@ -245,16 +248,67 @@ class TestLpGrid:
 
     def test_records_independent_of_cpu_count(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)
-        runs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(cv, "_usable_cpus", lambda cpus=cpus: cpus)
-            runs.append((
-                mcv_run(ds, self.D_VALUES, R_GRID, n_reps=4, seed=8),
-                five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3),
-            ))
-        (mcv_1, folds_1), (mcv_2, folds_2) = runs
-        assert raw(mcv_1) == raw(mcv_2)
-        assert raw(folds_1) == raw(folds_2)
+        for d_values in (self.D_VALUES, [1 / 4]):
+            runs = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(cv, "_usable_cpus", lambda cpus=cpus: cpus)
+                runs.append((
+                    raw(mcv_run(ds, d_values, R_GRID, n_reps=4, seed=8)),
+                    raw(five_fold_cv(ds, d_values, R_GRID, seed=3)),
+                ))
+            (mcv_1, folds_1), *others = runs
+            for mcv_n, folds_n in others:
+                assert mcv_n == mcv_1
+                assert folds_n == folds_1
+
+    @pytest.mark.parametrize("jobs, cpus", [(1, 2), (5, 1), (0, 2)])
+    def test_fewer_than_two_workers_start_no_thread(self, monkeypatch, jobs, cpus):
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
+        with cv._run_map(jobs) as run_map:
+            assert run_map is map
+
+    def test_one_d_screens_and_fits_on_pool_threads(self, monkeypatch):
+        ds, _ = planted_dataset(n=120, p=15)
+        threads = {"screen": set(), "fit_path": set()}
+        real_screen, real_fit_path = cv.screen, cv.fit_path
+
+        def screen_on(x, y, config):
+            threads["screen"].add(threading.get_ident())
+            return real_screen(x, y, config)
+
+        def fit_path_on(x, y, r_grid, params):
+            threads["fit_path"].add(threading.get_ident())
+            return real_fit_path(x, y, r_grid, params)
+
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cv, "screen", screen_on)
+        monkeypatch.setattr(cv, "fit_path", fit_path_on)
+        five_fold_cv(ds, [1 / 4], R_GRID, seed=3)
+        assert threading.get_ident() not in threads["screen"] | threads["fit_path"]
+
+    def test_single_class_warnings_come_from_the_main_thread_in_fold_order(self, monkeypatch):
+        ds, _ = planted_dataset(n=60, p=8)
+        warned = []
+
+        def record(message, *args, **kwargs):
+            warned.append((threading.get_ident(), str(message)))
+
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cv, "warnings", types.SimpleNamespace(warn=record))
+        # one positive subject: only the fold that holds it out trains on one class
+        y = -np.ones(ds.n)
+        y[17] = 1.0
+        result = five_fold_cv(ds.with_response(y), [1 / 4], R_GRID, seed=3)[1 / 4]
+        (fold,) = [rec.rep_id for rec in result.records if rec.flagged == "single_class_train"]
+        assert 17 in result.records[fold].tune_idx
+        assert warned == [(threading.get_ident(), f"fold {fold}: training split is single-class; skipped")]
+        assert sum(rec.flagged is None for rec in result.records) == 4
+        # one class everywhere: every fold warns, in fold order
+        warned.clear()
+        five_fold_cv(ds.with_response(-np.ones(ds.n)), [1 / 4], R_GRID, seed=3)
+        assert warned == [
+            (threading.get_ident(), f"fold {i}: training split is single-class; skipped") for i in range(5)
+        ]
 
     def test_d_list_equals_per_d_runs_and_screens_once_per_split(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)
@@ -290,20 +344,38 @@ class TestLpGrid:
     def test_solver_failure_leaves_the_pool(self, monkeypatch, finishes, cpus):
         ds, _ = planted_dataset(n=120, p=15)
         real_fit_path = cv.fit_path
+        started = []
+
+        def rows(y):
+            return hashlib.sha1(np.asarray(y, dtype=float).tobytes()).hexdigest()
 
         def failing_fit_path(x, y, r_grid, params):
+            started.append(params.d)
             if params.d == 1 / 4 and 0.3 in r_grid:
-                raise SolverError("linear program failed (status 4) [r=0.3]")
+                # every split's d = 1/4 path fails, each naming its training labels
+                raise SolverError(f"linear program failed (status 4) [r=0.3, rows {rows(y)}]")
             return real_fit_path(x, y, r_grid, params)
 
+        runs = (
+            (lambda: mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8), 3),
+            (lambda: five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3), 5),
+        )
+        first_splits = [call().popitem()[1].records[0].train_idx for call, _ in runs]
         monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(cv, "fit_path", failing_fit_path)
-        for call in (
-            lambda: mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8),
-            lambda: five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3),
-        ):
+        for (call, splits), train_idx in zip(runs, first_splits):
+            started.clear()
             outcome = finishes(call)
-            assert isinstance(outcome.get("error"), SolverError)
+            error = outcome.get("error")
+            assert isinstance(error, SolverError)
+            # the first failing path in split-major order: split 0, d = 1/4
+            assert f"rows {rows(ds.y[train_idx])}]" in str(error)
+            jobs = splits * len(self.D_VALUES)
+            if cpus == 1:
+                assert started == self.D_VALUES[:2]
+            else:
+                # queued paths are cancelled, not solved
+                assert len(started) < jobs
 
 
 class TestVoting:

@@ -16,7 +16,7 @@ from dcovselect.dcov import (
 )
 from dcovselect.errors import DataValidationError
 
-from oracles import brute_dcor2, brute_dcov2, brute_dvar2
+from oracles import brute_dcor2, brute_dcov2, brute_dvar2, composed_center, composed_marginal_dcor2
 
 
 def rel_err(got, want):
@@ -299,3 +299,58 @@ def test_centered_distances_cache_fields():
     assert np.allclose(c.row_means, d.mean(axis=1))
     assert np.allclose(c.col_means, d.mean(axis=0))
     assert c.grand_mean == pytest.approx(d.mean())
+
+
+def lean_kernel_blocks():
+    """Blocks with ties, n = 2, constant and several columns, for the bitwise checks."""
+    rng = np.random.default_rng(37)
+    yield np.array([[0.0], [2.0]])
+    yield np.array([[1.0, -4.0], [3.0, 0.5]])
+    yield np.full((7, 1), 3.25)
+    yield rng.integers(0, 3, size=(30, 1)).astype(float)
+    yield rng.integers(0, 3, size=(25, 4)).astype(float)
+    yield rng.normal(size=(40, 3)) * np.array([1e-3, 1.0, 1e4])
+    for n in (3, 9, 60):
+        yield rng.normal(size=(n, int(rng.integers(1, 5))))
+
+
+class TestLeanKernels:
+    """The in-place kernels against their former compositions, bit for bit."""
+
+    @pytest.mark.parametrize("block", list(lean_kernel_blocks()), ids=lambda b: "x".join(map(str, b.shape)))
+    def test_centered_distances_equal_double_center_of_distances(self, block):
+        got = centered_distances(block)
+        d = pairwise_distances(block)
+        checked = double_center(d)
+        assert got.entries.tobytes() == checked.entries.tobytes() == composed_center(d).tobytes()
+        assert got.row_means.tobytes() == checked.row_means.tobytes() == d.mean(axis=1).tobytes()
+        assert got.col_means.tobytes() == checked.col_means.tobytes() == d.mean(axis=0).tobytes()
+        assert got.grand_mean == checked.grand_mean == float(d.mean())
+
+    def test_double_center_leaves_its_input_alone(self):
+        d = pairwise_distances(np.array([0.0, 1.0, 3.0, 7.0]))
+        before = d.copy()
+        double_center(d)
+        assert np.array_equal(d, before)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("block", [[[0.0], [1e308]], [[1e308], [-1e308]], [[1e308, 1e308], [0.0, 0.0]]])
+    def test_overflowing_distances_are_rejected(self, block):
+        # every entry is finite, but a distance overflows to inf
+        with pytest.raises(DataValidationError, match="non-finite"):
+            centered_distances(np.array(block))
+
+    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    def test_marginal_dcor2_equals_its_former_composition(self, response):
+        rng = np.random.default_rng(38)
+        for x in lean_kernel_blocks():
+            n = x.shape[0]
+            x = np.hstack([x, rng.normal(size=(n, 2)), np.full((n, 1), -2.0)])
+            if response == "binary":
+                y = (np.arange(n) % 2).astype(float)
+            elif response == "continuous":
+                y = rng.normal(size=n)
+            else:
+                y = rng.normal(size=(n, 2))
+            b = centered_distances(y)
+            assert marginal_dcor2(x, b).tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()

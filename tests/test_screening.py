@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcovselect.dcov import dcov2, dcov2_joint
+from dcovselect.dcov import centered_distances, dcov2, dcov2_joint
 from dcovselect.screening import (
     STOP_DECREASE,
     STOP_EXHAUSTED,
@@ -15,6 +15,8 @@ from dcovselect.screening import (
     screen,
     standardize_columns,
 )
+
+from oracles import composed_greedy_walk, composed_standardize
 
 
 def greedy_reference(x, response, epsilon=0.0, m=1, standardize=True):
@@ -347,3 +349,43 @@ def test_recovery_of_additive_plus_weak_interaction_model():
         assert misses <= int(0.15 * seeds), (
             f"drivers missing from the top {top} in {misses} seeds already"
         )
+
+
+class TestLeanGreedy:
+    """The buffer-reusing walk and z-scores against their former compositions, bit for bit."""
+
+    @staticmethod
+    def designs():
+        rng = np.random.default_rng(41)
+        yield rng.normal(size=(2, 3)), np.array([1.0, -1.0])
+        x = rng.integers(0, 3, size=(40, 12)).astype(float)  # ties
+        x[:, 5] = 1.5  # a constant column
+        yield x, np.where(x[:, 0] + rng.normal(size=40) > 1.0, 1.0, -1.0)
+        x = rng.normal(size=(60, 15)) * 10.0 ** rng.integers(-3, 4, size=15)
+        yield x, x[:, 2] - x[:, 7] ** 2 + rng.normal(size=60)
+        for n in (5, 17, 33):
+            x = rng.normal(size=(n, 8))
+            yield x, rng.normal(size=(n, 2))
+
+    @pytest.mark.parametrize("m, epsilon", [(1, 0.0), (3, 0.0), (1, 1e-3), (3, 0.05)])
+    def test_walk_equals_its_former_composition(self, m, epsilon):
+        for x, y in self.designs():
+            config = ScreeningConfig(m_lookahead=m, epsilon=epsilon)
+            result = dcov_greedy(x, y, config)
+            xs = composed_standardize(x)
+            ranking, r2 = marginal_rank(xs, y)
+            selected, trajectory, features, accepted = composed_greedy_walk(
+                xs, ranking, centered_distances(y).entries, epsilon, m
+            )
+            assert result.ranking.tobytes() == ranking.tobytes()
+            assert result.marginal_r2.tobytes() == r2.tobytes()
+            assert result.selected == selected
+            assert np.array(result.trajectory).tobytes() == np.array(trajectory).tobytes()
+            assert result.trajectory_features == features
+            assert result.trajectory_accepted == accepted
+
+    def test_standardize_columns_equals_its_former_composition(self):
+        for x, _ in self.designs():
+            before = x.copy()
+            assert standardize_columns(x).tobytes() == composed_standardize(x).tobytes()
+            assert np.array_equal(x, before)

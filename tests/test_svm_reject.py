@@ -521,6 +521,41 @@ print(json.dumps({
 """)
         assert result == {"same": [True, True], "bitwise": True}
 
+    def test_threads_asking_at_once_load_it_once(self):
+        # cv's pool threads may make the first fit_path calls together
+        result = run_python(LP_SETUP + """
+import threading
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+cores, errors = [], []
+
+
+def first_fit():
+    barrier.wait()
+    try:
+        cores.append(svm_reject._highs_core())
+        fit_path(x, y, [0.05, 0.5], p)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+
+threads = [threading.Thread(target=first_fit) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(json.dumps({
+    "running": sum(thread.is_alive() for thread in threads),
+    "errors": errors,
+    "one_module": len(cores) == 8 and all(core is sys.modules[NAME] for core in cores),
+    "loaded": sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse"))),
+}))
+""")
+        assert result["running"] == 0
+        assert result["errors"] == []
+        assert result["one_module"]
+        assert all(name.startswith("scipy.optimize._highspy._core") for name in result["loaded"])
+
 
 class TestPredict:
     def _model(self):
