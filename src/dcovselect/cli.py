@@ -8,15 +8,16 @@ the resolved options and library versions, sufficient to replay the run
 byte-identically into a fresh output directory.
 
 Results are written once, as ``dataclasses.asdict`` payloads of the result
-dataclasses (``results.json``; ``model.json`` for ``svmr-fit``).  The
-voting tables and selection histograms of an ``mcv`` run are derived from
-its payload records by the same helpers that ``report`` applies to
-``results.json``, so a ``report`` table equals the run's own.  Files and
-runs of one rejection cost are tagged ``f"{d:.6g}"``: a repeated ``--d`` is
-run once, and distinct values that share a tag are a usage error.
+dataclasses (``results.json``; ``model.json`` for ``svmr-fit``).  Every
+table of a resampling run is written from that payload by the helpers that
+``report`` applies to the payload read back from ``results.json``, so each
+``report`` table equals the run's own.  Files and runs of one rejection
+cost are tagged ``f"{d:.6g}"`` and written in ``--d`` order: a repeated
+``--d`` is run and written once, and distinct values that share a tag are
+a usage error.
 
-Exit codes: 0 success, 1 usage error, 2 data validation error, 3 solver
-failure.
+Exit codes: 0 success, 1 usage error (also a file that cannot be read or
+written), 2 data validation error, 3 solver failure.
 """
 
 import argparse
@@ -31,14 +32,13 @@ import numpy as np
 
 from . import report as rpt
 from .cv import (
-    McvSummary,
     five_fold_cv,
     mcv_run,
     permute_response,
     selection_overlap,
     voting_scores,
 )
-from .data import Dataset, emit, ingest, response_kind, synth_generate
+from .data import Dataset, emit, ingest, read_rows, response_kind, synth_generate
 from .errors import DataValidationError, SolverError
 from .rng import stream
 from .screening import ScreeningConfig, one_vs_rest_screen, screen
@@ -323,6 +323,40 @@ def _selection_counts(records) -> tuple[Counter, Counter]:
     return pre, post
 
 
+def _require_runs(payload, path) -> list[tuple[str, dict]]:
+    """A payload's ``(tag, run)`` pairs, one per distinct ``d``, in ``d_values`` order."""
+    runs = payload.get("runs")
+    if not runs:
+        raise DataValidationError(f"{path}: results.json has no recorded runs for this report kind")
+    return [(tag, runs[tag]) for tag in _d_tags(payload["d_values"]).values()]
+
+
+def _require_mcv_runs(payload, path) -> list[tuple[str, dict]]:
+    """The runs of an ``mcv`` or ``permute-mcv`` payload; a ``cv5`` payload has no summaries."""
+    runs = _require_runs(payload, path)
+    if any("summary" not in run for _, run in runs):
+        raise DataValidationError(f"{path}: results carry no summaries (not an mcv run?)")
+    return runs
+
+
+def _write_voting(out: Path, payload: dict, runs, scores: bool) -> None:
+    """Each run's voting-bin table, and with ``scores`` its per-subject voting table."""
+    truths = np.asarray(payload["truth_labels"], dtype=float)
+    for tag, run in runs:
+        votes = _votes(run["records"], len(truths), payload.get("voting_mode", "testing"))
+        if scores:
+            rpt.write_voting(out / f"voting_d{tag}.csv", votes, payload["subject_ids"])
+        rpt.write_voting_bins(out / f"voting_bins_d{tag}.csv", votes, truths)
+
+
+def _write_histograms(out: Path, payload: dict, runs) -> None:
+    """One selection histogram per run: every ``d`` shares each replication's screen."""
+    for tag, run in runs:
+        rpt.write_frequency_histogram(
+            out / f"histogram_d{tag}.csv", payload["feature_names"], *_selection_counts(run["records"])
+        )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -345,7 +379,6 @@ def cmd_synth(args) -> int:
     ds, truth = synth_generate(args.n, args.p, **kwargs)
     emit(ds, out / "data.csv")
     rpt.write_json(out / "truth.json", truth)
-    rpt.write_manifest(out, "synth", _options_dict(args))
     print(f"wrote {out / 'data.csv'} ({ds.n} x {ds.p}, label column {ds.label_name!r})")
     return 0
 
@@ -385,22 +418,20 @@ def cmd_screen(args) -> int:
         payload["stop_reason"] = result.stop_reason
         payload["max_marginal_r2"] = float(result.marginal_r2.max())
         print(f"selected {len(result.selected)} features ({result.stop_reason})")
-    rpt.write_results_json(out, payload)
-    rpt.write_manifest(out, "screen", _options_dict(args))
+    rpt.write_json(out / "results.json", payload)
     return 0
 
 
 def _read_feature_column(path, p: int) -> list[int]:
     """The ``feature_index`` column of a ``selected.csv``; each must be a column of the ``p``-feature design."""
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
-    if not rows or "feature_index" not in rows[0]:
+    header, *rows = read_rows(path) or [[]]
+    rows = [row for row in rows if row]  # blank lines hold no row
+    if not rows or "feature_index" not in header:
         raise DataValidationError(f"{path}: expected a selected.csv with a feature_index column")
+    pos = header.index("feature_index")
     features = []
     for row_number, row in enumerate(rows, start=1):
-        value = row["feature_index"]
+        value = row[pos] if pos < len(row) else None
         try:
             j = int(value)
         except (TypeError, ValueError):  # not an integer, or a missing cell
@@ -429,7 +460,6 @@ def cmd_svmr_fit(args) -> int:
     payload = asdict(model)
     payload.update(payload.pop("params"), features=features, feature_names=[ds.feature_names[j] for j in features])
     rpt.write_json(out / "model.json", payload)
-    rpt.write_manifest(out, "svmr-fit", _options_dict(args))
     kept = len(model.nonzero_features)
     print(f"fitted: objective {model.objective:.6f}, {kept}/{len(features)} features kept")
     return 0
@@ -460,7 +490,6 @@ def cmd_svmr_predict(args) -> int:
     scores = decision_scores(model, ds.X[:, cols])
     labels = decide(scores, model.params.delta)
     rpt.write_predictions(out / "predictions.csv", ds.subject_ids, scores, labels)
-    rpt.write_manifest(out, "svmr-predict", _options_dict(args))
     n_dec = int(np.sum(labels != 0))
     print(f"predicted {len(labels)} subjects; {n_dec} with a definite decision")
     return 0
@@ -473,10 +502,10 @@ def cmd_cv5(args) -> int:
     config = _screen_config(args)
     payload = _resampling_payload(args, ds)
     results = five_fold_cv(ds, args.d, args.r_grid, args.seed, config=config, delta=args.delta)
-    for d in args.d:
-        result = results[d]
-        rpt.write_mcv_records(out / f"folds_d{tags[d]}.csv", result.records)
-        payload["runs"][tags[d]] = {"d": d, "records": _record_payloads(result.records)}
+    for d, tag in tags.items():
+        payload["runs"][tag] = {"d": d, "records": _record_payloads(results[d].records)}
+    for tag, run in _require_runs(payload, out / "results.json"):
+        rpt.write_mcv_records(out / f"folds_d{tag}.csv", run["records"])
     selections = results[args.d[0]].selections  # one screen per fold serves every d
     # the overlap table pairs the fold selections with the all-subjects one
     full = screen(ds.X, ds.y.astype(float), config)
@@ -484,8 +513,7 @@ def cmd_cv5(args) -> int:
     payload["selection_names"] = [f"S{i + 1}" for i in range(len(selections))] + ["ALL"]
     matrix, union, freq = selection_overlap(payload["selections"])
     rpt.write_overlap_table(out / "overlap.csv", matrix, payload["selection_names"])
-    rpt.write_results_json(out, payload)
-    rpt.write_manifest(out, "cv5", _options_dict(args))
+    rpt.write_json(out / "results.json", payload)
     print(
         f"five-fold selections sized {[len(s) for s in selections]}; "
         f"union {len(union)} (incl. {len(full.selected)} from all subjects)"
@@ -496,8 +524,8 @@ def cmd_cv5(args) -> int:
 def _run_mcv(args, ds: Dataset) -> dict:
     """Run multiple cross validation on ``ds``, write its files, and return its payload.
 
-    Votes and selection counts are taken from the payload records, through
-    the helpers that ``report`` uses on ``results.json``.
+    Every table is written from the payload, by the helpers that ``report``
+    applies to ``results.json``.
     """
     tags = _d_tags(args.d)
     out = _out_dir(args)
@@ -506,25 +534,23 @@ def _run_mcv(args, ds: Dataset) -> dict:
     results = mcv_run(
         ds, args.d, args.r_grid, n_reps=args.reps, seed=args.seed, config=_screen_config(args), delta=args.delta
     )
-    for d in args.d:
+    for d, tag in tags.items():
         result = results[d]
-        tag = tags[d]
-        records = _record_payloads(result.records)
-        payload["runs"][tag] = {"d": d, "summary": asdict(result.summary), "records": records}
-        rpt.write_mcv_records(out / f"records_d{tag}.csv", result.records)
-        votes = _votes(records, ds.n, args.voting)
-        rpt.write_voting(out / f"voting_d{tag}.csv", votes, ds.subject_ids)
-        rpt.write_voting_bins(out / f"voting_bins_d{tag}.csv", votes, ds.y.astype(float))
-        rpt.write_frequency_histogram(out / f"histogram_d{tag}.csv", ds.feature_names, *_selection_counts(records))
+        payload["runs"][tag] = {"d": d, "summary": asdict(result.summary), "records": _record_payloads(result.records)}
+    runs = _require_mcv_runs(payload, out / "results.json")
+    for tag, run in runs:
+        rpt.write_mcv_records(out / f"records_d{tag}.csv", run["records"])
+        summary = run["summary"]
         print(
-            f"d={d:.4g}: {result.summary.n_decisive}/{args.reps} decisive replications, "
-            f"mean test accuracy {result.summary.mean_test_accuracy:.4f}"
-            if result.summary.n_decisive
-            else f"d={d:.4g}: 0/{args.reps} decisive replications"
+            f"d={summary['d']:.4g}: {summary['n_decisive']}/{args.reps} decisive replications, "
+            f"mean test accuracy {summary['mean_test_accuracy']:.4f}"
+            if summary["n_decisive"]
+            else f"d={summary['d']:.4g}: 0/{args.reps} decisive replications"
         )
-    rpt.write_mcv_summary(out / "summary.csv", [results[d].summary for d in args.d])
-    rpt.write_results_json(out, payload)
-    rpt.write_manifest(out, args.command, _options_dict(args))
+    _write_voting(out, payload, runs, scores=True)
+    _write_histograms(out, payload, runs)
+    rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
+    rpt.write_json(out / "results.json", payload)
     return payload
 
 
@@ -566,19 +592,9 @@ def cmd_report(args) -> int:
         rpt.write_overlap_table(out / "overlap.csv", matrix, names)
     elif kind == "mcv_summary":
         runs = _require_mcv_runs(payload, args.input)
-        rows = []
-        for _, run in sorted(runs.items()):
-            cleaned = {
-                k: (float("nan") if v is None else v) for k, v in run["summary"].items()
-            }
-            rows.append(McvSummary(**cleaned))
-        rpt.write_mcv_summary(out / "summary.csv", rows)
+        rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
     elif kind == "voting_bins":
-        runs = _require_mcv_runs(payload, args.input)
-        truths = np.asarray(payload["truth_labels"], dtype=float)
-        for tag, run in sorted(runs.items()):
-            votes = _votes(run["records"], len(truths), payload.get("voting_mode", "testing"))
-            rpt.write_voting_bins(out / f"voting_bins_d{tag}.csv", votes, truths)
+        _write_voting(out, payload, _require_mcv_runs(payload, args.input), scores=False)
     elif kind == "pairwise_distance":
         selected = payload.get("selected")
         if selected is None:
@@ -588,35 +604,15 @@ def cmd_report(args) -> int:
             out / "pairwise_distance.csv", ds.X[:, selected], ds.subject_ids
         )
     elif kind == "frequency_histogram":
-        # every d of a run shares each replication's screen, so each d gets its own table
         if "runs" in payload:
-            for tag, run in sorted(_require_runs(payload, args.input).items()):
-                rpt.write_frequency_histogram(
-                    out / f"histogram_d{tag}.csv", payload["feature_names"], *_selection_counts(run["records"])
-                )
+            _write_histograms(out, payload, _require_runs(payload, args.input))
         elif "selections" in payload:
             pre, post = Counter(chain.from_iterable(payload["selections"])), Counter()
             rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
         else:
             raise DataValidationError(f"{args.input}: nothing to histogram")
-    rpt.write_manifest(out, "report", _options_dict(args))
     print(f"wrote {kind} table(s) to {out}")
     return 0
-
-
-def _require_runs(payload, path):
-    runs = payload.get("runs")
-    if not runs:
-        raise DataValidationError(f"{path}: results.json has no recorded runs for this report kind")
-    return runs
-
-
-def _require_mcv_runs(payload, path):
-    """The runs of an ``mcv`` or ``permute-mcv`` payload; a ``cv5`` payload has no summaries."""
-    runs = _require_runs(payload, path)
-    if any("summary" not in run for run in runs.values()):
-        raise DataValidationError(f"{path}: results carry no summaries (not an mcv run?)")
-    return runs
 
 
 COMMANDS = {
@@ -632,11 +628,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command, then record its options in ``manifest.json``; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        rpt.write_manifest(args.out_dir, args.command, _options_dict(args))
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     except DataValidationError as exc:
@@ -645,7 +644,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_EXIT
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -2,13 +2,16 @@
 
 Two resampling pipelines wrap screening + reject-option fitting:
 
-* ``five_fold_cv``: k non-overlapping folds; screen and fit on k-1 folds,
-  tune the penalty on the held-out fold by mean decision loss.
+* ``five_fold_cv``: five non-overlapping folds; screen and fit on four,
+  tune the penalty on the held-out fold by mean decision loss, ties going
+  to the smallest penalty.
 * ``mcv_run``: repeated three-way resplits (1/5 tuning, 8/15 training, 4/15
-  testing); screen and fit on training, tune on tuning, predict testing;
-  repeated ``n_reps`` times with independent per-replication streams.
+  testing); screen and fit on training, tune on tuning (ties going to the
+  largest penalty), predict testing; repeated ``n_reps`` times with
+  independent per-replication streams.
 
-Both take a list of rejection costs ``d``.  Each split is screened once.
+Both take a list of rejection costs ``d`` and return one result per
+distinct ``d``.  Each split is screened once.
 For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
 warm-starts HiGHS along the grid.  Splits and (split, ``d``) paths share
 one thread pool per run, on at most the usable CPUs: it screens every
@@ -35,7 +38,7 @@ import numpy as np
 from .data import Dataset
 from .rng import stream
 from .screening import ScreeningConfig, ScreeningResult, screen
-from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit_path, l_loss
+from .svm_reject import RejectLossParams, RejectModel, _check_penalty, decide, decision_scores, fit_path, l_loss
 
 __all__ = [
     "FoldResult",
@@ -181,10 +184,8 @@ class ReplicationRecord:
 
 @dataclass
 class FoldResult:
-    """Selections and tuned models from one k-fold pass."""
+    """Selections and tuned models from one five-fold pass."""
 
-    d: float
-    seed: int
     selections: list[list[int]]
     records: list[ReplicationRecord]
 
@@ -213,8 +214,6 @@ class McvSummary:
 
 @dataclass
 class McvResult:
-    d: float
-    seed: int
     records: list[ReplicationRecord]
     summary: McvSummary
 
@@ -423,10 +422,12 @@ def _grid_params(d_values, delta: float) -> list[RejectLossParams]:
 
 
 def _penalty_grid(r_grid) -> list[float]:
-    """The penalties in increasing order (validated up front)."""
+    """The penalties in increasing order, validated before any split is screened."""
     grid = sorted(float(r) for r in r_grid)
     if not grid:
         raise ValueError("need at least one penalty r (--r-grid is empty)")
+    for r in grid:
+        _check_penalty(r)
     return grid
 
 
@@ -438,10 +439,8 @@ def five_fold_cv(
     *,
     config: ScreeningConfig | None = None,
     delta: float = 0.5,
-    k: int = 5,
-    tie: str = "smallest",
 ) -> dict[float, FoldResult]:
-    """Screen/fit on k-1 folds, tune the penalty on the held-out fold.
+    """Screen/fit on four of five folds, tune the penalty on the held-out fold.
 
     Returns ``{d: FoldResult}`` for each distinct ``d`` in ``d_values``.
     Folds and screening depend only on ``seed``, so every ``d`` shares the
@@ -453,7 +452,7 @@ def five_fold_cv(
     config = config or ScreeningConfig()
     r_grid = _penalty_grid(r_grid)
     grid_params = _grid_params(d_values, delta)
-    folds = kfold_partition(ds.n, k, stream(seed, "partition", "kfold"))
+    folds = kfold_partition(ds.n, 5, stream(seed, "partition", "kfold"))
     y = ds.y.astype(float)
 
     no_test = np.array([], dtype=int)
@@ -465,12 +464,9 @@ def five_fold_cv(
             warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
             split.flagged = "single_class_train"
         splits.append(split)
-    records = _run_splits(ds, splits, grid_params, r_grid, config, tie)
+    records = _run_splits(ds, splits, grid_params, r_grid, config, "smallest")
     selections = [rec.selected for rec in records[0]]  # one screen per fold serves every d
-    return {
-        params.d: FoldResult(d=params.d, seed=seed, selections=selections, records=recs)
-        for params, recs in zip(grid_params, records)
-    }
+    return {params.d: FoldResult(selections, recs) for params, recs in zip(grid_params, records)}
 
 
 def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -528,7 +524,6 @@ def mcv_run(
     *,
     config: ScreeningConfig | None = None,
     delta: float = 0.5,
-    tie: str = "largest",
 ) -> dict[float, McvResult]:
     """Repeated tune/train/test resplits with screening and penalty tuning.
 
@@ -547,11 +542,8 @@ def mcv_run(
         raise ValueError("need at least one replication")
 
     splits = [_mcv_split(ds, rep_id, seed) for rep_id in range(n_reps)]
-    records = _run_splits(ds, splits, grid_params, r_grid, config, tie)
-    return {
-        params.d: McvResult(d=params.d, seed=seed, records=recs, summary=summarize_mcv(recs, params.d))
-        for params, recs in zip(grid_params, records)
-    }
+    records = _run_splits(ds, splits, grid_params, r_grid, config, "largest")
+    return {params.d: McvResult(recs, summarize_mcv(recs, params.d)) for params, recs in zip(grid_params, records)}
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -636,21 +628,17 @@ def voting_scores(
     return out
 
 
-def voting_bins(
-    votes: list[VotingRecord],
-    truths,
-    bins=DEFAULT_VOTING_BINS,
-) -> list[dict]:
+def voting_bins(votes: list[VotingRecord], truths) -> list[dict]:
     """Bin voting scores and report the positive-class share per bin.
 
-    Bins are left-open/right-closed intervals.  A final ``outside`` row
+    The bins are ``DEFAULT_VOTING_BINS``, left-open/right-closed intervals.  A final ``outside`` row
     collects scored subjects falling in no bin (including the +/-inf
     saturated scores), so counts are conserved.
     """
     truths = np.asarray(truths, dtype=float)
     rows = []
     claimed = np.zeros(len(votes), dtype=bool)
-    for lo, hi in bins:
+    for lo, hi in DEFAULT_VOTING_BINS:
         members = [
             i
             for i, vote in enumerate(votes)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataValidationError
 from .rng import stream
 
-__all__ = ["Dataset", "ingest", "emit", "fmt", "synth_generate", "response_kind"]
+__all__ = ["Dataset", "ingest", "read_rows", "emit", "fmt", "synth_generate", "response_kind"]
 
 MISSING_TOKENS = {"", "NA", "N/A", "NaN", "nan", "NAN", "null", "NULL", "None"}
 
@@ -101,7 +101,10 @@ def ingest(
     """
     block = None
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:  # left to _read_cells to report
+            header = None
         if header and label_column in header and len(set(header)) == len(header):
             block = _read_block(fh, len(header), header.index(label_column), log_transform)
     if block is None:
@@ -172,15 +175,30 @@ def _read_block(lines, width, label_pos, log_transform):
     return x, [t.strip() for t in labels]
 
 
+def read_rows(path) -> list[list[str]]:
+    """Every row of a delimited file, header first, as lists of cells.
+
+    A row ``csv`` cannot read (a cell past ``csv.field_size_limit()``) is a
+    ``DataValidationError`` naming the file and the row: ``header``, or the
+    data row's 1-based number.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        try:
+            for row in csv.reader(fh):
+                rows.append(row)
+        except csv.Error as exc:
+            where = f"row {len(rows)}" if rows else "header"
+            raise DataValidationError(f"{path}: {where}: {exc}") from None
+    return rows
+
+
 def _read_cells(path, label_column, log_transform):
     """The strict per-cell read: the header and ``_parse_cells``'s block, or the first error."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: file is empty") from None
-        rows = list(reader)
+    rows = read_rows(path)
+    if not rows:
+        raise DataValidationError(f"{path}: file is empty")
+    header, rows = rows[0], rows[1:]
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
     if label_column not in header:
@@ -314,7 +332,6 @@ def synth_generate(
     prior: float | None = None,
     class_counts: tuple[int, int] | None = None,
     seed: int = 0,
-    feature_prefix: str = "f",
 ) -> tuple[Dataset, dict]:
     """Generate a benchmark dataset with a documented generative model.
 
@@ -339,7 +356,7 @@ def synth_generate(
             raise ValueError("active set does not fit into p features")
     rng = stream(seed, "synthesis", model)
     x = rng.normal(size=(n, p))
-    names = [f"{feature_prefix}{j + 1}" for j in range(p)]
+    names = [f"f{j + 1}" for j in range(p)]
     truth: dict = {"model": model, "n": n, "p": p, "seed": seed}
 
     if model == "linear":

@@ -14,10 +14,12 @@ column-concatenated block.
 Screening a large feature panel against one response does not build a
 matrix per feature: ``marginal_dcor2`` centers the response once and obtains
 every feature's statistics from sorted columns and row sweeps (see its
-docstring).  The per-matrix functions are the reference that path is tested
-against.  Distances come from ``euclidean_distances``, a numpy kernel
-that sums squared coordinate differences in column order, as
-``scipy.spatial.distance.cdist`` does, so this module needs no scipy.
+docstring).  The per-matrix functions (``centered_distances``, which
+double-centers the distance matrix in place, and the statistics built on
+it) are the reference that path is tested against.  Distances come from
+``euclidean_distances``, a numpy kernel that sums squared coordinate
+differences in column order, as ``scipy.spatial.distance.cdist`` does, so
+this module needs no scipy.
 All functions are pure, apart from the constant-response warning; results
 depend only on the inputs.
 """
@@ -35,31 +37,25 @@ __all__ = [
     "as_block",
     "euclidean_distances",
     "pairwise_distances",
-    "double_center",
     "centered_distances",
     "dcov2",
     "dvar2",
     "dcor2",
     "dcov2_joint",
     "dcov2_centered",
-    "dcor2_centered",
     "marginal_dcor2",
 ]
 
 
 @dataclass(frozen=True)
 class CenteredDistanceMatrix:
-    """Double-centered distance matrix with its cached means.
+    """Double-centered distance matrix.
 
     ``entries`` is symmetric and every row and column sums to zero (up to
-    roundoff).  The means of the raw distance matrix are kept so callers can
-    audit the centering.
+    roundoff).
     """
 
     entries: np.ndarray
-    row_means: np.ndarray
-    col_means: np.ndarray
-    grand_mean: float
 
     @property
     def n(self) -> int:
@@ -124,58 +120,25 @@ def pairwise_distances(block) -> np.ndarray:
     return euclidean_distances(x, x)
 
 
-def double_center(d: np.ndarray) -> CenteredDistanceMatrix:
-    """Double-center a symmetric zero-diagonal distance matrix.
-
-    Subtracts row and column means and adds back the grand mean, so the
-    result has zero row and column sums.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DataValidationError(f"distance matrix must be square, got shape {d.shape}")
-    if d.shape[0] < 2:
-        raise DataValidationError("distance matrix needs at least 2 rows")
-    if not np.all(np.isfinite(d)):
-        raise DataValidationError("distance matrix contains non-finite values")
-    scale = np.abs(d).max()
-    if not np.allclose(d, d.T, rtol=0.0, atol=1e-9 * max(scale, 1.0)):
-        raise DataValidationError("distance matrix is not symmetric")
-    if np.abs(np.diag(d)).max() > 1e-9 * max(scale, 1.0):
-        raise DataValidationError("distance matrix has a nonzero diagonal")
-    return _center(d, np.empty_like(d))
-
-
-def _center(d: np.ndarray, out: np.ndarray) -> CenteredDistanceMatrix:
-    """Double-center ``d`` into ``out``, which may be ``d`` itself.
-
-    ``out`` gets ``d - row_means - col_means + grand_mean``, evaluated left
-    to right, so centering in place gives the same entries as new arrays.
-    """
-    row_means = d.mean(axis=1)
-    col_means = d.mean(axis=0)
-    grand_mean = float(d.mean())
-    np.subtract(d, row_means[:, None], out=out)
-    out -= col_means[None, :]
-    out += grand_mean
-    return CenteredDistanceMatrix(
-        entries=out,
-        row_means=row_means,
-        col_means=col_means,
-        grand_mean=grand_mean,
-    )
-
-
 def centered_distances(block) -> CenteredDistanceMatrix:
-    """Pairwise distances of ``block`` followed by double centering.
+    """Pairwise distances of ``block``, double-centered in place.
 
-    The distance matrix is centered in place: it is square, symmetric and
-    zero on the diagonal by construction, so of ``double_center``'s checks
-    only the finiteness one applies (a finite block can overflow).
+    The distance matrix gets ``d - row means - column means + grand mean``,
+    evaluated left to right, so its entries are bitwise those of the same
+    expression in new arrays.  It is square, symmetric and zero on the
+    diagonal by construction; only finiteness is checked (a finite block
+    can overflow).
     """
     d = pairwise_distances(block)
     if not np.all(np.isfinite(d)):
         raise DataValidationError("distance matrix contains non-finite values")
-    return _center(d, d)
+    row_means = d.mean(axis=1)
+    col_means = d.mean(axis=0)
+    grand_mean = float(d.mean())
+    d -= row_means[:, None]
+    d -= col_means[None, :]
+    d += grand_mean
+    return CenteredDistanceMatrix(entries=d)
 
 
 def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
@@ -206,26 +169,20 @@ def dvar2(x) -> float:
     return dcov2_centered(a, a)
 
 
-def dcor2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> DCovStats:
-    """Distance covariance/variance/correlation from centered matrices."""
-    v2 = dcov2_centered(a, b)
-    vx2 = dcov2_centered(a, a)
-    vy2 = dcov2_centered(b, b)
-    denom2 = vx2 * vy2
-    if denom2 > 0.0:
-        r2 = min(v2 / np.sqrt(denom2), 1.0)
-    else:
-        r2 = 0.0
-    return DCovStats(v2=v2, vx2=vx2, vy2=vy2, r2=float(r2))
-
-
 def dcor2(x, y) -> DCovStats:
     """Squared sample distance correlation of two blocks, with components."""
     x = as_block(x)
     y = as_block(y)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
-    return dcor2_centered(centered_distances(x), centered_distances(y))
+    a = centered_distances(x)
+    b = centered_distances(y)
+    v2 = dcov2_centered(a, b)
+    vx2 = dcov2_centered(a, a)
+    vy2 = dcov2_centered(b, b)
+    denom2 = vx2 * vy2
+    r2 = min(v2 / np.sqrt(denom2), 1.0) if denom2 > 0.0 else 0.0
+    return DCovStats(v2=v2, vx2=vx2, vy2=vy2, r2=float(r2))
 
 
 def dcov2_joint(selected, y) -> float:

@@ -5,30 +5,31 @@ with deterministic formatting: cells go through ``data.fmt`` (shortest
 round-trip ``repr`` for floats, the formatter ``data.emit`` uses), rows use
 ``\\n`` terminators, JSON keys are sorted, and no timestamps are recorded,
 so identical runs produce byte-identical files.  Missing values are blank
-in summary tables and ``NA`` in voting-bin tables.  The writers take the
-result dataclasses of ``cv`` and ``screening`` or values read back from a
-run's ``results.json``; the summary table's columns are ``McvSummary``'s
-fields.
+in summary tables and ``NA`` in voting-bin tables.  The replication and
+summary writers take payload dicts, the form a run records in
+``results.json``: a run passes them straight from ``dataclasses.asdict``
+and ``report`` as read back, and ``fmt`` writes JSON's ``null`` as it
+writes NaN.  The summary table's columns are ``McvSummary``'s fields.
 """
 
 import json
 import math
 import platform
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .cv import DEFAULT_VOTING_BINS, McvSummary, ReplicationRecord, voting_bins
+from .cv import McvSummary, voting_bins
 from .data import fmt
 
 __all__ = [
     "fmt",
     "write_csv",
+    "write_json",
     "write_manifest",
-    "write_results_json",
     "write_ranking",
     "write_selected",
     "write_trajectory",
@@ -101,12 +102,6 @@ def write_manifest(out_dir, command: str, options: dict) -> Path:
     return path
 
 
-def write_results_json(out_dir, payload: dict) -> Path:
-    path = Path(out_dir) / "results.json"
-    write_json(path, payload)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Screening tables
 # ---------------------------------------------------------------------------
@@ -145,19 +140,20 @@ def write_overlap_table(path, matrix: np.ndarray, set_names: list[str]) -> None:
     write_csv(path, ["set"] + list(set_names), rows)
 
 
-def write_mcv_records(path, records: list[ReplicationRecord]) -> None:
+def write_mcv_records(path, records: list[dict]) -> None:
+    """One row per ``ReplicationRecord`` payload."""
     rows = [
         (
-            rec.rep_id,
-            len(rec.selected),
-            len(rec.post_model_features),
-            rec.tuned_r,
-            rec.training_accuracy,
-            rec.testing_accuracy,
-            rec.n_decision_train,
-            rec.n_decision_test,
-            rec.max_marginal_r2,
-            rec.flagged or "",
+            rec["rep_id"],
+            len(rec["selected"]),
+            len(rec["post_model_features"]),
+            rec["tuned_r"],
+            rec["training_accuracy"],
+            rec["testing_accuracy"],
+            rec["n_decision_train"],
+            rec["n_decision_test"],
+            rec["max_marginal_r2"],
+            rec["flagged"] or "",
         )
         for rec in records
     ]
@@ -179,10 +175,10 @@ def write_mcv_records(path, records: list[ReplicationRecord]) -> None:
     )
 
 
-def write_mcv_summary(path, summaries: list[McvSummary]) -> None:
-    """One row per summary; the columns are ``McvSummary``'s fields, in order."""
+def write_mcv_summary(path, summaries: list[dict]) -> None:
+    """One row per ``McvSummary`` payload; the columns are its fields, in order."""
     header = [f.name for f in fields(McvSummary)]
-    write_csv(path, header, [astuple(s) for s in summaries])
+    write_csv(path, header, [[s[name] for name in header] for s in summaries])
 
 
 def write_voting(path, votes, subject_ids) -> None:
@@ -197,9 +193,9 @@ def write_voting(path, votes, subject_ids) -> None:
     write_csv(path, ["subject", "n_positive", "n_withhold", "n_negative", "voting_score"], rows)
 
 
-def write_voting_bins(path, votes, truths, bins=DEFAULT_VOTING_BINS) -> None:
+def write_voting_bins(path, votes, truths) -> None:
     rows = []
-    for row in voting_bins(votes, truths, bins):
+    for row in voting_bins(votes, truths):
         label = (
             "outside"
             if math.isnan(row["lo"])

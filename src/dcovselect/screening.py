@@ -85,7 +85,6 @@ class ScreeningResult:
     trajectory_features: list[int]
     trajectory_accepted: list[bool]
     stop_reason: str
-    standardized: bool = True
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
@@ -195,7 +194,6 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
         trajectory_features=traj_features,
         trajectory_accepted=traj_accepted,
         stop_reason=stop_reason,
-        standardized=config.standardize,
     )
 
 
@@ -238,7 +236,6 @@ def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> Sc
         trajectory_features=[],
         trajectory_accepted=[],
         stop_reason=STOP_MODEL_SIZE,
-        standardized=config.standardize,
     )
 
 

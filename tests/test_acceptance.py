@@ -138,8 +138,8 @@ def test_criterion_5_svmr_optimality():
     rng = np.random.default_rng(5001)
     worst_gap = 0.0
     worst_kkt = 0.0
-    trials = 0
-    while trials < 50:
+    instances = []
+    while len(instances) < 50:
         n = int(rng.integers(4, 21))
         m = int(rng.integers(1, 6))
         x = rng.normal(size=(n, m))
@@ -147,11 +147,13 @@ def test_criterion_5_svmr_optimality():
         y[y == 0] = 1.0
         if np.unique(y).size < 2:
             continue
-        trials += 1
         params = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
         r = float(rng.choice([0.01, 0.05, 0.2, 1.0]))
+        instances.append((x, y, r, params))
+    oracle = subgradient_fit([(x, y, r, params.a) for x, y, r, params in instances])
+    for (x, y, r, params), best in zip(instances, oracle):
         model = fit(x, y, r, params, standardize=False)
-        gap = abs(model.objective - subgradient_fit(x, y, r, params.a))
+        gap = abs(model.objective - best)
         residual = kkt_residual(model, x, y)
         worst_gap = max(worst_gap, gap)
         worst_kkt = max(worst_kkt, residual)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -233,6 +234,28 @@ class TestExitCodes:
         assert "error: penalty r must be positive and finite, got inf" in capsys.readouterr().err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("grid, shown", [("0.1,0", "0.0"), ("-1,0.3", "-1.0"), ("0.1,nan", "nan")])
+    @pytest.mark.parametrize("command, extra", [("cv5", ()), ("mcv", ("--reps", "2"))])
+    def test_bad_penalty_is_rejected_before_any_screen(
+        self, synth_dir, tmp_path, capsys, monkeypatch, command, extra, grid, shown
+    ):
+        screened = []
+        real_screen = cv.screen
+
+        def counting_screen(*args, **kwargs):
+            screened.append(1)
+            return real_screen(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "screen", counting_screen)
+        out = tmp_path / "o"
+        assert run(
+            command, "--input", str(synth_dir / "data.csv"), "--label-col", "status", "--d", "1/4",
+            *extra, f"--r-grid={grid}", "--out-dir", str(out),
+        ) == 1
+        assert f"error: penalty r must be positive and finite, got {shown}" in capsys.readouterr().err
+        assert screened == []
+        assert not list(out.glob("*.json"))
+
     @pytest.mark.parametrize("command, extra, grid", [
         ("cv5", (), ""),
         ("mcv", ("--reps", "1"), ","),
@@ -266,6 +289,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data validation error: {selected}: row 2: feature_index {shown} is not an integer in [0, 15)" in err
         assert not (out / "model.json").exists()
+
+    def test_cell_past_the_csv_field_limit_is_two(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("g1,g2,label\n1.0,2.0,a\n" + "1." + "0" * csv.field_size_limit() + ",2.0,b\n")
+        assert run("screen", "--input", str(data), "--label-col", "label", "--out-dir", str(tmp_path / "o")) == 2
+        assert f"data validation error: {data}: row 2: field larger than field limit" in capsys.readouterr().err
+
+        selected = tmp_path / "selected.csv"
+        selected.write_text("order,feature_index,feature\n1,0,f1\n2," + "1" * (csv.field_size_limit() + 1) + ",f2\n")
+        out = tmp_path / "fit"
+        assert run(
+            "svmr-fit", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--r", "0.1", "--features", str(selected), "--out-dir", str(out),
+        ) == 2
+        assert f"data validation error: {selected}: row 2: field larger than field limit" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_input_that_is_a_directory_is_one(self, tmp_path, capsys):
+        assert run("screen", "--input", str(tmp_path), "--label-col", "label", "--out-dir", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory:")
+
+    def test_out_dir_that_is_a_file_is_one(self, synth_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(
+            "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status", "--out-dir", str(taken),
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists:")
+        assert taken.read_text() == ""
 
     @pytest.mark.parametrize("command, extra", [("mcv", ("--reps", "1")), ("cv5", ())])
     def test_distinct_d_values_sharing_a_file_tag_are_usage_errors(self, synth_dir, tmp_path, capsys, command, extra):
@@ -457,6 +509,29 @@ class TestPipelines:
             rep = tmp_path / kind
             assert run("report", "--kind", kind, "--input", str(out / "results.json"), "--out-dir", str(rep)) == 0
             assert (rep / name).read_bytes() == (out / name).read_bytes(), kind
+
+    def test_reports_reproduce_the_run_tables(self, synth_dir, tmp_path, capsys):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status", "--seed", "4")
+        mcv_out, cv5_out = tmp_path / "mcv", tmp_path / "cv5"
+        # a repeated d is run and written once, in --d order
+        assert run("mcv", *data, "--d", "1/3,1/4,1/5,1/4", "--reps", "3", "--out-dir", str(mcv_out)) == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == ["d=0.3333", "d=0.25", "d=0.2"]
+        summary = read(mcv_out / "summary.csv").splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == [repr(1 / 3), "0.25", "0.2"]
+        assert run("cv5", *data, "--d", "1/3,1/4", "--out-dir", str(cv5_out)) == 0
+        tables = {
+            "mcv_summary": (mcv_out, ["summary.csv"]),
+            "voting_bins": (mcv_out, [f"voting_bins_d{tag}.csv" for tag in ("0.333333", "0.25", "0.2")]),
+            "frequency_histogram": (mcv_out, [f"histogram_d{tag}.csv" for tag in ("0.333333", "0.25", "0.2")]),
+            "overlap_table": (cv5_out, ["overlap.csv"]),
+        }
+        for kind, (out, names) in tables.items():
+            rep = tmp_path / kind
+            assert run("report", "--kind", kind, "--input", str(out / "results.json"), "--out-dir", str(rep)) == 0
+            assert sorted(p.name for p in rep.glob("*.csv")) == sorted(names), kind
+            for name in names:
+                assert (rep / name).read_bytes() == (out / name).read_bytes(), (kind, name)
 
     def test_histogram_report_has_one_table_per_d(self, synth_dir, tmp_path):
         # every d shares each replication's screen; one summed table would count it once per d

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 import warnings
 
@@ -239,7 +240,12 @@ class TestStrictness:
     )
     def test_cell_past_the_csv_field_limit_rejected(self, tmp_path, row):
         path = write(tmp_path, f"g1,label\n2.0,b\n{row}\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}: row 2: field larger than field limit"):
+            ingest(path)
+
+    def test_header_past_the_csv_field_limit_rejected(self, tmp_path):
+        path = write(tmp_path, "g" * (csv.field_size_limit() + 1) + ",label\n2.0,b\n")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}: header: field larger than field limit"):
             ingest(path)
 
     def test_clean_file_takes_the_fast_path(self, tmp_path, monkeypatch):

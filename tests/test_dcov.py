@@ -8,7 +8,6 @@ from dcovselect.dcov import (
     dcor2,
     dcov2,
     dcov2_joint,
-    double_center,
     dvar2,
     euclidean_distances,
     marginal_dcor2,
@@ -69,28 +68,22 @@ class TestEuclideanDistances:
 
 
 class TestDoubleCenter:
+    """Double centering as ``centered_distances`` applies it to a block's distances."""
+
     def test_two_point_hand_value(self):
         # d=[[0,2],[2,0]]: row/col means are 1, grand mean 1 -> [[-1,1],[1,-1]]
-        a = double_center(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        a = centered_distances(np.array([0.0, 2.0]))
         assert np.array_equal(a.entries, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_zero_matrix_centers_to_zero(self):
-        a = double_center(np.zeros((4, 4)))
+        a = centered_distances(np.full((4, 2), 3.5))
         assert np.all(a.entries == 0.0)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(11)
-        m = np.abs(rng.normal(size=(5, 5)))
-        d = m + m.T
-        np.fill_diagonal(d, 0.0)
-        a = double_center(d)
+        a = centered_distances(rng.normal(size=(5, 3)))
         assert np.abs(a.entries.sum(axis=0)).max() < 1e-12
         assert np.abs(a.entries.sum(axis=1)).max() < 1e-12
-
-    def test_rejects_asymmetric(self):
-        d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(DataValidationError):
-            double_center(d)
 
 
 class TestDcovAgainstBruteForce:
@@ -292,15 +285,6 @@ class TestMarginalDcor2:
             marginal_dcor2(np.zeros((4, 2)), np.arange(5.0))
 
 
-def test_centered_distances_cache_fields():
-    x = np.array([0.0, 1.0, 3.0])
-    c = centered_distances(x)
-    d = pairwise_distances(x)
-    assert np.allclose(c.row_means, d.mean(axis=1))
-    assert np.allclose(c.col_means, d.mean(axis=0))
-    assert c.grand_mean == pytest.approx(d.mean())
-
-
 def lean_kernel_blocks():
     """Blocks with ties, n = 2, constant and several columns, for the bitwise checks."""
     rng = np.random.default_rng(37)
@@ -320,18 +304,7 @@ class TestLeanKernels:
     @pytest.mark.parametrize("block", list(lean_kernel_blocks()), ids=lambda b: "x".join(map(str, b.shape)))
     def test_centered_distances_equal_double_center_of_distances(self, block):
         got = centered_distances(block)
-        d = pairwise_distances(block)
-        checked = double_center(d)
-        assert got.entries.tobytes() == checked.entries.tobytes() == composed_center(d).tobytes()
-        assert got.row_means.tobytes() == checked.row_means.tobytes() == d.mean(axis=1).tobytes()
-        assert got.col_means.tobytes() == checked.col_means.tobytes() == d.mean(axis=0).tobytes()
-        assert got.grand_mean == checked.grand_mean == float(d.mean())
-
-    def test_double_center_leaves_its_input_alone(self):
-        d = pairwise_distances(np.array([0.0, 1.0, 3.0, 7.0]))
-        before = d.copy()
-        double_center(d)
-        assert np.array_equal(d, before)
+        assert got.entries.tobytes() == composed_center(pairwise_distances(block)).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("block", [[[0.0], [1e308]], [[1e308], [-1e308]], [[1e308, 1e308], [0.0, 0.0]]])

@@ -307,8 +307,7 @@ class TestStandardizeFlag:
         x_blown[:, 1] *= 1e3
         res_std_blown = dcov_greedy(x_blown, y)
         assert res_std.selected == res_std_blown.selected
-        assert res_std.standardized
-        assert not dcov_greedy(x, y, cfg_raw).standardized
+        assert dcov_greedy(x, y, cfg_raw).trajectory != dcov_greedy(x_blown, y, cfg_raw).trajectory
 
 
 def test_config_validation():
