@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: ``synth``, ``screen``, ``svmr-fit``, ``svmr-predict``, ``cv5``,
-``mcv``, ``permute-mcv``, ``report``.  Options can also be supplied as a
-JSON config file (``--config``); explicit command-line flags override config
-values, which override defaults.  Every run writes ``manifest.json`` with
-the resolved options and library versions, sufficient to replay the run
-byte-identically into a fresh output directory.
+``mcv``, ``permute-mcv``, ``report``.  A JSON config file (``--config``)
+supplies options as the flags it names, checked as flags are; explicit flags
+override it, and ``null`` keeps the default.  Every run writes
+``manifest.json`` with the resolved options and library versions; its
+``options`` object replays the run byte-identically as a config.
 
 Results are written once, as ``dataclasses.asdict`` payloads of the result
 dataclasses (``results.json``; ``model.json`` for ``svmr-fit``).  Every
@@ -186,44 +186,42 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="results.json from a previous run")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
-    parser.command_parsers = sub.choices
     return parser
+
+
+def _read_json_object(path) -> dict:
+    """The JSON object in ``path``; any other JSON value is a data validation error."""
+    with open(path) as fh:
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise DataValidationError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _apply_config(parser, args, argv):
     """Overlay: defaults < config file < explicit flags.
 
-    Config values become the command's defaults and the command line is
-    parsed again, so explicit flags win and argparse converts the values as
-    it converts flags.  Only the chosen command's options may be set:
-    ``command`` and ``config`` are not options.
+    Each config entry becomes the flag it names (``null`` gives none, so the
+    default stays) and the line is parsed again with those flags ahead of
+    its own: argparse checks config values as it checks flags, and an
+    explicit flag wins.  ``command`` and ``config`` are not options.
     """
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    defaults = {}
-    for key, value in overrides.items():
+    flags = []
+    for key, value in _read_json_object(args.config).items():
         attr = key.replace("-", "_")
         if attr in ("command", "config") or not hasattr(args, attr):
             raise DataValidationError(f"config key {key!r} is not a recognized option")
-        defaults[attr] = _flag_text(value)
-    parser.command_parsers[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _flag_text(value):
-    """A config value as the text its flag would take.
-
-    argparse runs string defaults through the option's type, so ``0.25`` and
-    ``"1/3"`` both reach ``--d`` as lists.  Booleans and null stay as they
-    are: switches and optional values have no type to run.
-    """
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, list):
-        return ",".join(str(v) for v in value)
-    return str(value)
+        flag = attr.replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(f"--{flag}" if value else f"--no-{flag}")
+        elif isinstance(value, list):
+            flags.append(f"--{flag}=" + ",".join(str(v) for v in value))
+        elif value is not None:
+            flags.append(f"--{flag}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _screen_config(args) -> ScreeningConfig:
@@ -467,13 +465,15 @@ def cmd_svmr_fit(args) -> int:
 
 def _load_model(path) -> tuple[RejectModel, list[str]]:
     """The ``RejectModel`` that ``svmr-fit`` wrote to ``model.json``, and its feature names."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json_object(path)
+    stored = [f for f in fields(RejectModel) if f.name != "params"]
+    for key in [f.name for f in stored] + ["d", "delta", "feature_names"]:
+        if key not in raw:
+            raise DataValidationError(f"{path}: no {key!r} field; expected a model.json from svmr-fit")
     # each field's annotation (ndarray, float or bool) converts its JSON value
     values = {
         f.name: np.asarray(raw[f.name], dtype=float) if f.type is np.ndarray else f.type(raw[f.name])
-        for f in fields(RejectModel)
-        if f.name != "params"
+        for f in stored
     }
     params = RejectLossParams(d=raw["d"], delta=raw["delta"])
     return RejectModel(params=params, **values), raw["feature_names"]
@@ -580,8 +580,7 @@ def cmd_permute_mcv(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    with open(args.input) as fh:
-        payload = json.load(fh)
+    payload = _read_json_object(args.input)
     kind = args.kind
     if kind == "overlap_table":
         selections = payload.get("selections")
@@ -630,6 +629,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     """Run one command, then record its options in ``manifest.json``; return the exit code."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)

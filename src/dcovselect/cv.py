@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, response_kind
 from .rng import stream
 from .screening import ScreeningConfig, ScreeningResult, screen
 from .svm_reject import RejectLossParams, RejectModel, _check_penalty, decide, decision_scores, fit_path, l_loss
@@ -403,8 +403,7 @@ def _degenerate_record(split: _Split, n: int) -> ReplicationRecord:
 
 
 def _binary_or_raise(ds: Dataset):
-    y = np.asarray(ds.y)
-    if y.dtype.kind not in "fiu" or not np.all(np.isin(y.astype(float), (-1.0, 1.0))):
+    if response_kind(ds) != "binary":
         raise ValueError("pipeline needs a binary -1/+1 response")
 
 

@@ -306,6 +306,28 @@ class TestExitCodes:
         assert f"data validation error: {selected}: row 2: field larger than field limit" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_model_that_is_not_a_model_json_is_two(self, synth_dir, tmp_path, capsys):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        for model, shown in [
+            (tmp_path / "scr" / "results.json", "no 'coef' field"),
+            (listed, "expected a JSON object, got list"),
+        ]:
+            out = tmp_path / model.stem
+            assert run("svmr-predict", *data, "--model", str(model), "--out-dir", str(out)) == 2
+            assert f"data validation error: {model}: {shown}" in capsys.readouterr().err
+            assert not (out / "predictions.csv").exists()
+
+    def test_report_input_that_is_not_an_object_is_two(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        out = tmp_path / "o"
+        assert run("report", "--kind", "mcv_summary", "--input", str(listed), "--out-dir", str(out)) == 2
+        assert f"data validation error: {listed}: expected a JSON object, got list" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
     def test_input_that_is_a_directory_is_one(self, tmp_path, capsys):
         assert run("screen", "--input", str(tmp_path), "--label-col", "label", "--out-dir", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory:")
@@ -632,6 +654,64 @@ class TestConfigFile:
             "--config", str(cfg), "--out-dir", str(out),
         ) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, config, flag", [
+        ("screen", (), {"method": "dcsys"}, "--method"),
+        ("screen", (), {"log_transform": "false"}, "--log-transform"),
+        ("screen", (), {"seed": True}, "--seed"),
+        ("mcv", ("--d", "1/4", "--reps", "1"), {"voting": "al"}, "--voting"),
+    ], ids=["method", "log_transform", "seed", "voting"])
+    def test_bad_config_value_is_a_usage_error_naming_the_flag(
+        self, synth_dir, tmp_path, capsys, command, extra, config, flag
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run(
+            command, "--input", str(synth_dir / "data.csv"), "--label-col", "status", *extra,
+            "--config", str(cfg), "--out-dir", str(out),
+        ) == 1
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_config_value_keeps_the_default(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"standardize": None, "seed": None}))
+        out = tmp_path / "o"
+        assert run(
+            "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--config", str(cfg), "--out-dir", str(out),
+        ) == 0
+        options = json.loads(read(out / "manifest.json"))["options"]
+        assert options["standardize"] is True
+        assert options["seed"] == 0
+
+    def test_manifest_options_replay_as_a_config(self, synth_dir, tmp_path):
+        data = ("--input", str(synth_dir / "data.csv"))
+        out1 = tmp_path / "r1"
+        assert run(
+            "mcv", *data, "--label-col", "status", "--d", "1/3,1/4", "--reps", "2", "--seed", "11",
+            "--no-standardize", "--voting", "all", "--out-dir", str(out1),
+        ) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(read(out1 / "manifest.json"))["options"]))
+        out2 = tmp_path / "r2"
+        assert run("mcv", *data, "--config", str(cfg), "--out-dir", str(out2)) == 0
+        files = sorted(p.name for p in out1.iterdir())
+        assert files == sorted(p.name for p in out2.iterdir())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_config_that_is_not_an_object_is_two(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["seed", 3]))
+        out = tmp_path / "o"
+        assert run(
+            "screen", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--config", str(cfg), "--out-dir", str(out),
+        ) == 2
+        assert f"{cfg}: expected a JSON object, got list" in capsys.readouterr().err
         assert not out.exists()
 
 
