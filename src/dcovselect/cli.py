@@ -22,7 +22,9 @@ written), 2 data validation error, 3 solver failure.
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import asdict, fields
 from itertools import chain
@@ -256,7 +258,10 @@ def _load_binary(args) -> Dataset:
 
 
 def _options_dict(args) -> dict:
-    skip = {"command", "config"}
+    """The options ``manifest.json`` records: neither the command and config
+    nor the output directory, which no result depends on, so a replay into a
+    fresh directory gives byte-identical files, manifest included."""
+    skip = {"command", "config", "out_dir"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -362,19 +367,20 @@ def _write_histograms(out: Path, payload: dict, runs) -> None:
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    kwargs = dict(model=args.model, seed=args.seed)
-    if args.model == "linear":
-        kwargs.update(active=args.active, coef=args.coef, noise=args.noise)
-    elif args.model == "logistic":
-        kwargs.update(
-            active=args.active,
-            coef=args.coef,
-            prior=args.prior,
-            class_counts=tuple(args.class_counts) if args.class_counts else None,
-        )
-    else:
-        kwargs.update(classes=args.classes, class_sep=args.class_sep)
-    ds, truth = synth_generate(args.n, args.p, **kwargs)
+    # every flag goes through: the model reads its own and ignores the rest
+    ds, truth = synth_generate(
+        args.n,
+        args.p,
+        model=args.model,
+        active=args.active,
+        coef=args.coef,
+        noise=args.noise,
+        classes=args.classes,
+        class_sep=args.class_sep,
+        prior=args.prior,
+        class_counts=args.class_counts,
+        seed=args.seed,
+    )
     emit(ds, out / "data.csv")
     rpt.write_json(out / "truth.json", truth)
     print(f"wrote {out / 'data.csv'} ({ds.n} x {ds.p}, label column {ds.label_name!r})")
@@ -464,23 +470,28 @@ def cmd_svmr_fit(args) -> int:
 
 
 def _load_model(path) -> tuple[RejectModel, list[str]]:
-    """The ``RejectModel`` that ``svmr-fit`` wrote to ``model.json``, and its feature names."""
+    """The ``RejectModel`` that ``svmr-fit`` wrote to ``model.json``, and its feature names.
+
+    A missing field, or one whose value its type cannot convert, is a data
+    validation error naming the file and the field.
+    """
     raw = _read_json_object(path)
-    stored = [f for f in fields(RejectModel) if f.name != "params"]
-    for key in [f.name for f in stored] + ["d", "delta", "feature_names"]:
-        if key not in raw:
-            raise DataValidationError(f"{path}: no {key!r} field; expected a model.json from svmr-fit")
-    # each field's annotation (ndarray, float or bool) converts its JSON value
-    values = {
-        f.name: np.asarray(raw[f.name], dtype=float) if f.type is np.ndarray else f.type(raw[f.name])
-        for f in stored
-    }
-    params = RejectLossParams(d=raw["d"], delta=raw["delta"])
-    return RejectModel(params=params, **values), raw["feature_names"]
+    # each model field's annotation (ndarray, float or bool) converts its JSON value
+    kinds = [(f.name, f.type) for f in fields(RejectModel) if f.name != "params"]
+    values = {}
+    try:
+        for key, kind in kinds + [("d", float), ("delta", float), ("feature_names", list)]:
+            values[key] = np.asarray(raw[key], dtype=float) if kind is np.ndarray else kind(raw[key])
+    except KeyError:
+        raise DataValidationError(f"{path}: no {key!r} field; expected a model.json from svmr-fit") from None
+    except (TypeError, ValueError) as exc:
+        raise DataValidationError(f"{path}: field {key!r}: {exc}") from None
+    names = values.pop("feature_names")
+    params = RejectLossParams(d=values.pop("d"), delta=values.pop("delta"))
+    return RejectModel(params=params, **values), names
 
 
 def cmd_svmr_predict(args) -> int:
-    out = _out_dir(args)
     ds = _load_dataset(args)
     model, feature_names = _load_model(args.model)
     try:
@@ -489,7 +500,7 @@ def cmd_svmr_predict(args) -> int:
         raise DataValidationError(f"dataset lacks a model feature: {exc}") from None
     scores = decision_scores(model, ds.X[:, cols])
     labels = decide(scores, model.params.delta)
-    rpt.write_predictions(out / "predictions.csv", ds.subject_ids, scores, labels)
+    rpt.write_predictions(_out_dir(args) / "predictions.csv", ds.subject_ids, scores, labels)
     n_dec = int(np.sum(labels != 0))
     print(f"predicted {len(labels)} subjects; {n_dec} with a definite decision")
     return 0
@@ -579,8 +590,26 @@ def cmd_permute_mcv(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
+    """Write ``--kind``'s tables from a ``results.json``: made in a scratch
+    directory, they reach ``--out-dir`` only once all are made, so a
+    malformed payload is a data validation error that leaves no table."""
     payload = _read_json_object(args.input)
+    with tempfile.TemporaryDirectory() as staged:
+        try:
+            _write_report(args, payload, Path(staged))
+        except KeyError as exc:
+            raise DataValidationError(f"{args.input}: no {exc.args[0]!r} entry; expected a results.json") from None
+        except (IndexError, TypeError, ValueError) as exc:
+            raise DataValidationError(f"{args.input}: malformed results.json: {exc}") from None
+        out = _out_dir(args)
+        for table in sorted(Path(staged).iterdir()):
+            shutil.copyfile(table, out / table.name)
+    print(f"wrote {args.kind} table(s) to {out}")
+    return 0
+
+
+def _write_report(args, payload: dict, out: Path) -> None:
+    """Write ``args.kind``'s tables from ``payload`` into ``out``."""
     kind = args.kind
     if kind == "overlap_table":
         selections = payload.get("selections")
@@ -610,8 +639,6 @@ def cmd_report(args) -> int:
             rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
         else:
             raise DataValidationError(f"{args.input}: nothing to histogram")
-    print(f"wrote {kind} table(s) to {out}")
-    return 0
 
 
 COMMANDS = {

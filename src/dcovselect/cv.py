@@ -68,10 +68,11 @@ DEFAULT_VOTING_BINS = ((-0.1, 0.0), (0.0, 0.1), (0.1, 0.2), (0.2, 0.4), (0.4, 1.
 # ---------------------------------------------------------------------------
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
+def _as_rng(seed_or_rng, name: str = "partition") -> np.random.Generator:
+    """A given generator as is, or the seed's stream ``name``."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return stream(int(seed_or_rng), "partition")
+    return stream(int(seed_or_rng), name)
 
 
 def kfold_partition(n: int, k: int, seed_or_rng) -> list[np.ndarray]:
@@ -348,10 +349,7 @@ def _evaluate(
 
     records = []
     for params, grid in zip(grid_params, grids):
-        if tune_idx.size:
-            chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
-        else:
-            chosen, losses = 0, []
+        chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
         model = grid[chosen]
 
         decisions = decide(decision_scores(model, x_all), params.delta)
@@ -678,9 +676,5 @@ def permute_response(ds: Dataset, seed_or_rng) -> Dataset:
 
     The label multiset is preserved and the feature matrix untouched.
     """
-    if isinstance(seed_or_rng, np.random.Generator):
-        rng = seed_or_rng
-    else:
-        rng = stream(int(seed_or_rng), "permutation")
-    perm = rng.permutation(ds.n)
+    perm = _as_rng(seed_or_rng, "permutation").permutation(ds.n)
     return ds.with_response(np.asarray(ds.y)[perm])

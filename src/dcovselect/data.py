@@ -283,8 +283,6 @@ def fmt(value) -> str:
         if math.isnan(value):
             return ""
         return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 

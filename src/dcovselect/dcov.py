@@ -17,7 +17,7 @@ every feature's statistics from sorted columns and row sweeps (see its
 docstring).  The per-matrix functions (``centered_distances``, which
 double-centers the distance matrix in place, and the statistics built on
 it) are the reference that path is tested against.  Distances come from
-``euclidean_distances``, a numpy kernel that sums squared coordinate
+``pairwise_distances``, a numpy kernel that sums squared coordinate
 differences in column order, as ``scipy.spatial.distance.cdist`` does, so
 this module needs no scipy.
 All functions are pure, apart from the constant-response warning; results
@@ -35,7 +35,6 @@ __all__ = [
     "CenteredDistanceMatrix",
     "DCovStats",
     "as_block",
-    "euclidean_distances",
     "pairwise_distances",
     "centered_distances",
     "dcov2",
@@ -94,30 +93,21 @@ def as_block(values) -> np.ndarray:
     return x
 
 
-def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` (m x k) and ``b`` (n x k).
-
-    Squared differences are added one coordinate at a time, in column order,
-    and the root taken last, so entry (i, j) is computed exactly as
-    ``scipy.spatial.distance.cdist`` computes it, without importing scipy.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    sq = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        diff *= diff
-        sq += diff
-    return np.sqrt(sq, out=sq)
-
-
 def pairwise_distances(block) -> np.ndarray:
     """Euclidean distance matrix of the rows of ``block``.
 
     Symmetric with zero diagonal; entry (i, j) is ``|row_i - row_j|``.
+    Squared differences are added one coordinate at a time, in column order,
+    and the root taken last, so each entry is computed exactly as
+    ``scipy.spatial.distance.cdist`` computes it, without importing scipy.
     """
     x = as_block(block)
-    return euclidean_distances(x, x)
+    sq = np.zeros((x.shape[0], x.shape[0]))
+    for k in range(x.shape[1]):
+        diff = x[:, k, None] - x[None, :, k]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def centered_distances(block) -> CenteredDistanceMatrix:
@@ -156,11 +146,7 @@ def dcov2(x, y) -> float:
     Symmetric in its arguments and nonnegative; zero when either block is
     constant.
     """
-    x = as_block(x)
-    y = as_block(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
-    return dcov2_centered(centered_distances(x), centered_distances(y))
+    return dcor2(x, y).v2
 
 
 def dvar2(x) -> float:
@@ -171,10 +157,6 @@ def dvar2(x) -> float:
 
 def dcor2(x, y) -> DCovStats:
     """Squared sample distance correlation of two blocks, with components."""
-    x = as_block(x)
-    y = as_block(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
     a = centered_distances(x)
     b = centered_distances(y)
     v2 = dcov2_centered(a, b)

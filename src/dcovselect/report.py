@@ -79,14 +79,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_manifest(out_dir, command: str, options: dict) -> Path:
-    """Record everything needed to replay a run (no out-dir, no clock).
-
-    The output directory is deliberately excluded (results do not depend on
-    it, nor on the number of CPUs the run used), so replays into a fresh
-    directory produce byte-identical files, manifest included.
-    """
+    """Record ``options`` as given, with library versions and no clock."""
     out_dir = Path(out_dir)
-    options = {k: v for k, v in options.items() if k != "out_dir"}
     payload = {
         "command": command,
         "options": options,
@@ -153,7 +147,7 @@ def write_mcv_records(path, records: list[dict]) -> None:
             rec["n_decision_train"],
             rec["n_decision_test"],
             rec["max_marginal_r2"],
-            rec["flagged"] or "",
+            rec["flagged"],
         )
         for rec in records
     ]
@@ -183,8 +177,6 @@ def write_mcv_summary(path, summaries: list[dict]) -> None:
 
 def write_voting(path, votes, subject_ids) -> None:
     def cell(v):
-        if math.isnan(v):
-            return ""
         if math.isinf(v):
             return "9.99" if v > 0 else "-9.99"  # saturated no-withhold score
         return v

@@ -96,6 +96,29 @@ class TestSynthAndScreen:
         assert manifest["command"] == "synth"
         assert "out_dir" not in manifest["options"]
 
+    @pytest.mark.parametrize(
+        "model, own, others",
+        [
+            (
+                "linear",
+                ("--active", "2", "--noise", "1/2"),
+                ("--classes", "3", "--class-sep", "5", "--prior", "0.3", "--class-counts", "10,30"),
+            ),
+            ("logistic", ("--active", "2", "--prior", "0.6"), ("--noise", "3", "--classes", "3", "--class-sep", "5")),
+            (
+                "multiclass",
+                ("--classes", "3", "--class-sep", "5/2"),
+                ("--active", "1", "--coef", "5", "--noise", "3", "--prior", "0.3", "--class-counts", "10,30"),
+            ),
+        ],
+    )
+    def test_synth_ignores_the_flags_of_other_models(self, tmp_path, model, own, others):
+        argv = ("synth", "--model", model, "--n", "40", "--p", "8", "--seed", "3", *own)
+        assert run(*argv, "--out-dir", str(tmp_path / "own")) == 0
+        assert run(*argv, *others, "--out-dir", str(tmp_path / "all")) == 0
+        for name in ("data.csv", "truth.json"):
+            assert read(tmp_path / "all" / name) == read(tmp_path / "own" / name)
+
     def test_screen_binary(self, synth_dir, tmp_path):
         out = tmp_path / "scr"
         code = run(
@@ -327,6 +350,36 @@ class TestExitCodes:
         assert run("report", "--kind", "mcv_summary", "--input", str(listed), "--out-dir", str(out)) == 2
         assert f"data validation error: {listed}: expected a JSON object, got list" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    def test_results_json_without_a_needed_entry_is_two(self, tmp_path, capsys):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"runs": {"0.25": {"summary": {}, "records": []}}, "d_values": [0.25]}))
+        out = tmp_path / "o"
+        assert run("report", "--kind", "voting_bins", "--input", str(odd), "--out-dir", str(out)) == 2
+        assert f"data validation error: {odd}: no 'truth_labels' entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_field_of_the_wrong_type_is_two(self, synth_dir, tmp_path, capsys):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        assert run("svmr-fit", *data, "--d", "1/4", "--r", "0.1", "--out-dir", str(tmp_path / "fit")) == 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**json.loads(read(tmp_path / "fit" / "model.json")), "coef": "x"}))
+        out = tmp_path / "o"
+        assert run("svmr-predict", *data, "--model", str(model), "--out-dir", str(out)) == 2
+        assert f"data validation error: {model}: field 'coef': could not convert" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejected_json_input_leaves_no_out_dir(self, synth_dir, tmp_path):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        out = tmp_path / "report"
+        assert run("report", "--kind", "mcv_summary", "--input", str(listed), "--out-dir", str(out)) == 2
+        assert not out.exists()
+        out = tmp_path / "predict"
+        assert run("svmr-predict", *data, "--model", str(tmp_path / "scr" / "results.json"), "--out-dir", str(out)) == 2
+        assert not out.exists()
 
     def test_input_that_is_a_directory_is_one(self, tmp_path, capsys):
         assert run("screen", "--input", str(tmp_path), "--label-col", "label", "--out-dir", str(tmp_path / "o")) == 1
