@@ -366,7 +366,6 @@ def _write_histograms(out: Path, payload: dict, runs) -> None:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     # every flag goes through: the model reads its own and ignores the rest
     ds, truth = synth_generate(
         args.n,
@@ -381,6 +380,7 @@ def cmd_synth(args) -> int:
         class_counts=args.class_counts,
         seed=args.seed,
     )
+    out = _out_dir(args)
     emit(ds, out / "data.csv")
     rpt.write_json(out / "truth.json", truth)
     print(f"wrote {out / 'data.csv'} ({ds.n} x {ds.p}, label column {ds.label_name!r})")
@@ -388,7 +388,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    out = _out_dir(args)
     ds = _load_dataset(args)
     config = _screen_config(args)
     kind = response_kind(ds)
@@ -401,6 +400,7 @@ def cmd_screen(args) -> int:
     }
     if kind == "classes":
         per_class, union = one_vs_rest_screen(ds.X, ds.y, config)
+        out = _out_dir(args)
         for label, result in per_class.items():
             rpt.write_ranking(out / f"ranking_{label}.csv", ds.feature_names, result.ranking, result.marginal_r2)
             rpt.write_selected(out / f"selected_{label}.csv", ds.feature_names, result.selected)
@@ -412,6 +412,7 @@ def cmd_screen(args) -> int:
         print(f"one-versus-rest over {len(per_class)} classes; union size {len(union)}")
     else:
         result = screen(ds.X, ds.y.astype(float), config)
+        out = _out_dir(args)
         rpt.write_ranking(out / "ranking.csv", ds.feature_names, result.ranking, result.marginal_r2)
         rpt.write_selected(out / "selected.csv", ds.feature_names, result.selected)
         if result.trajectory:
@@ -449,7 +450,6 @@ def _read_feature_column(path, p: int) -> list[int]:
 
 
 def cmd_svmr_fit(args) -> int:
-    out = _out_dir(args)
     ds = _load_binary(args)
     features = _read_feature_column(args.features, ds.p) if args.features else list(range(ds.p))
     model = fit(
@@ -463,7 +463,7 @@ def cmd_svmr_fit(args) -> int:
     # model.json is the model's fields with ``params`` flattened into d and delta
     payload = asdict(model)
     payload.update(payload.pop("params"), features=features, feature_names=[ds.feature_names[j] for j in features])
-    rpt.write_json(out / "model.json", payload)
+    rpt.write_json(_out_dir(args) / "model.json", payload)
     kept = len(model.nonzero_features)
     print(f"fitted: objective {model.objective:.6f}, {kept}/{len(features)} features kept")
     return 0
@@ -478,16 +478,18 @@ def _load_model(path) -> tuple[RejectModel, list[str]]:
     raw = _read_json_object(path)
     # each model field's annotation (ndarray, float or bool) converts its JSON value
     kinds = [(f.name, f.type) for f in fields(RejectModel) if f.name != "params"]
-    values = {}
+    values, loss = {}, {}
     try:
-        for key, kind in kinds + [("d", float), ("delta", float), ("feature_names", list)]:
+        for key, kind in kinds + [("feature_names", list), ("d", float), ("delta", float)]:
             values[key] = np.asarray(raw[key], dtype=float) if kind is np.ndarray else kind(raw[key])
+            if key in ("d", "delta"):  # checks d alone, then delta beside it
+                loss[key] = values.pop(key)
+                params = RejectLossParams(**loss)
     except KeyError:
         raise DataValidationError(f"{path}: no {key!r} field; expected a model.json from svmr-fit") from None
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: field {key!r}: {exc}") from None
     names = values.pop("feature_names")
-    params = RejectLossParams(d=values.pop("d"), delta=values.pop("delta"))
     return RejectModel(params=params, **values), names
 
 
@@ -508,20 +510,20 @@ def cmd_svmr_predict(args) -> int:
 
 def cmd_cv5(args) -> int:
     tags = _d_tags(args.d)
-    out = _out_dir(args)
     ds = _load_binary(args)
     config = _screen_config(args)
     payload = _resampling_payload(args, ds)
     results = five_fold_cv(ds, args.d, args.r_grid, args.seed, config=config, delta=args.delta)
     for d, tag in tags.items():
         payload["runs"][tag] = {"d": d, "records": _record_payloads(results[d].records)}
-    for tag, run in _require_runs(payload, out / "results.json"):
-        rpt.write_mcv_records(out / f"folds_d{tag}.csv", run["records"])
     selections = results[args.d[0]].selections  # one screen per fold serves every d
     # the overlap table pairs the fold selections with the all-subjects one
     full = screen(ds.X, ds.y.astype(float), config)
     payload["selections"] = selections + [full.selected]
     payload["selection_names"] = [f"S{i + 1}" for i in range(len(selections))] + ["ALL"]
+    out = _out_dir(args)
+    for tag, run in _require_runs(payload, out / "results.json"):
+        rpt.write_mcv_records(out / f"folds_d{tag}.csv", run["records"])
     matrix, union, freq = selection_overlap(payload["selections"])
     rpt.write_overlap_table(out / "overlap.csv", matrix, payload["selection_names"])
     rpt.write_json(out / "results.json", payload)
@@ -532,14 +534,9 @@ def cmd_cv5(args) -> int:
     return 0
 
 
-def _run_mcv(args, ds: Dataset) -> dict:
-    """Run multiple cross validation on ``ds``, write its files, and return its payload.
-
-    Every table is written from the payload, by the helpers that ``report``
-    applies to ``results.json``.
-    """
+def _mcv_payload(args, ds: Dataset) -> dict:
+    """Run multiple cross validation on ``ds`` and return its ``results.json`` payload."""
     tags = _d_tags(args.d)
-    out = _out_dir(args)
     payload = _resampling_payload(args, ds)
     payload.update(reps=args.reps, voting_mode=args.voting)
     results = mcv_run(
@@ -548,6 +545,16 @@ def _run_mcv(args, ds: Dataset) -> dict:
     for d, tag in tags.items():
         result = results[d]
         payload["runs"][tag] = {"d": d, "summary": asdict(result.summary), "records": _record_payloads(result.records)}
+    return payload
+
+
+def _write_mcv(args, payload: dict) -> Path:
+    """Make ``--out-dir`` and write an mcv payload's tables there; return the directory.
+
+    Every table is written from the payload, by the helpers that ``report``
+    applies to ``results.json``.
+    """
+    out = _out_dir(args)
     runs = _require_mcv_runs(payload, out / "results.json")
     for tag, run in runs:
         rpt.write_mcv_records(out / f"records_d{tag}.csv", run["records"])
@@ -562,27 +569,28 @@ def _run_mcv(args, ds: Dataset) -> dict:
     _write_histograms(out, payload, runs)
     rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
     rpt.write_json(out / "results.json", payload)
-    return payload
+    return out
 
 
 def cmd_mcv(args) -> int:
-    _run_mcv(args, _load_binary(args))
+    _write_mcv(args, _mcv_payload(args, _load_binary(args)))
     return 0
 
 
 def cmd_permute_mcv(args) -> int:
     ds = _load_binary(args)
-    payload = _run_mcv(args, permute_response(ds, stream(args.seed, "permutation")))
+    payload = _mcv_payload(args, permute_response(ds, stream(args.seed, "permutation")))
     # side-by-side check data: strongest marginal association per permuted
     # replication vs the original-label value on the full data
     original = float(screen(ds.X, ds.y.astype(float), _screen_config(args)).marginal_r2.max())
+    out = _write_mcv(args, payload)
     rows = [
         (tag, rec["rep_id"], rec["max_marginal_r2"], original)
         for tag, run in sorted(payload["runs"].items())
         for rec in run["records"]
     ]
     rpt.write_csv(
-        Path(args.out_dir) / "max_dcor_compare.csv",
+        out / "max_dcor_compare.csv",
         ["d", "rep", "max_marginal_r2_permuted", "max_marginal_r2_original"],
         rows,
     )

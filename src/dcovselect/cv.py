@@ -15,11 +15,12 @@ distinct ``d``.  Each split is screened once.
 For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
 warm-starts HiGHS along the grid.  Splits and (split, ``d``) paths share
 one thread pool per run, on at most the usable CPUs: it screens every
-split, then fits every path, split-major (numpy releases the GIL in the
-screening sweeps, HiGHS while it solves).  Tuning, evaluation and warnings
-stay in the calling thread, in split order, and results are gathered in
-that order, so they do not depend on the worker count.  The first failing
-path, in split-major order, raises, and the queued ones are dropped.
+split, then fits, tunes and scores every path, split-major (numpy releases
+the GIL in the screening sweeps, HiGHS while it solves).  Only the split
+draws and the single-class warnings stay in the calling thread.  Results
+are gathered in split order, so they do not depend on the worker count.
+The first failing path, in split-major order, raises, and the queued ones
+are dropped.
 
 Per-subject three-way decisions from the replications aggregate into voting
 scores ``v = (s - r) / w`` (support minus against, scaled by withhold
@@ -296,38 +297,31 @@ def _run_splits(
     """One list of records per entry of ``grid_params``, each in split order.
 
     One pool serves the run.  It screens every split that is not flagged,
-    then fits the penalty path of every (split, ``d``) pair, split-major.
-    Tuning and evaluation follow in the calling thread, split by split.  A
-    flagged split gets degenerate records.  ``screen`` and ``fit_path`` are
-    looked up at call time, so a wrapper installed on this module sees
-    every call.
+    then fits, tunes and scores the penalty path of every (split, ``d``)
+    pair, split-major; each such job returns its finished record.  The
+    calling thread gives each flagged split degenerate records and groups
+    the records by ``d``.  ``screen`` and ``fit_path`` are looked up at
+    call time, so a wrapper installed on this module sees every call.
     """
     y = ds.y.astype(float)
     live = [split for split in splits if split.flagged is None]
 
     def screen_split(split):
-        return screen(ds.X[split.train_idx], y[split.train_idx], config)
+        return split, screen(ds.X[split.train_idx], y[split.train_idx], config)
 
-    def fit_job(job):
-        split, selected, params = job
-        return fit_path(ds.X[np.ix_(split.train_idx, selected)], y[split.train_idx], r_grid, params)
+    def path_job(job):
+        (split, scr), params = job
+        grid = fit_path(ds.X[np.ix_(split.train_idx, scr.selected)], y[split.train_idx], r_grid, params)
+        return _evaluate(ds, y, split, scr, params, grid, tie)
 
     with _run_map(len(live) * len(grid_params)) as run_map:
-        screens = list(run_map(screen_split, live))
-        jobs = [(split, scr.selected, params) for split, scr in zip(live, screens) for params in grid_params]
-        paths = iter(list(run_map(fit_job, jobs)))
-
-    fitted = iter(screens)
-    records = [[] for _ in grid_params]
-    for split in splits:
-        if split.flagged is not None:
-            split_records = [_degenerate_record(split, ds.n) for _ in grid_params]
-        else:
-            grids = [next(paths) for _ in grid_params]
-            split_records = _evaluate(ds, y, split, next(fitted), grid_params, grids, tie)
-        for recs, record in zip(records, split_records):
-            recs.append(record)
-    return records
+        screened = list(run_map(screen_split, live))
+        finished = iter(list(run_map(path_job, [(job, params) for job in screened for params in grid_params])))
+    by_split = [
+        [next(finished) if split.flagged is None else _degenerate_record(split, ds.n) for _ in grid_params]
+        for split in splits
+    ]
+    return [list(records) for records in zip(*by_split)]
 
 
 def _evaluate(
@@ -335,49 +329,34 @@ def _evaluate(
     y: np.ndarray,
     split: _Split,
     scr: ScreeningResult,
-    grid_params: list[RejectLossParams],
-    grids: list[list[RejectModel]],
+    params: RejectLossParams,
+    grid: list[RejectModel],
     tie: str,
-) -> list[ReplicationRecord]:
-    """Tune each ``d``'s penalty path of one screened split and score its decisions."""
-    tune_idx, train_idx, test_idx = split.tune_idx, split.train_idx, split.test_idx
+) -> ReplicationRecord:
+    """Tune one ``d``'s penalty path of a screened split and score its decisions."""
     selected = scr.selected
-    y_train = y[train_idx]
     x_all = ds.X[:, selected]
-    x_tune = x_all[tune_idx]
-    max_marginal_r2 = float(scr.marginal_r2.max())
-
-    records = []
-    for params, grid in zip(grid_params, grids):
-        chosen, losses = tune_penalty(grid, x_tune, y[tune_idx], params.d, tie)
-        model = grid[chosen]
-
-        decisions = decide(decision_scores(model, x_all), params.delta)
-        train_acc, n_train_dec = _accuracy_over_decided(decisions[train_idx], y_train)
-        if test_idx.size:
-            test_acc, n_test_dec = _accuracy_over_decided(decisions[test_idx], y[test_idx])
-        else:
-            test_acc, n_test_dec = float("nan"), 0
-
-        records.append(
-            ReplicationRecord(
-                rep_id=split.rep_id,
-                tune_idx=tune_idx,
-                train_idx=train_idx,
-                test_idx=test_idx,
-                selected=list(selected),
-                post_model_features=[selected[j] for j in model.nonzero_features],
-                tuned_r=model.r,
-                tuning_losses=losses,
-                decisions=decisions,
-                training_accuracy=train_acc,
-                testing_accuracy=test_acc,
-                n_decision_train=n_train_dec,
-                n_decision_test=n_test_dec,
-                max_marginal_r2=max_marginal_r2,
-            )
-        )
-    return records
+    chosen, losses = tune_penalty(grid, x_all[split.tune_idx], y[split.tune_idx], params.d, tie)
+    model = grid[chosen]
+    decisions = decide(decision_scores(model, x_all), params.delta)
+    train_acc, n_train_dec = _accuracy_over_decided(decisions[split.train_idx], y[split.train_idx])
+    test_acc, n_test_dec = _accuracy_over_decided(decisions[split.test_idx], y[split.test_idx])
+    return ReplicationRecord(
+        rep_id=split.rep_id,
+        tune_idx=split.tune_idx,
+        train_idx=split.train_idx,
+        test_idx=split.test_idx,
+        selected=list(selected),
+        post_model_features=[selected[j] for j in model.nonzero_features],
+        tuned_r=model.r,
+        tuning_losses=losses,
+        decisions=decisions,
+        training_accuracy=train_acc,
+        testing_accuracy=test_acc,
+        n_decision_train=n_train_dec,
+        n_decision_test=n_test_dec,
+        max_marginal_r2=float(scr.marginal_r2.max()),
+    )
 
 
 def _degenerate_record(split: _Split, n: int) -> ReplicationRecord:
@@ -593,36 +572,29 @@ def voting_scores(
     subject only in replications whose testing set contains it (each
     subject is out of sample in a fraction of the replications);
     ``mode='all'`` counts every subject in every replication.  ``s + w + r``
-    equals the number of replications in which the subject was counted.
+    equals the number of replications in which the subject was counted.  A
+    decision other than -1, 0 or +1 is a ``ValueError``.
     """
     if mode not in ("testing", "all"):
         raise ValueError(f"mode must be 'testing' or 'all', got {mode!r}")
-    s = np.zeros(n_subjects, dtype=int)
-    w = np.zeros(n_subjects, dtype=int)
-    r = np.zeros(n_subjects, dtype=int)
+    counts = np.zeros((3, n_subjects), dtype=int)  # rows s, w, r: decisions +1, 0, -1
     for test_idx, rep_decisions in zip(test_sets, decisions, strict=True):
         idx = np.asarray(test_idx, dtype=int) if mode == "testing" else np.arange(n_subjects)
         dec = np.asarray(rep_decisions)[idx]
-        np.add.at(s, idx[dec == 1], 1)
-        np.add.at(w, idx[dec == 0], 1)
-        np.add.at(r, idx[dec == -1], 1)
-    out = []
-    never = 0
-    for i in range(n_subjects):
-        total = int(s[i] + w[i] + r[i])
-        if total == 0:
-            never += 1
-            v = float("nan")
-        elif w[i] > 0:
-            v = (float(s[i]) - float(r[i])) / float(w[i])
-        elif s[i] == r[i]:
-            v = 0.0
-        else:
-            v = VOTE_SENTINEL if s[i] > r[i] else -VOTE_SENTINEL
-        out.append(VotingRecord(subject=i, s=int(s[i]), w=int(w[i]), r=int(r[i]), v=v))
+        if not np.isin(dec, (-1, 0, 1)).all():
+            raise ValueError("decisions must be -1, 0 or +1")
+        np.add.at(counts, (1 - dec.astype(int), idx), 1)
+    s, w, r = counts
+    unscored = counts.sum(axis=0) == 0
+    v = np.select(
+        [unscored, w > 0, s == r],
+        [np.nan, (s - r) / np.maximum(w, 1), 0.0],  # the max keeps w = 0 out of the division
+        np.copysign(VOTE_SENTINEL, s - r),
+    )
+    never = int(unscored.sum())
     if never:
         warnings.warn(f"{never} subject(s) were never scored by any replication")
-    return out
+    return [VotingRecord(i, *row) for i, row in enumerate(zip(*counts.tolist(), v.tolist()))]
 
 
 def voting_bins(votes: list[VotingRecord], truths) -> list[dict]:
@@ -633,36 +605,14 @@ def voting_bins(votes: list[VotingRecord], truths) -> list[dict]:
     saturated scores), so counts are conserved.
     """
     truths = np.asarray(truths, dtype=float)
+    v = np.array([vote.v for vote in votes], dtype=float)
+    masks = [(lo < v) & (v <= hi) for lo, hi in DEFAULT_VOTING_BINS]
+    masks.append(~np.isnan(v) & ~np.any(masks, axis=0))
     rows = []
-    claimed = np.zeros(len(votes), dtype=bool)
-    for lo, hi in DEFAULT_VOTING_BINS:
-        members = [
-            i
-            for i, vote in enumerate(votes)
-            if not math.isnan(vote.v) and lo < vote.v <= hi
-        ]
-        claimed[members] = True
-        positives = int(np.sum(truths[members] == 1.0)) if members else 0
-        rows.append(
-            {
-                "lo": lo,
-                "hi": hi,
-                "frequency": len(members),
-                "positive_proportion": positives / len(members) if members else float("nan"),
-            }
-        )
-    outside = [
-        i for i, vote in enumerate(votes) if not math.isnan(vote.v) and not claimed[i]
-    ]
-    positives = int(np.sum(truths[outside] == 1.0)) if outside else 0
-    rows.append(
-        {
-            "lo": float("nan"),
-            "hi": float("nan"),
-            "frequency": len(outside),
-            "positive_proportion": positives / len(outside) if outside else float("nan"),
-        }
-    )
+    for (lo, hi), members in zip([*DEFAULT_VOTING_BINS, (float("nan"), float("nan"))], masks):
+        n = int(members.sum())
+        positives = int(np.sum(truths[members] == 1.0))
+        rows.append({"lo": lo, "hi": hi, "frequency": n, "positive_proportion": positives / n if n else float("nan")})
     return rows
 
 

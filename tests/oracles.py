@@ -307,3 +307,60 @@ def composed_greedy_walk(x, ranking, b_entries, epsilon, m):
             break
         remaining.pop(admitted)
     return selected, trajectory, features, accepted
+
+
+# ---------------------------------------------------------------------------
+# Voting as it was counted before it was vectorized: one subject, one
+# decision and one bin at a time.
+# ---------------------------------------------------------------------------
+
+
+def loop_voting_scores(test_sets, decisions, n_subjects, mode):
+    """``(subject, s, w, r, v)`` per subject, counted decision by decision."""
+    s, w, r = [0] * n_subjects, [0] * n_subjects, [0] * n_subjects
+    for test_idx, rep_decisions in zip(test_sets, decisions):
+        counted = [int(i) for i in test_idx] if mode == "testing" else range(n_subjects)
+        for i in counted:
+            if rep_decisions[i] == 1:
+                s[i] += 1
+            elif rep_decisions[i] == 0:
+                w[i] += 1
+            elif rep_decisions[i] == -1:
+                r[i] += 1
+    out = []
+    for i in range(n_subjects):
+        if s[i] + w[i] + r[i] == 0:
+            v = float("nan")
+        elif w[i] > 0:
+            v = (float(s[i]) - float(r[i])) / float(w[i])
+        elif s[i] == r[i]:
+            v = 0.0
+        else:
+            v = float("inf") if s[i] > r[i] else float("-inf")
+        out.append((i, s[i], w[i], r[i], v))
+    return out
+
+
+def loop_voting_bins(scores, truths, bins):
+    """One row per ``(lo, hi]`` bin, then the ``outside`` row of scored subjects in no bin."""
+    rows = []
+    claimed = set()
+    for lo, hi in bins:
+        members = [i for i, v in enumerate(scores) if not math.isnan(v) and lo < v <= hi]
+        claimed.update(members)
+        positives = sum(1 for i in members if truths[i] == 1.0)
+        rows.append({
+            "lo": lo,
+            "hi": hi,
+            "frequency": len(members),
+            "positive_proportion": positives / len(members) if members else float("nan"),
+        })
+    outside = [i for i, v in enumerate(scores) if not math.isnan(v) and i not in claimed]
+    positives = sum(1 for i in outside if truths[i] == 1.0)
+    rows.append({
+        "lo": float("nan"),
+        "hi": float("nan"),
+        "frequency": len(outside),
+        "positive_proportion": positives / len(outside) if outside else float("nan"),
+    })
+    return rows

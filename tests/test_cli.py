@@ -369,6 +369,37 @@ class TestExitCodes:
         assert f"data validation error: {model}: field 'coef': could not convert" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("d", 0.7, "rejection cost d must lie in (0, 1/2), got 0.7"), ("delta", 2, "delta must lie in (0, 1], got 2.0")],
+    )
+    def test_model_loss_outside_its_range_is_two(self, synth_dir, tmp_path, capsys, field, value, shown):
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        assert run("svmr-fit", *data, "--d", "1/4", "--r", "0.1", "--out-dir", str(tmp_path / "fit")) == 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**json.loads(read(tmp_path / "fit" / "model.json")), field: value}))
+        out = tmp_path / "o"
+        assert run("svmr-predict", *data, "--model", str(model), "--out-dir", str(out)) == 2
+        assert f"data validation error: {model}: field {field!r}: {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, code",
+        [
+            ("synth", ("--n", "20", "--p", "5", "--active", "6"), 1),
+            ("screen", ("--label-col", "nolabel"), 2),
+            ("svmr-fit", ("--d", "1/4", "--r", "0.1", "--features", "nofile.csv"), 1),
+            ("cv5", ("--d", "0.7"), 1),
+            ("mcv", ("--delta", "2", "--reps", "2"), 1),
+            ("permute-mcv", ("--delta", "2", "--reps", "2"), 1),
+        ],
+    )
+    def test_rejected_run_leaves_no_out_dir(self, synth_dir, tmp_path, command, extra, code):
+        data = () if command == "synth" else ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        out = tmp_path / "o"
+        assert run(command, *data, *extra, "--out-dir", str(out)) == code
+        assert not out.exists()
+
     def test_rejected_json_input_leaves_no_out_dir(self, synth_dir, tmp_path):
         data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
         assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import struct
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from dcovselect.data import synth_generate
 from dcovselect.errors import SolverError
 from dcovselect.screening import ScreeningConfig
 from dcovselect.svm_reject import RejectLossParams, fit, predict
+from oracles import loop_voting_bins, loop_voting_scores
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 
@@ -210,7 +213,8 @@ def raw(value):
 
 
 class TestLpGrid:
-    """One screen per split and one penalty path per (split, d); splits and paths share one thread pool."""
+    """One screen per split and one penalty path per (split, d); one thread pool screens the splits,
+    then fits, tunes and scores each path."""
 
     D_VALUES = [1 / 3, 1 / 4, 1 / 5]
 
@@ -269,8 +273,8 @@ class TestLpGrid:
 
     def test_one_d_screens_and_fits_on_pool_threads(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)
-        threads = {"screen": set(), "fit_path": set()}
-        real_screen, real_fit_path = cv.screen, cv.fit_path
+        threads = {"screen": set(), "fit_path": set(), "tune_penalty": set()}
+        real_screen, real_fit_path, real_tune_penalty = cv.screen, cv.fit_path, cv.tune_penalty
 
         def screen_on(x, y, config):
             threads["screen"].add(threading.get_ident())
@@ -280,11 +284,17 @@ class TestLpGrid:
             threads["fit_path"].add(threading.get_ident())
             return real_fit_path(x, y, r_grid, params)
 
+        def tune_penalty_on(*args):
+            threads["tune_penalty"].add(threading.get_ident())
+            return real_tune_penalty(*args)
+
         monkeypatch.setattr(cv, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cv, "screen", screen_on)
         monkeypatch.setattr(cv, "fit_path", fit_path_on)
+        monkeypatch.setattr(cv, "tune_penalty", tune_penalty_on)
         five_fold_cv(ds, [1 / 4], R_GRID, seed=3)
-        assert threading.get_ident() not in threads["screen"] | threads["fit_path"]
+        assert all(threads.values())
+        assert threading.get_ident() not in threads["screen"] | threads["fit_path"] | threads["tune_penalty"]
 
     def test_single_class_warnings_come_from_the_main_thread_in_fold_order(self, monkeypatch):
         ds, _ = planted_dataset(n=60, p=8)
@@ -447,6 +457,51 @@ class TestVoting:
         rows = voting_bins(votes, np.array([1.0, 1.0]))
         assert rows[1]["frequency"] == 1  # 0.1 in (0, 0.1]
         assert rows[2]["frequency"] == 1  # 0.1000001 in (0.1, 0.2]
+
+    @pytest.mark.parametrize("mode", ["testing", "all"])
+    @pytest.mark.parametrize("decision", [2, -2, 0.5])
+    def test_decision_outside_the_three_labels_is_rejected(self, mode, decision):
+        with pytest.raises(ValueError, match=r"decisions must be -1, 0 or \+1"):
+            voting_scores([[0, 1]], [[1, decision]], 2, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["testing", "all"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_votes_and_bins_equal_the_loop_oracle(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        n, n_reps = 60, 12
+        test_sets = [np.sort(rng.choice(n, size=rng.integers(0, 10), replace=False)) for _ in range(n_reps)]
+        decisions = rng.choice([-1, 0, 1], size=(n_reps, n))
+        decisions[:, :20] = rng.choice([-1, 1], size=(n_reps, 20))  # subjects 0..19 are never withheld
+        decisions[:, 20] = 1  # s > r wherever subject 20 is counted
+        decisions[:, 21] = -1  # s < r
+        decisions[:, 22] = np.resize([1, -1], n_reps)  # s = r when counted in every replication
+        # the JSON payload hands voting_scores lists; the run hands it arrays
+        tables = (test_sets, list(decisions)) if seed else ([t.tolist() for t in test_sets], decisions.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            votes = voting_scores(*tables, n, mode=mode)
+            no_reps = voting_scores([], [], n, mode=mode)
+        expected = loop_voting_scores(test_sets, decisions, n, mode)
+
+        def bits(value):
+            return struct.pack("<d", value) if isinstance(value, float) else (type(value), value)
+
+        for got, want in ((votes, expected), (no_reps, loop_voting_scores([], [], n, mode))):
+            assert [tuple(map(bits, dataclasses.astuple(vote))) for vote in got] == [tuple(map(bits, w)) for w in want]
+        cases = [(s, w, r) for _, s, w, r, _ in expected if w == 0 and s + r]
+        assert any(s > r for s, _, r in cases) and any(s < r for s, _, r in cases) and any(s == r for s, _, r in cases)
+        if mode == "testing":
+            assert any(math.isnan(v.v) for v in votes)
+        edges = [-0.1, 0.0, 0.1, 0.2, 0.4, 1.5]
+        scores = [v.v for v in votes + no_reps] + [math.inf, -math.inf]
+        scores += [x for e in edges for x in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))]
+        scored = [VotingRecord(i, 0, 0, 0, float(x)) for i, x in enumerate(scores)]
+        truths = rng.choice([-1.0, 1.0], size=len(scored))
+        rows = voting_bins(scored, truths)
+        want_rows = loop_voting_bins([float(x) for x in scores], truths, DEFAULT_VOTING_BINS)
+        assert [{k: bits(x) for k, x in row.items()} for row in rows] == [
+            {k: bits(x) for k, x in row.items()} for row in want_rows
+        ]
 
 
 class TestPermutation:
