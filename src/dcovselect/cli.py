@@ -517,9 +517,9 @@ def cmd_cv5(args) -> int:
     for d, tag in tags.items():
         payload["runs"][tag] = {"d": d, "records": _record_payloads(results[d].records)}
     selections = results[args.d[0]].selections  # one screen per fold serves every d
+    full = results[args.d[0]].all_subjects
     # the overlap table pairs the fold selections with the all-subjects one
-    full = screen(ds.X, ds.y.astype(float), config)
-    payload["selections"] = selections + [full.selected]
+    payload["selections"] = selections + [full]
     payload["selection_names"] = [f"S{i + 1}" for i in range(len(selections))] + ["ALL"]
     out = _out_dir(args)
     for tag, run in _require_runs(payload, out / "results.json"):
@@ -529,7 +529,7 @@ def cmd_cv5(args) -> int:
     rpt.write_json(out / "results.json", payload)
     print(
         f"five-fold selections sized {[len(s) for s in selections]}; "
-        f"union {len(union)} (incl. {len(full.selected)} from all subjects)"
+        f"union {len(union)} (incl. {len(full)} from all subjects)"
     )
     return 0
 

@@ -11,14 +11,16 @@ Two resampling pipelines wrap screening + reject-option fitting:
   independent per-replication streams.
 
 Both take a list of rejection costs ``d`` and return one result per
-distinct ``d``.  Each split is screened once.
+distinct ``d``.  Each split is screened once, and ``five_fold_cv`` also
+screens all subjects once, for the overlap table.
 For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
 warm-starts HiGHS along the grid.  Splits and (split, ``d``) paths share
 one thread pool per run, on at most the usable CPUs: it screens every
-split, then fits, tunes and scores every path, split-major (numpy releases
-the GIL in the screening sweeps, HiGHS while it solves).  Only the split
-draws and the single-class warnings stay in the calling thread.  Results
-are gathered in split order, so they do not depend on the worker count.
+split (and, for ``five_fold_cv``, all subjects), then fits, tunes and
+scores every path, split-major (numpy releases the GIL in the screening
+kernels, HiGHS while it solves).  Only the split draws and the
+single-class warnings stay in the calling thread.  Results are gathered
+in split order, so they do not depend on the worker count.
 The first failing path, in split-major order, raises, and the queued ones
 are dropped.
 
@@ -186,10 +188,14 @@ class ReplicationRecord:
 
 @dataclass
 class FoldResult:
-    """Selections and tuned models from one five-fold pass."""
+    """Selections and tuned models from one five-fold pass.
+
+    ``all_subjects`` is the selection screened from every subject at once.
+    """
 
     selections: list[list[int]]
     records: list[ReplicationRecord]
+    all_subjects: list[int]
 
 
 @dataclass
@@ -293,35 +299,43 @@ def _run_splits(
     r_grid: list[float],
     config: ScreeningConfig,
     tie: str,
-) -> list[list[ReplicationRecord]]:
+    *,
+    screen_all: bool = False,
+) -> tuple[list[list[ReplicationRecord]], ScreeningResult | None]:
     """One list of records per entry of ``grid_params``, each in split order.
 
-    One pool serves the run.  It screens every split that is not flagged,
-    then fits, tunes and scores the penalty path of every (split, ``d``)
-    pair, split-major; each such job returns its finished record.  The
-    calling thread gives each flagged split degenerate records and groups
-    the records by ``d``.  ``screen`` and ``fit_path`` are looked up at
-    call time, so a wrapper installed on this module sees every call.
+    One pool serves the run.  It screens every split that is not flagged
+    (and, with ``screen_all``, all subjects last), then fits, tunes and
+    scores the penalty path of every (split, ``d``) pair, split-major; each
+    such job returns its finished record.  The calling thread gives each
+    flagged split degenerate records and groups the records by ``d``.
+    Returns those lists and the all-subjects screen (``None`` without
+    ``screen_all``).  ``screen`` and ``fit_path`` are looked up at call
+    time, so a wrapper installed on this module sees every call.
     """
     y = ds.y.astype(float)
     live = [split for split in splits if split.flagged is None]
 
-    def screen_split(split):
-        return split, screen(ds.X[split.train_idx], y[split.train_idx], config)
+    def screen_rows(rows):
+        if rows is None:
+            return screen(ds.X, y, config)
+        return screen(ds.X[rows], y[rows], config)
 
     def path_job(job):
         (split, scr), params = job
         grid = fit_path(ds.X[np.ix_(split.train_idx, scr.selected)], y[split.train_idx], r_grid, params)
         return _evaluate(ds, y, split, scr, params, grid, tie)
 
-    with _run_map(len(live) * len(grid_params)) as run_map:
-        screened = list(run_map(screen_split, live))
-        finished = iter(list(run_map(path_job, [(job, params) for job in screened for params in grid_params])))
+    rows = [split.train_idx for split in live] + [None] * screen_all
+    with _run_map(max(len(live) * len(grid_params), len(rows))) as run_map:
+        screened = list(run_map(screen_rows, rows))
+        paths = [(job, params) for job in zip(live, screened) for params in grid_params]
+        finished = iter(list(run_map(path_job, paths)))
     by_split = [
         [next(finished) if split.flagged is None else _degenerate_record(split, ds.n) for _ in grid_params]
         for split in splits
     ]
-    return [list(records) for records in zip(*by_split)]
+    return [list(records) for records in zip(*by_split)], screened[-1] if screen_all else None
 
 
 def _evaluate(
@@ -420,9 +434,9 @@ def five_fold_cv(
 
     Returns ``{d: FoldResult}`` for each distinct ``d`` in ``d_values``.
     Folds and screening depend only on ``seed``, so every ``d`` shares the
-    per-fold selections.  Tuning ties go to the smallest penalty here.
-    Folds whose training side is single-class are flagged and skipped while
-    the run continues.
+    per-fold selections and the all-subjects one.  Tuning ties go to the
+    smallest penalty here.  Folds whose training side is single-class are
+    flagged and skipped while the run continues.
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()
@@ -440,9 +454,9 @@ def five_fold_cv(
             warnings.warn(f"fold {fold_id}: training split is single-class; skipped")
             split.flagged = "single_class_train"
         splits.append(split)
-    records = _run_splits(ds, splits, grid_params, r_grid, config, "smallest")
+    records, full = _run_splits(ds, splits, grid_params, r_grid, config, "smallest", screen_all=True)
     selections = [rec.selected for rec in records[0]]  # one screen per fold serves every d
-    return {params.d: FoldResult(selections, recs) for params, recs in zip(grid_params, records)}
+    return {params.d: FoldResult(selections, recs, full.selected) for params, recs in zip(grid_params, records)}
 
 
 def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -518,7 +532,7 @@ def mcv_run(
         raise ValueError("need at least one replication")
 
     splits = [_mcv_split(ds, rep_id, seed) for rep_id in range(n_reps)]
-    records = _run_splits(ds, splits, grid_params, r_grid, config, "largest")
+    records, _ = _run_splits(ds, splits, grid_params, r_grid, config, "largest")
     return {params.d: McvResult(recs, summarize_mcv(recs, params.d)) for params, recs in zip(grid_params, records)}
 
 

@@ -13,13 +13,20 @@ column-concatenated block.
 
 Screening a large feature panel against one response does not build a
 matrix per feature: ``marginal_dcor2`` centers the response once and obtains
-every feature's statistics from sorted columns and row sweeps (see its
-docstring).  The per-matrix functions (``centered_distances``, which
-double-centers the distance matrix in place, and the statistics built on
-it) are the reference that path is tested against.  Distances come from
-``pairwise_distances``, a numpy kernel that sums squared coordinate
-differences in column order, as ``scipy.spatial.distance.cdist`` does, so
-this module needs no scipy.
+every feature's statistics from sorted columns (see its docstring).  It has
+two ways to the cross term, chosen by the response alone.  A single-column
+response with exactly two values (a case/control status, a one-vs-rest
+indicator) is ranked by class blocks: its centered matrix is constant on
+each class-pair block, so per-class sorted columns give every sum in
+O(n log n) per feature.  Any other response takes ``n - 1`` row sweeps,
+O(n^2) per feature, which are also the test oracle for the class path.
+``centered_distances`` records the two classes on the matrix it returns,
+and that is the whole dispatch rule.  The per-matrix functions
+(``centered_distances``, which double-centers the distance matrix in place,
+and the statistics built on it) are the reference both paths are tested
+against.  Distances come from ``pairwise_distances``, a numpy kernel that
+sums squared coordinate differences in column order, as
+``scipy.spatial.distance.cdist`` does, so this module needs no scipy.
 All functions are pure, apart from the constant-response warning; results
 depend only on the inputs.
 """
@@ -51,10 +58,13 @@ class CenteredDistanceMatrix:
     """Double-centered distance matrix.
 
     ``entries`` is symmetric and every row and column sums to zero (up to
-    roundoff).
+    roundoff).  ``classes`` holds, for a single-column block with exactly
+    two values, each subject's class: 0 for the smaller value, 1 for the
+    larger; it is ``None`` for any other block.
     """
 
     entries: np.ndarray
+    classes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -118,8 +128,24 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     expression in new arrays.  It is square, symmetric and zero on the
     diagonal by construction; only finiteness is checked (a finite block
     can overflow).
+
+    A single-column block with two values also records its class codes.
+    When those values lie a whole number apart (the -1/+1 status and the
+    0/1 indicators), every distance, row sum and total is an exact integer
+    multiple of that gap, so the four block constants are computed once, in
+    the same order, and the matrix is filled from them: bitwise the matrix
+    above, without an ``n x n`` distance pass.
     """
-    d = pairwise_distances(block)
+    x = as_block(block)
+    n = x.shape[0]
+    values = np.unique(x[:, 0]) if x.shape[1] == 1 else ()
+    classes = (x[:, 0] == values[1]).astype(np.intp) if len(values) == 2 else None
+    if classes is not None:
+        gap = float(values[1] - values[0])
+        # every distance sqrt(gap^2), row sum and the total is then exact
+        if gap.is_integer() and gap <= 2.0**26 and gap * n * n <= 2.0**53:
+            return CenteredDistanceMatrix(entries=_class_block_entries(classes, gap), classes=classes)
+    d = pairwise_distances(x)
     if not np.all(np.isfinite(d)):
         raise DataValidationError("distance matrix contains non-finite values")
     row_means = d.mean(axis=1)
@@ -128,7 +154,24 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     d -= row_means[:, None]
     d -= col_means[None, :]
     d += grand_mean
-    return CenteredDistanceMatrix(entries=d)
+    return CenteredDistanceMatrix(entries=d, classes=classes)
+
+
+def _class_block_entries(classes: np.ndarray, gap: float) -> np.ndarray:
+    """The centered matrix of a two-valued column whose distances are exact.
+
+    The generic path's means then round exactly as here: a row of class
+    ``c`` sums ``gap`` once per member of the other class, column means
+    equal row means, and block ``(a, b)`` holds ``((distance - mean_a) -
+    mean_b) + grand``.
+    """
+    n = classes.size
+    n1 = int(classes.sum())
+    n0 = n - n1
+    means = (n1 * gap / n, n0 * gap / n)
+    grand = 2 * n0 * n1 * gap / (n * n)
+    block = np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
+    return block[:, classes][classes]  # one row per class, then one per subject: C order
 
 
 def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
@@ -193,18 +236,30 @@ def marginal_dcor2(x, response) -> np.ndarray:
     variables; ``response`` is an ``n x k`` block, or its
     ``CenteredDistanceMatrix`` ``B`` when the caller has already built it.
     Entry ``j`` of the result is ``dcor2(x[:, j], response).r2``, obtained
-    without forming any per-column ``n x n`` matrix:
+    without forming any per-column ``n x n`` matrix.  ``B`` has zero row
+    and column sums, so ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij =
+    2 sum_{i<j} |x_i - x_j| B_ij``; that cross sum is taken one of two ways:
 
-    * ``B`` has zero row and column sums, so ``sum_ij A_ij B_ij`` equals
-      ``sum_ij a_ij B_ij = 2 sum_{i<j} |x_i - x_j| B_ij``, accumulated for
-      all columns in ``n - 1`` sweeps over the rows;
-    * ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 + a..^2 / n^2``,
-      with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the row sums
-      ``a_i.`` read off the gaps of the sorted column.
+    * class blocks, when ``B`` carries class codes (a one-column response
+      with two values): ``B`` is ``beta_ab`` on the block of classes
+      ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11 U_1 +
+      beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over all
+      pairs and ``U_c`` over the pairs within class ``c``.  A sorted column
+      ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``; ``U``
+      is half the row-sum total below and each ``U_c`` takes one sort of
+      that class's rows, in one reused buffer.  Every term, the column
+      variance included, comes from sorted columns, so the result depends
+      on each column only as one multiset per class.  O(n log n) per
+      column;
+    * row sweeps otherwise: the upper triangle accumulated for all columns
+      in ``n - 1`` sweeps over the rows, O(n^2) per column.
 
-    Cost is O(n^2 p) flops in vectorised sweeps and O(np) memory.  Every
-    column goes through the same operations, so identical columns get
-    identical values.  A constant response warns and gives all zeros.
+    Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
+    a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
+    row sums ``a_i.`` read off the gaps of the sorted column.  Memory is
+    O(np); every column goes through the same operations, so identical
+    columns get identical values.  A constant response warns and gives all
+    zeros.
     """
     b = response if isinstance(response, CenteredDistanceMatrix) else centered_distances(response)
     x = np.asarray(x, dtype=float)
@@ -220,21 +275,14 @@ def marginal_dcor2(x, response) -> np.ndarray:
         warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)
         return np.zeros(p)
 
-    # Cross term, summed over the upper triangle (reductions along axis 0
-    # treat every column alike, unlike a BLAS product).  Every sweep reuses
-    # the rows of one buffer.
-    cross = np.zeros(p)
-    buf = np.empty((n - 1, p))
-    for i in range(n - 1):
-        dist = buf[: n - 1 - i]
-        np.subtract(x[i + 1 :], x[i], out=dist)
-        np.abs(dist, out=dist)
-        dist *= b.entries[i, i + 1 :, None]
-        cross += dist.sum(axis=0)
-    del buf, dist  # not held through the dVar^2 block
+    if b.classes is None:
+        cross = _swept_cross(x, b.entries)
+        vx2, _ = _column_dvar2(np.sort(x, axis=0), x.var(axis=0))
+    else:
+        s = np.sort(x, axis=0)
+        vx2, row_total = _column_dvar2(s, s.var(axis=0))
+        cross = _class_cross(x, b, 0.5 * row_total, s)
     v2 = np.maximum(2.0 * cross / (n * n), 0.0)
-
-    vx2 = _column_dvar2(x)
     denom2 = vx2 * vy2
     r2 = np.zeros(p)
     pos = denom2 > 0.0
@@ -242,18 +290,72 @@ def marginal_dcor2(x, response) -> np.ndarray:
     return r2
 
 
-def _column_dvar2(x: np.ndarray) -> np.ndarray:
-    """Squared distance variance of every column of ``x``, from sorted gaps.
+def _swept_cross(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_{i<j} |x_i - x_j| b_ij`` of every column, in ``n - 1`` row sweeps.
 
-    Row sums of |x_i - x_l| in sorted order: gap m (between sorted entries
-    m and m+1) is crossed by the m+1 entries below it and the n-1-m above.
-    Both cumulative sums run in place, one in ``rows`` and one in the gap
-    array, so the block holds two n x p arrays at a time.
+    Reductions along axis 0 treat every column alike, unlike a BLAS
+    product.  Every sweep reuses the rows of one buffer.
     """
     n, p = x.shape
-    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    cross = np.zeros(p)
+    buf = np.empty((n - 1, p))
+    for i in range(n - 1):
+        dist = buf[: n - 1 - i]
+        np.subtract(x[i + 1 :], x[i], out=dist)
+        np.abs(dist, out=dist)
+        dist *= b[i, i + 1 :, None]
+        cross += dist.sum(axis=0)
+    return cross
+
+
+def _class_cross(x: np.ndarray, b: CenteredDistanceMatrix, pairs: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``sum_{i<j} |x_i - x_j| B_ij`` of every column, from class blocks.
+
+    ``pairs`` is each column's pair sum over all subjects and ``buf`` an
+    ``n x p`` scratch array.  Each block constant is read off ``B`` at the
+    first member of each class (the diagonal holds the within-class one,
+    so a one-member class needs no second member).
+    """
+    members = [np.flatnonzero(b.classes == c) for c in (0, 1)]
+    first = [rows[0] for rows in members]
+    beta = b.entries[np.ix_(first, first)]
+    within = []
+    for rows in members:
+        block = buf[: rows.size]
+        np.take(x, rows, axis=0, out=block)
+        block.sort(axis=0)
+        within.append(_sorted_pair_sums(block))
+    return beta[0, 0] * within[0] + beta[1, 1] * within[1] + beta[0, 1] * (pairs - within[0] - within[1])
+
+
+def _sorted_pair_sums(s: np.ndarray) -> np.ndarray:
+    """``sum_{k<l} (s_l - s_k)`` of each sorted column, overwriting ``s``.
+
+    That is ``sum_k s_k (2k - K + 1)``, taken on the column less its
+    smallest entry, so a column of one repeated value sums to exactly 0.
+    """
+    k = s.shape[0]
+    s[1:] -= s[0]
+    tail = s[1:]
+    tail *= np.arange(3 - k, k, 2, dtype=float)[:, None]
+    return tail.sum(axis=0)
+
+
+def _column_dvar2(s: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance variance of every column, and its row-sum total.
+
+    ``s`` holds the columns sorted, and is overwritten; ``var`` holds their
+    variances.  The row-sum total ``sum_i a_i.`` of a column is twice its
+    pair sum.  Row sums of |x_i - x_l| in sorted order: gap m (between
+    sorted entries m and m+1) is crossed by the m+1 entries below it and
+    the n-1-m above.  Both cumulative sums run in place, one in ``s`` and
+    one in the gap array, so the block holds two n x p arrays at a time.
+    """
+    n, p = s.shape
+    gaps = np.diff(s, axis=0)
     below = np.arange(1, n, dtype=float)[:, None]
-    rows = np.zeros((n, p))
+    rows = s
+    rows[0] = 0.0
     np.multiply(below, gaps, out=rows[1:])
     np.cumsum(rows[1:], axis=0, out=rows[1:])
     # the sums from the top: cumulate the reversed products in the reversed gaps
@@ -263,5 +365,5 @@ def _column_dvar2(x: np.ndarray) -> np.ndarray:
     del gaps
     row_total = rows.sum(axis=0)
     rows *= rows
-    vx2 = 2.0 * x.var(axis=0) - 2.0 * rows.sum(axis=0) / n**3 + (row_total / n**2) ** 2
-    return np.maximum(vx2, 0.0)
+    vx2 = 2.0 * var - 2.0 * rows.sum(axis=0) / n**3 + (row_total / n**2) ** 2
+    return np.maximum(vx2, 0.0), row_total

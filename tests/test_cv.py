@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcovselect import cv
+from dcovselect import cv, dcov, screening
 from dcovselect.cv import (
     DEFAULT_VOTING_BINS,
     VotingRecord,
@@ -25,9 +25,9 @@ from dcovselect.cv import (
     voting_bins,
     voting_scores,
 )
-from dcovselect.data import synth_generate
+from dcovselect.data import Dataset, synth_generate
 from dcovselect.errors import SolverError
-from dcovselect.screening import ScreeningConfig
+from dcovselect.screening import ScreeningConfig, screen
 from dcovselect.svm_reject import RejectLossParams, fit, predict
 from oracles import loop_voting_bins, loop_voting_scores
 
@@ -334,7 +334,7 @@ class TestLpGrid:
         assert len(screened) == 3
         screened.clear()
         joint_folds = five_fold_cv(ds, self.D_VALUES, R_GRID, seed=3)
-        assert len(screened) == 5
+        assert screened == [(96, 15)] * 5 + [(120, 15)]  # five folds, then all subjects
         for d in self.D_VALUES:
             assert raw(joint_mcv[d]) == raw(mcv_run(ds, [d], R_GRID, n_reps=3, seed=8)[d])
             assert raw(joint_folds[d]) == raw(five_fold_cv(ds, [d], R_GRID, seed=3)[d])
@@ -386,6 +386,58 @@ class TestLpGrid:
             else:
                 # queued paths are cancelled, not solved
                 assert len(started) < jobs
+
+
+def tied_genotypes(seed, n=200, p=150):
+    """0/1/2 genotype codes with duplicated and constant columns, status driven by SNPs 0-2."""
+    rng = np.random.default_rng(seed)
+    maf = rng.uniform(0.05, 0.5, size=p)
+    x = rng.binomial(2, maf, size=(n, p)).astype(float)
+    x[:, 10:20] = x[:, :10]
+    x[:, 20] = 1.0
+    eta = 1.5 * (x[:, :3] - 2.0 * maf[:3]).sum(axis=1)
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-eta)), 1.0, -1.0)
+    return Dataset(X=x, feature_names=[f"snp{j}" for j in range(p)], y=y, subject_ids=[str(i) for i in range(n)])
+
+
+class TestClassPathOutcomes:
+    """Two-valued responses are ranked by class blocks; on a tied genotype design every
+    discrete outcome equals the row sweep's."""
+
+    @staticmethod
+    def outcomes(ds):
+        y = ds.y.astype(float)
+        found = []
+        for method in ("dcov_greedy", "dc_sis"):
+            res = screen(ds.X, y, ScreeningConfig(method=method))
+            found.append((res.ranking.tolist(), res.selected, res.trajectory_features, res.trajectory_accepted))
+        d_values = [1 / 3, 1 / 4, 1 / 5]
+        runs = [five_fold_cv(ds, d_values, R_GRID, seed=4), mcv_run(ds, d_values, R_GRID, n_reps=3, seed=4)]
+        for run in runs:
+            for d, result in run.items():
+                found.append((d, getattr(result, "all_subjects", None)))
+                found.extend(
+                    (rec.selected, rec.post_model_features, rec.tuned_r, rec.decisions.tolist(), rec.flagged)
+                    for rec in result.records
+                )
+        return found
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_class_path_and_sweep_give_the_same_outcomes(self, monkeypatch, seed):
+        ds = tied_genotypes(seed)
+        by_class = self.outcomes(ds)
+        calls = []
+        real_marginal = dcov.marginal_dcor2
+
+        def swept_marginal(x, response):
+            # the sweep, reached through the same matrix without its class codes
+            b = response if isinstance(response, dcov.CenteredDistanceMatrix) else dcov.centered_distances(response)
+            calls.append(b.classes is not None)
+            return real_marginal(x, dcov.CenteredDistanceMatrix(b.entries))
+
+        monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
+        assert self.outcomes(ds) == by_class
+        assert calls and all(calls)  # every screen had a two-valued response
 
 
 class TestVoting:

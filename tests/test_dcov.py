@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from dcovselect.dcov import (
+    CenteredDistanceMatrix,
     as_block,
     centered_distances,
     dcor2,
@@ -13,6 +14,7 @@ from dcovselect.dcov import (
     pairwise_distances,
 )
 from dcovselect.errors import DataValidationError
+from dcovselect.screening import marginal_rank
 
 from oracles import brute_dcor2, brute_dcov2, brute_dvar2, composed_center, composed_marginal_dcor2
 
@@ -316,4 +318,117 @@ class TestLeanKernels:
             else:
                 y = rng.normal(size=(n, 2))
             b = centered_distances(y)
-            assert marginal_dcor2(x, b).tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
+            if response == "binary":
+                # the sweep, reached through a matrix without class codes, stays
+                # bitwise; the class path agrees with it to rounding
+                swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
+                assert swept.tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
+                assert np.abs(marginal_dcor2(x, b) - swept).max() < 1e-12
+            else:
+                assert marginal_dcor2(x, b).tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
+
+
+CODINGS = {"plus_minus_one": (-1.0, 1.0), "zero_one": (0.0, 1.0), "tenths": (0.1, 0.7)}
+
+
+def coded(classes, coding):
+    low, high = CODINGS[coding]
+    return np.where(np.asarray(classes) == 1, high, low)
+
+
+class TestClassBlockKernel:
+    """The class path for two-valued responses against brute force and the sweep."""
+
+    @staticmethod
+    def assert_matches_oracles(x, y):
+        b = centered_distances(y)
+        assert b.classes is not None
+        got = marginal_dcor2(x, b)
+        swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
+        assert np.abs(got - swept).max() < 1e-12
+        for j in range(x.shape[1]):
+            assert abs(got[j] - brute_dcor2(x[:, j], y)) < 1e-12
+        return got
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_random_instances_with_ties_match_oracles(self, coding):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            n = int(rng.integers(2, 14))
+            x = rng.normal(size=(n, int(rng.integers(1, 6))))
+            if trial % 2:
+                x = np.round(1.5 * x)  # ties and repeated values
+            classes = rng.permutation(np.arange(n) % 2)
+            self.assert_matches_oracles(x, coded(classes, coding))
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_n_equals_two(self, coding):
+        x = np.array([[0.0, 5.0, 1.0], [2.0, 5.0, -3.0]])
+        got = self.assert_matches_oracles(x, coded([1, 0], coding))
+        assert np.array_equal(got, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_constant_columns_are_exactly_zero(self, coding):
+        rng = np.random.default_rng(42)
+        x = rng.integers(0, 3, size=(30, 5)).astype(float)
+        x[:, 1] = 0.1
+        x[:, 3] = -7.3e5
+        got = self.assert_matches_oracles(x, coded(rng.permutation(np.arange(30) % 2), coding))
+        assert got[1] == 0.0
+        assert got[3] == 0.0
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    @pytest.mark.parametrize("lone", [0, 1])
+    def test_one_member_class(self, coding, lone):
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 9, 40):
+            classes = np.full(n, 1 - lone)
+            classes[int(rng.integers(n))] = lone
+            x = rng.integers(0, 3, size=(n, 6)).astype(float)
+            x[:, 0] = rng.normal(size=n)
+            self.assert_matches_oracles(x, coded(classes, coding))
+
+    @pytest.mark.parametrize("coding", ["plus_minus_one", "zero_one"])
+    def test_closed_form_matrix_is_bitwise_the_generic_one(self, coding):
+        rng = np.random.default_rng(44)
+        ns = [2, 3, 5, *rng.integers(2, 300, size=40)]
+        for n in ns:
+            classes = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+            classes[0], classes[-1] = 0, 1
+            y = coded(classes, coding)
+            b = centered_distances(y)
+            assert np.array_equal(b.classes, classes)
+            # memory order too: sums over the matrix run in memory order
+            assert b.entries.flags.c_contiguous
+            assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
+
+    def test_other_codings_keep_the_generic_matrix(self):
+        y = coded(np.arange(11) % 2, "tenths")
+        b = centered_distances(y)
+        assert np.array_equal(b.classes, np.arange(11) % 2)
+        assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
+
+    @pytest.mark.parametrize("y", [np.arange(6.0), np.full(6, 2.0), np.zeros((6, 2)), np.tile([0.0, 1.0], (3, 2))])
+    def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
+        assert centered_distances(y).classes is None
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_within_class_permutations_tie_bitwise_and_rank_in_index_order(self, coding):
+        rng = np.random.default_rng(45)
+        n = 60
+        classes = (rng.random(n) < 0.4).astype(int)
+        y = coded(classes, coding)
+        base = rng.binomial(2, 0.3, size=n).astype(float)
+        twins = []
+        for _ in range(6):
+            twin = base.copy()
+            for c in (0, 1):
+                rows = np.flatnonzero(classes == c)
+                twin[rows] = base[rng.permutation(rows)]
+            twins.append(twin)
+        others = rng.binomial(2, 0.3, size=(n, 8)).astype(float)
+        x = np.column_stack([others[:, :3], base, *twins[:3], others[:, 3:], *twins[3:]])
+        positions = [3, 4, 5, 6, 12, 13, 14]
+        ranking, r2 = marginal_rank(x, y)
+        assert len({r2[j].tobytes() for j in positions}) == 1
+        assert [j for j in ranking if j in positions] == positions
