@@ -437,6 +437,11 @@ def five_fold_cv(
     per-fold selections and the all-subjects one.  Tuning ties go to the
     smallest penalty here.  Folds whose training side is single-class are
     flagged and skipped while the run continues.
+
+    All subjects are screened too, as the last screening job of the pool,
+    and every ``FoldResult`` holds that selection as ``all_subjects``; a
+    one-class response makes that screen warn that the response is
+    constant, from its pool thread.
     """
     _binary_or_raise(ds)
     config = config or ScreeningConfig()

@@ -388,14 +388,14 @@ class TestLpGrid:
                 assert len(started) < jobs
 
 
-def tied_genotypes(seed, n=200, p=150):
+def tied_genotypes(seed, n=200, p=150, coef=1.5, constant=20):
     """0/1/2 genotype codes with duplicated and constant columns, status driven by SNPs 0-2."""
     rng = np.random.default_rng(seed)
     maf = rng.uniform(0.05, 0.5, size=p)
     x = rng.binomial(2, maf, size=(n, p)).astype(float)
     x[:, 10:20] = x[:, :10]
-    x[:, 20] = 1.0
-    eta = 1.5 * (x[:, :3] - 2.0 * maf[:3]).sum(axis=1)
+    x[:, constant] = 1.0
+    eta = coef * (x[:, :3] - 2.0 * maf[:3]).sum(axis=1)
     y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-eta)), 1.0, -1.0)
     return Dataset(X=x, feature_names=[f"snp{j}" for j in range(p)], y=y, subject_ids=[str(i) for i in range(n)])
 
@@ -438,6 +438,50 @@ class TestClassPathOutcomes:
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class
         assert calls and all(calls)  # every screen had a two-valued response
+
+    @staticmethod
+    def swept(monkeypatch):
+        real_marginal = dcov.marginal_dcor2
+
+        def swept_marginal(x, response):
+            b = response if isinstance(response, dcov.CenteredDistanceMatrix) else dcov.centered_distances(response)
+            return real_marginal(x, dcov.CenteredDistanceMatrix(b.entries))
+
+        monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
+
+    @pytest.mark.parametrize(("seed", "reps"), [(4, [22]), (3, [15, 28])])
+    def test_tied_columns_keep_the_sweeps_order_where_the_kernel_alone_reorders_them(self, monkeypatch, seed, reps):
+        """On a 200 x 400 tied design the class kernel by itself orders some
+        mathematically tied columns otherwise than the sweep: the full-data
+        rankings, and in these ``mcv --method dcsis`` replications the
+        ``dc_sis`` selections, after which the LP keeps other post-model
+        features.  Near ties settled by the sweep keep every outcome."""
+        ds = tied_genotypes(seed, p=400, coef=1.2, constant=25)
+        y = ds.y.astype(float)
+        config = ScreeningConfig(method="dc_sis")
+        splits = [cv._mcv_split(ds, rep, seed) for rep in reps]
+        grid_params = cv._grid_params([1 / 3, 1 / 4, 1 / 5], 0.5)
+
+        def outcomes():
+            records, _ = cv._run_splits(ds, splits, grid_params, R_GRID, config, "largest")
+            found = [screen(ds.X, y, config).ranking.tolist()]
+            found.extend(
+                (rec.selected, rec.post_model_features, rec.tuned_r, rec.decisions.tolist())
+                for recs in records
+                for rec in recs
+            )
+            return found
+
+        got = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(dcov, "_near_ties", lambda r2, width: np.array([], dtype=np.intp))
+            kernel_alone = outcomes()
+        self.swept(monkeypatch)
+        swept = outcomes()
+        assert got == swept
+        assert kernel_alone[0] != swept[0]
+        assert [rec[0] for rec in kernel_alone[1:]] != [rec[0] for rec in swept[1:]]
+        assert [rec[1] for rec in kernel_alone[1:]] != [rec[1] for rec in swept[1:]]
 
 
 class TestVoting:
