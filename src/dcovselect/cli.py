@@ -107,7 +107,7 @@ def _screen_flags(parser):
         "--standardize",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="z-score feature columns before screening / fitting",
+        help="z-score feature columns for the greedy walk; ranking does not depend on it",
     )
 
 

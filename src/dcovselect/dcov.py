@@ -21,9 +21,7 @@ each class-pair block, so per-class sorted columns give every sum in
 O(n log n) per feature.  Any other response takes ``n - 1`` row sweeps,
 O(n^2) per feature, which are also the test oracle for the class path.
 ``centered_distances`` records the two classes on the matrix it returns,
-and that is the whole dispatch rule.  The two paths round differently, so
-features whose class-block values nearly tie are swept as well: every
-feature then ranks exactly as under the sweep.  The per-matrix functions
+and that is the whole dispatch rule.  The per-matrix functions
 (``centered_distances``, which double-centers the distance matrix in place,
 and the statistics built on it) are the reference both paths are tested
 against.  Distances come from ``pairwise_distances``, a numpy kernel that
@@ -251,14 +249,12 @@ def marginal_dcor2(x, response) -> np.ndarray:
       is half the row-sum total below and each ``U_c`` takes one sort of
       that class's rows, in one reused buffer.  Every term, the column
       variance included, comes from sorted columns, so this kernel sees
-      each column only as one multiset per class.  O(n log n) per column.
-      Its values and the sweep's differ by a few ulps per summed term,
-      far less than ``n * 2**-40``; columns within that of another column
-      (duplicates, tied SNPs) take the sweep's values, so every column
-      ranks exactly as the sweep ranks it, each such column costing
-      O(n^2);
+      each column only as one multiset per class: columns with the same
+      multisets (duplicates, constant columns, within-class permutations
+      of one column) get bitwise-equal values.  O(n log n) per column;
     * row sweeps otherwise: the upper triangle accumulated for all columns
-      in ``n - 1`` sweeps over the rows, O(n^2) per column.
+      in ``n - 1`` sweeps over the rows, O(n^2) per column.  They are also
+      the class path's test oracle, which it matches to rounding.
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
@@ -283,38 +279,11 @@ def marginal_dcor2(x, response) -> np.ndarray:
 
     if b.classes is None:
         return _swept_r2(x, b.entries, vy2)
-    r2 = _class_r2(x, b, vy2)
-    near = _near_ties(r2, n * _TIE_WIDTH)
-    if near.size:
-        # numpy sums along axis 0 row after row in row-major storage and
-        # pairwise per column in column-major storage: keep x's order
-        row_major = abs(x.strides[0]) >= abs(x.strides[1])
-        r2[near] = _swept_r2(np.take(x, near, axis=1) if row_major else x[:, near], b.entries, vy2)
-    return r2
-
-
-# Columns whose class-block r^2 lie more than n * _TIE_WIDTH apart are
-# ordered alike by the sweep: the two paths' values differ by at most
-# n * 1.9e-16 on every design measured, some 5000 times less.
-_TIE_WIDTH = 2.0**-40
-
-
-def _near_ties(r2: np.ndarray, width: float) -> np.ndarray:
-    """Ascending indices of the entries that lie within ``width`` of another."""
-    order = np.argsort(r2)
-    close = np.diff(r2[order]) <= width
-    near = np.zeros(r2.size, dtype=bool)
-    near[order[1:][close]] = True
-    near[order[:-1][close]] = True
-    return np.flatnonzero(near)
+    return _class_r2(x, b, vy2)
 
 
 def _swept_r2(x: np.ndarray, b: np.ndarray, vy2: float) -> np.ndarray:
-    """r^2 of every column from row sweeps, against the centered matrix ``b``.
-
-    A column's value does not depend on the other columns passed with it
-    (two or more, in the same storage order).
-    """
+    """r^2 of every column from row sweeps, against the centered matrix ``b``."""
     cross = _swept_cross(x, b)
     vx2, _ = _column_dvar2(np.sort(x, axis=0), x.var(axis=0))
     return _r2(cross, vx2, vy2, x.shape[0])

@@ -46,9 +46,10 @@ class ScreeningConfig:
     ``floor(n / log n)``).  ``epsilon`` relaxes the greedy stop rule in the
     keep-adding direction: a candidate is admitted when the joint value drops
     by no more than ``epsilon``.  ``standardize`` z-scores the feature
-    columns first; marginal ranking is scale-invariant per column but the
-    joint covariance of a concatenated block is not, so this is where the
-    choice has to live.
+    columns for the greedy walk alone: a column's marginal r^2 does not
+    change under ``x -> a x + b``, so both methods rank the raw columns,
+    but the joint covariance of a concatenated block depends on each
+    column's scale.
     """
 
     method: str = "dcov_greedy"
@@ -109,7 +110,11 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
     """Rank features by marginal squared distance correlation with response.
 
     Returns ``(ranking, r2)`` where ``ranking`` sorts feature indices by
-    decreasing ``r2`` with ties broken by ascending original index.
+    decreasing ``r2`` with ties broken by ascending original index.  A tie
+    is bitwise equality of ``r2``.  Against a two-valued response the
+    class-block kernel gives it to every group of columns with the same
+    values in each class, up to order: duplicates, within-class
+    permutations of one column, and constant columns (r2 exactly 0).
     ``response`` may also be its already built ``CenteredDistanceMatrix``;
     ``marginal_dcor2`` scores all features against it at once.
     """
@@ -142,10 +147,10 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)
-    if config.standardize:
-        x = standardize_columns(x)
     b = centered_distances(response)
     ranking, r2 = marginal_rank(x, b)
+    if config.standardize:
+        x = standardize_columns(x)
 
     top = int(ranking[0])
     # running sum of squared per-coordinate distances of the selected block;
@@ -224,8 +229,7 @@ def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> Sc
         return dcov_greedy(x, response, config)
 
     x = np.asarray(x, dtype=float)
-    xs = standardize_columns(x) if config.standardize else x
-    ranking, r2 = marginal_rank(xs, response)
+    ranking, r2 = marginal_rank(x, response)
     d = config.d_model_size or default_model_size(x.shape[0])
     selected = dc_sis_select(ranking, d)
     return ScreeningResult(

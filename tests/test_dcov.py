@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from dcovselect import dcov
 from dcovselect.dcov import (
     CenteredDistanceMatrix,
     as_block,
     centered_distances,
     dcor2,
     dcov2,
-    dcov2_centered,
     dcov2_joint,
     dvar2,
     marginal_dcor2,
     pairwise_distances,
 )
 from dcovselect.errors import DataValidationError
-from dcovselect.screening import marginal_rank, standardize_columns
+from dcovselect.screening import marginal_rank
 
 from oracles import brute_dcor2, brute_dcov2, brute_dvar2, composed_center, composed_marginal_dcor2
 
@@ -414,8 +412,16 @@ class TestClassBlockKernel:
     def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
         assert centered_distances(y).classes is None
 
+    @staticmethod
+    def assert_ties_rank_by_index(r2, ranking, groups):
+        """Each group's values are bitwise equal and rank in ascending index."""
+        position = np.argsort(ranking)
+        for group in groups:
+            assert len({r2[j].tobytes() for j in group}) == 1
+            assert np.all(np.diff(position[sorted(group)]) > 0)
+
     @pytest.mark.parametrize("coding", CODINGS)
-    def test_within_class_permutations_tie_in_the_class_kernel_and_rank_as_the_sweep(self, coding):
+    def test_within_class_permutations_tie_in_the_class_kernel_and_rank_in_index_order(self, coding):
         rng = np.random.default_rng(45)
         n = 60
         classes = (rng.random(n) < 0.4).astype(int)
@@ -430,21 +436,14 @@ class TestClassBlockKernel:
             twins.append(twin)
         others = rng.binomial(2, 0.3, size=(n, 8)).astype(float)
         x = np.column_stack([others[:, :3], base, *twins[:3], others[:, 3:], *twins[3:]])
-        positions = [3, 4, 5, 6, 12, 13, 14]
-        b = centered_distances(y)
         # the class kernel sees each column as one multiset per class
-        kernel = dcov._class_r2(x, b, dcov2_centered(b, b))
-        assert len({kernel[j].tobytes() for j in positions}) == 1
-        # the tied columns then take the sweep's values, and its order
-        swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
-        got = marginal_dcor2(x, b)
-        assert got[positions].tobytes() == swept[positions].tobytes()
-        assert np.array_equal(marginal_rank(x, b)[0], marginal_rank(x, CenteredDistanceMatrix(b.entries))[0])
+        ranking, r2 = marginal_rank(x, centered_distances(y))
+        self.assert_ties_rank_by_index(r2, ranking, [[3, 4, 5, 6, 12, 13, 14]])
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_ranks_exactly_as_the_sweep(self, layout):
-        """Columns within the tie width of another take the sweep's bits; all
-        others lie farther apart than the two paths' rounding can move them."""
+    def test_ties_bitwise_and_matches_the_sweep(self, layout):
+        """A duplicate and a within-class twin tie bitwise in every storage
+        order, and every column agrees with the sweep to rounding."""
         rng = np.random.default_rng(46)
         for trial in range(40):
             n = int(rng.choice([2, 3, 7, 40, 148, 279]))
@@ -458,15 +457,12 @@ class TestClassBlockKernel:
                     rows = np.flatnonzero(classes == c)
                     x[rows, p // 2 + 1] = x[rng.permutation(rows), 1]
             if trial % 2:
-                x = standardize_columns(x)
+                x = 0.3 * x - 1.7  # codes that are not whole numbers
             x = {"C": x, "F": np.asfortranarray(x), "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
             b = centered_distances(coded(classes, "plus_minus_one" if trial % 3 else "zero_one"))
             got = marginal_dcor2(x, b)
             swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
-            kernel = dcov._class_r2(x, b, dcov2_centered(b, b))
-            near = dcov._near_ties(kernel, n * dcov._TIE_WIDTH)
-            # the premise: the paths differ far less than the tie width
-            assert np.abs(kernel - swept).max() < n * dcov._TIE_WIDTH / 1000
-            assert got[near].tobytes() == swept[near].tobytes()
-            assert np.array_equal(np.delete(got, near), np.delete(kernel, near))
-            assert np.array_equal(np.argsort(-got, kind="stable"), np.argsort(-swept, kind="stable"))
+            assert np.abs(got - swept).max() < 1e-12
+            if p >= 4:
+                ranking = np.argsort(-got, kind="stable")
+                self.assert_ties_rank_by_index(got, ranking, [[0, p // 2], [1, p // 2 + 1]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcovselect.dcov import centered_distances, dcov2, dcov2_joint
+from dcovselect.dcov import centered_distances, dcov2, dcov2_joint, marginal_dcor2
 from dcovselect.screening import (
     STOP_DECREASE,
     STOP_EXHAUSTED,
@@ -77,6 +77,48 @@ class TestMarginalRank:
         with pytest.warns(UserWarning, match="constant"):
             _, r2 = marginal_rank(x, np.full(20, 1.0))
         assert np.all(r2 == 0.0)
+
+
+class TestTiedColumns:
+    """Mathematically tied columns of a 0/1/2 design tie bitwise and rank by index."""
+
+    @staticmethod
+    def design():
+        rng = np.random.default_rng(47)
+        n = 90
+        labels = np.repeat(["a", "b", "c"], [40, 30, 20])
+        x = rng.binomial(2, rng.uniform(0.1, 0.5, size=30), size=(n, 30)).astype(float)
+        x[:, 0] += labels == "a"  # a driver, so the tied groups rank among the rest
+        x[:, 9] = x[:, 3]  # a duplicate
+        x[:, 6] = 1.0  # a constant column
+        # twins: within-class permutations of one SNP, out of index order
+        for j in (11, 2, 7):
+            for c in "abc":
+                rows = np.flatnonzero(labels == c)
+                x[rows, j] = x[rng.permutation(rows), 12]
+        return x, labels, [[3, 9], [2, 7, 11, 12]]
+
+    @staticmethod
+    def assert_ties_rank_by_index(result, groups):
+        position = np.argsort(result.ranking)
+        for group in groups:
+            assert len({result.marginal_r2[j].tobytes() for j in group}) == 1
+            assert np.all(np.diff(position[group]) > 0)
+
+    def test_tied_groups_rank_in_index_order(self):
+        x, labels, groups = self.design()
+        y = np.where(labels == "a", 1.0, -1.0)
+        r2 = marginal_dcor2(x, y)
+        for group in groups:
+            assert len({r2[j].tobytes() for j in group}) == 1
+        assert r2[6] == 0.0
+        for method in ("dcov_greedy", "dc_sis"):
+            for standardize in (True, False):
+                config = ScreeningConfig(method=method, standardize=standardize)
+                self.assert_ties_rank_by_index(screen(x, y, config), groups)
+                per_class, _ = one_vs_rest_screen(x, labels, config)
+                for result in per_class.values():
+                    self.assert_ties_rank_by_index(result, groups)
 
 
 class TestDcSis:
@@ -371,10 +413,9 @@ class TestLeanGreedy:
         for x, y in self.designs():
             config = ScreeningConfig(m_lookahead=m, epsilon=epsilon)
             result = dcov_greedy(x, y, config)
-            xs = composed_standardize(x)
-            ranking, r2 = marginal_rank(xs, y)
+            ranking, r2 = marginal_rank(x, y)
             selected, trajectory, features, accepted = composed_greedy_walk(
-                xs, ranking, centered_distances(y).entries, epsilon, m
+                composed_standardize(x), ranking, centered_distances(y).entries, epsilon, m
             )
             assert result.ranking.tobytes() == ranking.tobytes()
             assert result.marginal_r2.tobytes() == r2.tobytes()
