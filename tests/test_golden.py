@@ -34,9 +34,9 @@ _spec.loader.exec_module(check)
 
 # The LP picks one of several optimal vertices on such degenerate designs,
 # and which one depends on the route (warm-started HiGHS, or cold linprog
-# where scipy has no _Highs class) and on the solver version: on 38 of the
-# seeds 1-40 the two routes give other cv5 or mcv outcomes.  Seed 11 is one
-# where they agree, so the golden pins ranking and selection, not vertex choice.
+# where scipy has no _Highs class): on 38 of the seeds 1-40 the two routes
+# give other cv5 or mcv outcomes.  Seed 11 is one where they agree, so the
+# golden pins ranking and selection rather than vertex choice.
 DESIGN = {"seed": 11, "n": 200, "p": 400}
 D_VALUES = "1/3,1/4,1/5"
 COMMANDS = {
