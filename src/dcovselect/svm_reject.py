@@ -8,17 +8,23 @@ generalized hinge surrogate
 
     phi(z) = max(0, 1 - z, 1 - a*z),   a = (1 - d) / d >= 1,
 
-which is a linear program after splitting the coefficients into positive and
-negative parts.  The plug-in reference rule on a known class-1 probability
-``eta`` (reject on ``d <= eta <= 1 - d``) and its risk are provided for
-synthetic-data validation.
+which is a linear program.  It is solved in its dual form: maximize
+``(1/n) sum_i min(u_i, 1)`` over subject weights ``0 <= u_i <= a`` subject
+to ``|sum_i y_i xs_ij u_i| <= n r`` for every column ``j`` of the design
+``xs`` (z-scored unless ``standardize`` is off) and, with an intercept,
+``sum_i y_i u_i = 0``.  That is ``m + 1`` rows against the primal's ``2n``.
+Stated as minimizing ``-sum_i min(u_i, 1)``, its rows' duals are the
+negated coefficients and intercept.  The plug-in reference rule on a known
+class-1 probability ``eta`` (reject on ``d <= eta <= 1 - d``) and its risk
+are provided for synthetic-data validation.
 
 ``fit_path`` solves a penalty grid on one program; ``fit`` is its one-point
 grid.  Where scipy's private HiGHS bindings have a ``_Highs`` class, the
-grid is one HiGHS model warm-started along the penalties; the bindings'
-extension module is loaded from its file and the CSC arrays are built with
-numpy, so neither ``scipy.optimize`` nor ``scipy.sparse`` is imported.
-Elsewhere each penalty is solved cold by ``scipy.optimize.linprog``.
+grid is one HiGHS model warm-started along the penalties, which change only
+the feature rows' bounds; the bindings' extension module is loaded from its
+file and the CSC arrays are built with numpy, so neither ``scipy.optimize``
+nor ``scipy.sparse`` is imported.  Elsewhere each penalty is solved cold by
+``scipy.optimize.linprog``.
 """
 
 import functools
@@ -133,8 +139,9 @@ class RejectModel:
     """Fitted reject-option classifier.
 
     ``coef``/``intercept`` act on the raw feature scale.  ``objective`` is
-    the achieved penalized empirical risk in the space the program was solved
-    in (standardized columns when ``standardize`` is set); ``coef_internal``
+    the optimal penalized empirical risk, read from the dual's optimum, in
+    the space the program was solved in (standardized columns when
+    ``standardize`` is set); ``coef_internal``
     and ``intercept_internal`` are the solution in that space, and carry the
     sparsity pattern that the l1 penalty actually produced.
     """
@@ -192,11 +199,15 @@ def _validate_training(x, y):
 
 @dataclass(frozen=True)
 class _Program:
-    """The linear program of one fit; only the penalty columns' cost depends on ``r``.
+    """The dual linear program of one fit; only the feature rows' bounds depend on ``r``.
 
-    Variables are the coefficient split ``coef = p - m`` with ``p, m >= 0``
-    (the ``2 * m_feats`` penalty columns), an unpenalized free intercept, and
-    one slack per subject bounded below by every linear piece of the hinge.
+    Each subject's weight ``u_i = s_i + t_i`` is split into ``s_i`` in [0, 1]
+    (the first ``n`` columns, cost -1) and ``t_i`` in [0, a - 1] (the next
+    ``n``, cost 0), so the program minimizes ``-sum_i s_i``, ``n`` times the
+    negated objective.  Row ``j`` of the first ``m_feats`` rows is the
+    feature's correlation ``sum_i y_i xs_ij u_i``, kept within ``[-n r, n r]``;
+    with an intercept, a last row ``sum_i y_i u_i = 0``.  ``g`` is the
+    ``rows x n`` block that both halves of the columns share.
     """
 
     params: RejectLossParams
@@ -204,29 +215,35 @@ class _Program:
     standardize: bool
     center: np.ndarray
     scale: np.ndarray
-    a_data: np.ndarray  # A_ub in CSC form: values, row indices, column starts
-    a_indices: np.ndarray
-    a_indptr: np.ndarray
-    b_ub: np.ndarray
-    bounds: np.ndarray
+    g: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.b_ub.size // 2
+        return self.g.shape[1]
 
     @property
     def m_feats(self) -> int:
         return self.center.size
 
     @property
-    def shape(self) -> tuple[int, int]:
-        """Rows and columns of ``A_ub``."""
-        return self.b_ub.size, self.bounds.shape[0]
+    def cost(self) -> np.ndarray:
+        return np.concatenate([np.full(self.n, -1.0), np.zeros(self.n)])
 
-    def cost(self, r: float) -> np.ndarray:
-        # variable layout: [p (m), m (m), b?, xi (n)]
-        n_b = 1 if self.fit_intercept else 0
-        return np.concatenate([np.full(2 * self.m_feats, r), np.zeros(n_b), np.full(self.n, 1.0 / self.n)])
+    @property
+    def bounds(self) -> np.ndarray:
+        upper = np.concatenate([np.ones(self.n), np.full(self.n, self.params.a - 1.0)])
+        return np.column_stack([np.zeros(2 * self.n), upper])
+
+    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constraint matrix ``[g, g]`` as CSC column starts, row indices and values.
+
+        Exact zeros of ``g`` (-0.0 too) are dropped, so HiGHS gets the
+        nonzeros ``scipy.sparse`` would hold, in its layout.
+        """
+        cols, rows = np.nonzero(self.g.T)
+        counts = np.tile(np.count_nonzero(self.g, axis=0), 2)
+        start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return start, np.tile(rows, 2).astype(np.int32), np.tile(self.g[rows, cols], 2)
 
     def failure(self, status, message, r: float) -> SolverError:
         return SolverError(
@@ -234,10 +251,11 @@ class _Program:
             f"[n={self.n}, features={self.m_feats}, r={r}, d={self.params.d}]"
         )
 
-    def model(self, sol: np.ndarray, objective: float, r: float) -> RejectModel:
-        m_feats = self.m_feats
-        coef_internal = sol[:m_feats] - sol[m_feats : 2 * m_feats]
-        intercept_internal = float(sol[2 * m_feats]) if self.fit_intercept else 0.0
+    def model(self, row_dual: np.ndarray, objective: float, r: float) -> RejectModel:
+        """The fit at penalty ``r`` from the optimum and the rows' duals (feature rows, then the intercept row)."""
+        # 0.0 - x, not -x: a zero dual gives +0.0, not -0.0
+        coef_internal = 0.0 - row_dual[: self.m_feats]
+        intercept_internal = 0.0 - float(row_dual[self.m_feats]) if self.fit_intercept else 0.0
         coef = coef_internal / self.scale
         intercept = intercept_internal - float(np.dot(coef_internal, self.center / self.scale))
         return RejectModel(
@@ -245,7 +263,7 @@ class _Program:
             intercept=intercept,
             r=float(r),
             params=self.params,
-            objective=float(objective),
+            objective=-float(objective) / self.n,
             standardize=self.standardize,
             fit_intercept=self.fit_intercept,
             coef_internal=coef_internal,
@@ -267,31 +285,10 @@ def _program(x, y, params: RejectLossParams, fit_intercept: bool, standardize: b
         center = np.zeros(m_feats)
         scale = np.ones(m_feats)
     xs = (x - center) / scale
-
-    yx = y[:, None] * xs
-    # xi_i >= 1 - z_i  and  xi_i >= 1 - a z_i, with z_i = y_i (xs_i . (p-m) + b);
-    # the slack columns are two stacked -I blocks, stored as CSC so memory
-    # grows as n (2m + 3), not n^2.  The dense block's exact zeros (-0.0
-    # too) are dropped, so HiGHS gets the same nonzeros as from a dense
-    # matrix, laid out as scipy.sparse would lay them out.
-    lin = np.hstack([-yx, yx, -y[:, None]] if fit_intercept else [-yx, yx])
-    block = np.vstack([lin, params.a * lin]).T  # one row per column of A_ub
-    cols, rows = np.nonzero(block)
-    slack_rows = np.column_stack([np.arange(n), np.arange(n, 2 * n)]).ravel()
-    counts = np.concatenate([np.count_nonzero(block, axis=1), np.full(n, 2)])
-    lower = np.concatenate([np.zeros(2 * m_feats), np.full(1 if fit_intercept else 0, -np.inf), np.zeros(n)])
-    return _Program(
-        params=params,
-        fit_intercept=fit_intercept,
-        standardize=standardize,
-        center=center,
-        scale=scale,
-        a_data=np.concatenate([block[cols, rows], np.full(2 * n, -1.0)]),
-        a_indices=np.concatenate([rows, slack_rows]).astype(np.int32),
-        a_indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
-        b_ub=np.full(2 * n, -1.0),
-        bounds=np.column_stack([lower, np.full(lower.size, np.inf)]),
-    )
+    g = (y[:, None] * xs).T
+    if fit_intercept:
+        g = np.vstack([g, y])
+    return _Program(params=params, fit_intercept=fit_intercept, standardize=standardize, center=center, scale=scale, g=g)
 
 
 def _check_penalty(r: float) -> None:
@@ -308,15 +305,14 @@ def fit(
     fit_intercept: bool = True,
     standardize: bool = True,
 ) -> RejectModel:
-    """Minimize ``mean(phi(y_i f(x_i))) + r * ||coef||_1`` as a linear program.
+    """Minimize ``mean(phi(y_i f(x_i))) + r * ||coef||_1``, solved as the dual linear program.
 
-    Variables are the coefficient split ``coef = p - m`` with ``p, m >= 0``,
-    an unpenalized free intercept, and one slack per subject bounded below by
-    every linear piece of the hinge.  Columns are z-scored first (unless
-    ``standardize`` is off) and the solution mapped back, so penalties are
-    comparable across feature scales.  Each call solves from scratch: it is
-    the one-point grid of ``fit_path``, whose first grid point is the cold
-    solution on either route.
+    The dual has one row per feature and, with an intercept, one equality
+    row, over two bounded columns per subject; the coefficients and the
+    intercept are the rows' negated duals.  Columns are z-scored first
+    (unless ``standardize`` is off) and the solution mapped back, so
+    penalties are comparable across feature scales.  Each call solves from
+    scratch: it is the one-point grid of ``fit_path``.
     """
     return fit_path(x, y, [r], params, fit_intercept=fit_intercept, standardize=standardize)[0]
 
@@ -332,17 +328,30 @@ def fit_path(
 ) -> list[RejectModel]:
     """``fit`` at every penalty of ``r_grid``, in grid order, on one program.
 
+    The program is the dual of the penalized fit: maximize
+    ``(1/n) sum_i min(u_i, 1)`` over subject weights ``0 <= u_i <= a`` with
+    ``|sum_i y_i xs_ij u_i| <= n r`` for every feature ``j`` and, with an
+    intercept, ``sum_i y_i u_i = 0``.  That is ``m + 1`` two-sided rows (the
+    primal has ``2n``), and ``r`` enters only the feature rows' bounds.
+    It is solved as minimizing ``-sum_i min(u_i, 1)``, ``n`` times the
+    negated objective, since HiGHS's dual feasibility tolerance is absolute:
+    at costs of ``1/n`` one fresh solve stopped 9e-8 (relative) short of
+    the optimum.  The coefficients are then the feature rows' negated duals,
+    the intercept the equality row's negated dual, and ``objective`` the
+    negated optimum over ``n``, the primal's optimum.
+
     Where scipy has a ``_Highs`` class the program is one HiGHS model with
-    the options ``linprog(method="highs")`` sets, so the first grid point is
-    bitwise ``linprog``'s solution; for each later ``r`` only the cost of the
-    ``2m`` coefficient columns changes, and the dual simplex restarts from
-    the previous optimal basis.  Objectives agree with a cold solve within
-    1e-9 relative, but on a degenerate program a warm start can end on
-    another optimal vertex: of 4 800 fits on random designs with tied
-    values, zero columns or duplicate columns, 29 differed from a cold solve
-    in a training decision (27 of them on tied designs).  Without ``_Highs``
-    each penalty is solved cold by ``linprog``.  Any non-optimal status
-    raises ``SolverError``.
+    the options ``linprog(method="highs")`` sets; for each later ``r`` the
+    feature rows' bounds change and the dual simplex restarts from the
+    previous optimal basis, which stays dual feasible.  Without ``_Highs``
+    each penalty is solved cold by ``linprog``, on the same program laid out
+    as one-sided rows.  Objectives agree with a cold solve and with the
+    primal program within 1e-9 relative, but a degenerate program has
+    several optimal vertices, and the one reached depends on the route and
+    on the layout: of 4 800 fits on random designs with tied 0/1/2 values,
+    zero columns or duplicate columns, 55 differed from a cold solve in a
+    training decision (all on tied designs) and 5 in the nonzero set.  Any
+    non-optimal status raises ``SolverError``.
     """
     r_grid = list(r_grid)
     for r in r_grid:
@@ -358,48 +367,57 @@ def fit_path(
     for option, value in _HIGHS_OPTIONS:
         highs.setOptionValue(option, value)
     model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.shape[1]
-    model.num_row_ = model.a_matrix_.num_row_ = lp.shape[0]
+    model.num_col_ = model.a_matrix_.num_col_ = 2 * lp.n
+    model.num_row_ = model.a_matrix_.num_row_ = lp.g.shape[0]
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = lp.a_indptr
-    model.a_matrix_.index_ = lp.a_indices
-    model.a_matrix_.value_ = lp.a_data
-    model.col_cost_ = lp.cost(r_grid[0])
-    model.col_lower_ = lp.bounds[:, 0]
-    model.col_upper_ = lp.bounds[:, 1]
-    model.row_lower_ = np.full(lp.b_ub.size, -np.inf)
-    model.row_upper_ = lp.b_ub
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = lp.csc()
+    model.col_cost_ = lp.cost
+    model.col_lower_, model.col_upper_ = lp.bounds.T
+    bound, equality = lp.n * r_grid[0], np.zeros(lp.g.shape[0] - lp.m_feats)
+    model.row_lower_ = np.concatenate([np.full(lp.m_feats, -bound), equality])
+    model.row_upper_ = np.concatenate([np.full(lp.m_feats, bound), equality])
     if highs.passModel(model) == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
         raise lp.failure(int(status), highs.modelStatusToString(status), r_grid[0])
 
-    penalty_cols = np.arange(2 * lp.m_feats, dtype=np.int32)
     models = []
     for k, r in enumerate(r_grid):
         if k:
-            highs.changeColsCost(penalty_cols.size, penalty_cols, np.full(penalty_cols.size, float(r)))
+            bound = lp.n * r
+            for j in range(lp.m_feats):
+                highs.changeRowBounds(j, -bound, bound)
         highs.run()
         status = highs.getModelStatus()
         if status != core.HighsModelStatus.kOptimal:
             raise lp.failure(int(status), highs.modelStatusToString(status), r)
-        sol = np.array(highs.getSolution().col_value)
-        models.append(lp.model(sol, highs.getInfo().objective_function_value, r))
+        row_dual = np.array(highs.getSolution().row_dual)
+        models.append(lp.model(row_dual, highs.getInfo().objective_function_value, r))
     return models
 
 
 def _linprog_path(lp: _Program, r_grid) -> list[RejectModel]:
-    """Each penalty of ``r_grid`` solved cold by ``linprog``: the route where scipy has no ``_Highs``."""
-    # importing scipy.optimize and scipy.sparse costs ~0.27 s and ~69 MB of RSS
-    from scipy import sparse
+    """Each penalty of ``r_grid`` solved cold by ``linprog``: the route where scipy has no ``_Highs``.
+
+    ``linprog`` takes the feature rows ``G`` as ``G u <= n r`` and
+    ``-G u <= n r``; a two-sided row's dual is the difference of the two
+    one-sided rows' duals.
+    """
+    # importing scipy.optimize, and with it scipy.sparse, costs ~0.27 s and ~69 MB of RSS
     from scipy.optimize import linprog
 
-    a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
+    m_feats = lp.m_feats
+    g = np.hstack([lp.g, lp.g])
+    a_ub = np.vstack([g[:m_feats], -g[:m_feats]])
+    a_eq, b_eq = (g[m_feats:], [0.0]) if lp.fit_intercept else (None, None)
     models = []
     for r in r_grid:
-        res = linprog(lp.cost(r), A_ub=a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
+        b_ub = np.full(2 * m_feats, lp.n * r)
+        res = linprog(lp.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=lp.bounds, method="highs")
         if res.status != 0 or res.x is None:
             raise lp.failure(res.status, res.message, r)
-        models.append(lp.model(res.x, res.fun, r))
+        upper, lower = np.split(res.ineqlin.marginals, 2)
+        row_dual = np.concatenate([upper - lower, res.eqlin.marginals if lp.fit_intercept else []])
+        models.append(lp.model(row_dual, res.fun, r))
     return models
 
 

@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written as direct, loop-level evaluation of
-the defining formulas (plus a first-order method for the penalized fit), with
-no code shared with the package, so the tests compare two separately coded
-paths.
+the defining formulas (plus a first-order method for the penalized fit, and
+the primal linear program whose dual the package solves), with no code
+shared with the package, so the tests compare two separately coded paths.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,6 +220,117 @@ def kkt_residual(model, x, y, kink_tol=1e-7):
     sol = lsq_linear(mat, -const, bounds=(lower, upper), method="bvls", tol=1e-14)
     residual = mat @ sol.x + const
     return float(np.abs(residual).max())
+
+
+# ---------------------------------------------------------------------------
+# The primal linear program of the penalized fit, solved cold by linprog.
+# The package solves its dual; this is the program it replaced.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PrimalProgram:
+    """The primal program of one fit; only the penalty columns' cost depends on ``r``.
+
+    Variables are the coefficient split ``coef = p - m`` with ``p, m >= 0``
+    (the ``2 * m_feats`` penalty columns), an unpenalized free intercept, and
+    one slack per subject bounded below by every linear piece of the hinge:
+    ``2n`` rows ``xi_i >= 1 - z_i`` and ``xi_i >= 1 - a z_i``.
+    """
+
+    fit_intercept: bool
+    center: np.ndarray
+    scale: np.ndarray
+    a_data: np.ndarray  # A_ub in CSC form: values, row indices, column starts
+    a_indices: np.ndarray
+    a_indptr: np.ndarray
+    b_ub: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.b_ub.size // 2
+
+    @property
+    def m_feats(self) -> int:
+        return self.center.size
+
+    @property
+    def shape(self) -> tuple:
+        """Rows and columns of ``A_ub``."""
+        return self.b_ub.size, self.bounds.shape[0]
+
+    def cost(self, r):
+        # variable layout: [p (m), m (m), b?, xi (n)]
+        n_b = 1 if self.fit_intercept else 0
+        return np.concatenate([np.full(2 * self.m_feats, r), np.zeros(n_b), np.full(self.n, 1.0 / self.n)])
+
+
+def primal_program(x, y, params, fit_intercept, standardize):
+    """The primal's ``A_ub`` built as CSC arrays with numpy, laid out as ``scipy.sparse`` lays them out.
+
+    The dense block's exact zeros (-0.0 too) are dropped; the slack columns
+    are two stacked -I blocks, so memory grows as n (2m + 3), not n^2.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m_feats = x.shape
+    if standardize:
+        center = x.mean(axis=0)
+        scale = x.std(axis=0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+    else:
+        center = np.zeros(m_feats)
+        scale = np.ones(m_feats)
+    yx = y[:, None] * ((x - center) / scale)
+    lin = np.hstack([-yx, yx, -y[:, None]] if fit_intercept else [-yx, yx])
+    block = np.vstack([lin, params.a * lin]).T  # one row per column of A_ub
+    cols, rows = np.nonzero(block)
+    slack_rows = np.column_stack([np.arange(n), np.arange(n, 2 * n)]).ravel()
+    counts = np.concatenate([np.count_nonzero(block, axis=1), np.full(n, 2)])
+    lower = np.concatenate([np.zeros(2 * m_feats), np.full(1 if fit_intercept else 0, -np.inf), np.zeros(n)])
+    return PrimalProgram(
+        fit_intercept=fit_intercept,
+        center=center,
+        scale=scale,
+        a_data=np.concatenate([block[cols, rows], np.full(2 * n, -1.0)]),
+        a_indices=np.concatenate([rows, slack_rows]).astype(np.int32),
+        a_indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+        b_ub=np.full(2 * n, -1.0),
+        bounds=np.column_stack([lower, np.full(lower.size, np.inf)]),
+    )
+
+
+def primal_fit_path(x, y, r_grid, params, *, fit_intercept=True, standardize=True):
+    """Each penalty of ``r_grid`` solved cold on the primal by ``linprog``, as ``RejectModel``s."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    from dcovselect.svm_reject import RejectModel
+
+    lp = primal_program(x, y, params, fit_intercept, standardize)
+    a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
+    m_feats = lp.m_feats
+    models = []
+    for r in r_grid:
+        res = linprog(lp.cost(r), A_ub=a_ub, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
+        assert res.status == 0, res.message
+        coef_internal = res.x[:m_feats] - res.x[m_feats : 2 * m_feats]
+        intercept_internal = float(res.x[2 * m_feats]) if fit_intercept else 0.0
+        models.append(RejectModel(
+            coef=coef_internal / lp.scale,
+            intercept=intercept_internal - float(np.dot(coef_internal, lp.center / lp.scale)),
+            r=float(r),
+            params=params,
+            objective=float(res.fun),
+            standardize=standardize,
+            fit_intercept=fit_intercept,
+            coef_internal=coef_internal,
+            intercept_internal=intercept_internal,
+            center=lp.center,
+            scale=lp.scale,
+        ))
+    return models
 
 
 # ---------------------------------------------------------------------------

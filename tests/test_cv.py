@@ -29,7 +29,7 @@ from dcovselect.data import Dataset, synth_generate
 from dcovselect.errors import SolverError
 from dcovselect.screening import ScreeningConfig, screen
 from dcovselect.svm_reject import RejectLossParams, fit, predict
-from oracles import loop_voting_bins, loop_voting_scores
+from oracles import loop_voting_bins, loop_voting_scores, primal_fit_path
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 
@@ -219,9 +219,10 @@ class TestLpGrid:
     D_VALUES = [1 / 3, 1 / 4, 1 / 5]
 
     def test_path_models_match_cold_fits(self, monkeypatch, cold_fit_path):
-        # a warm-started path may end on another optimal vertex of a
-        # degenerate program, so only its first grid point is bitwise equal
-        # to a cold fit; objectives agree to rounding and decisions exactly
+        # a path's first grid point is bitwise a fresh one-point fit; the
+        # cold route (linprog on the same dual, laid out as one-sided rows)
+        # and the primal oracle reach the same optimum to rounding, and on
+        # this continuous design the same support and decisions
         ds, _ = planted_dataset(n=120, p=15)
         calls = []
         real_fit_path = cv.fit_path
@@ -242,13 +243,18 @@ class TestLpGrid:
                 assert [m.r for m in models] == R_GRID
                 y = ds.y[rec.train_idx].astype(float)
                 cold = cold_fit_path(x, y, R_GRID, RejectLossParams(d=d))
-                assert models[0].coef.tobytes() == cold[0].coef.tobytes()
-                assert models[0].intercept == cold[0].intercept
-                assert models[0].objective == cold[0].objective
+                primal = primal_fit_path(x, y, R_GRID, RejectLossParams(d=d))
+                fresh = fit(x, y, R_GRID[0], RejectLossParams(d=d))
+                assert models[0].coef.tobytes() == fresh.coef.tobytes()
+                assert models[0].intercept == fresh.intercept
+                assert models[0].objective == fresh.objective
                 x_all = ds.X[:, rec.selected]
-                for model, reference in zip(models, cold):
-                    assert abs(model.objective - reference.objective) <= 1e-9 * abs(reference.objective)
+                for model, reference, oracle in zip(models, cold, primal):
+                    for found in (model, reference):
+                        assert abs(found.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
+                    assert model.nonzero_features == reference.nonzero_features == oracle.nonzero_features
                     assert np.array_equal(predict(model, x_all), predict(reference, x_all))
+                    assert np.array_equal(predict(model, x_all), predict(oracle, x_all))
 
     def test_records_independent_of_cpu_count(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)

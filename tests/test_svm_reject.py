@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 
 import dcovselect
 from dcovselect import svm_reject
+from dcovselect.data import synth_generate
 from dcovselect.errors import SolverError
 from dcovselect.svm_reject import (
     RejectLossParams,
@@ -28,7 +29,7 @@ from dcovselect.svm_reject import (
     predict,
 )
 
-from oracles import kkt_residual, subgradient_fit
+from oracles import kkt_residual, primal_fit_path, primal_program, subgradient_fit
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 HAS_HIGHS = svm_reject._highs_core() is not None
@@ -45,7 +46,7 @@ def reject_loss(z, d, delta=0.5):
 
 
 def dense_a_ub(xs, y, a, fit_intercept):
-    """The constraint matrix written out densely, with its two n x n -I slack blocks."""
+    """The primal's constraint matrix written out densely, with its two n x n -I slack blocks."""
     n = y.size
     yx = y[:, None] * xs
     intercept = -y[:, None] if fit_intercept else np.empty((n, 0))
@@ -53,6 +54,12 @@ def dense_a_ub(xs, y, a, fit_intercept):
         np.hstack([-yx, yx, intercept, -np.eye(n)]),
         np.hstack([-a * yx, a * yx, a * intercept, -np.eye(n)]),
     ])
+
+
+def dense_dual(xs, y):
+    """The dual's feature rows and intercept row written out densely, over the columns [s, t]."""
+    g = (y[:, None] * xs).T
+    return np.hstack([g, g]), np.hstack([y, y])[None, :]
 
 
 def random_instance(rng):
@@ -228,10 +235,11 @@ class TestFit:
         assert m1.objective == m2.objective
 
     @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_sparse_lp_equals_dense_lp(self, monkeypatch, fit_intercept):
-        # the constraint matrix, written out densely with its two n x n -I
-        # blocks, is the reference: same nonzeros, no stored zeros, and the
-        # same solution bit for bit
+    def test_sparse_lp_equals_dense_lp(self, fit_intercept):
+        # the primal oracle's constraint matrix, written out densely with its
+        # two n x n -I blocks, is its reference: same nonzeros, no stored
+        # zeros, and the same solution bit for bit; the package's dual
+        # reaches the same optimum
         rng = np.random.default_rng(7)
         n, m = 40, 4
         x = rng.normal(size=(n, m))
@@ -239,27 +247,19 @@ class TestFit:
         x[::4, 2] = 0.0
         y = np.where(x[:, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
         p = RejectLossParams(d=0.2)
-        seen = {}
-
-        def recording_linprog(c, A_ub, **kwargs):
-            seen.update(c=c, A_ub=A_ub, **kwargs)
-            return linprog(c, A_ub=A_ub, **kwargs)
-
-        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)  # the cold route, through linprog
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
-        model = fit(x, y, 0.05, p, standardize=False, fit_intercept=fit_intercept)
-
+        lp = primal_program(x, y, p, fit_intercept, False)
+        a_ub = sparse.csc_matrix((lp.a_data, lp.a_indices, lp.a_indptr), shape=lp.shape)
         dense = dense_a_ub(x, y, p.a, fit_intercept)
-        a_ub = seen["A_ub"]
-        assert sparse.issparse(a_ub)
         assert np.all(a_ub.data != 0.0)
         assert a_ub.nnz == np.count_nonzero(dense)
         assert np.array_equal(a_ub.toarray(), dense)
-        reference = linprog(seen["c"], A_ub=dense, b_ub=seen["b_ub"], bounds=seen["bounds"], method="highs")
-        assert np.array_equal(
-            model.coef_internal, reference.x[:m] - reference.x[m : 2 * m]
-        )
-        assert model.objective == reference.fun
+        (primal,) = primal_fit_path(x, y, [0.05], p, standardize=False, fit_intercept=fit_intercept)
+        reference = linprog(lp.cost(0.05), A_ub=dense, b_ub=lp.b_ub, bounds=lp.bounds, method="highs")
+        assert np.array_equal(primal.coef_internal, reference.x[:m] - reference.x[m : 2 * m])
+        assert primal.objective == reference.fun
+        model = fit(x, y, 0.05, p, standardize=False, fit_intercept=fit_intercept)
+        assert abs(model.objective - primal.objective) <= 1e-9 * primal.objective
+        assert model.nonzero_features == primal.nonzero_features
 
 
 def path_instance(rng, kind):
@@ -282,8 +282,12 @@ class TestFitPath:
     # the last penalty zeroes every coefficient, on standardized and raw designs
     GRID = R_GRID + [1000.0]
 
-    @needs_highs
     def test_matches_cold_fits(self, cold_fit_path):
+        # the path's first point is a fresh one-point fit, bit for bit; at
+        # every point the warm route, the cold route and the primal oracle
+        # reach one optimum, and on continuous designs one support and the
+        # same decisions (tied, zero or duplicate columns leave several
+        # optimal vertices, and which one is reached depends on the route)
         rng = np.random.default_rng(11)
         for trial in range(40):
             kind = ("normal", "tied", "zero_columns", "duplicate_columns")[trial % 4]
@@ -292,44 +296,60 @@ class TestFitPath:
             options = dict(fit_intercept=bool(rng.integers(0, 2)), standardize=bool(rng.integers(0, 2)))
             path = fit_path(x, y, self.GRID, p, **options)
             cold = cold_fit_path(x, y, self.GRID, p, **options)
+            primal = primal_fit_path(x, y, self.GRID, p, **options)
             assert [m.r for m in path] == self.GRID
-            first, oracle = path[0], cold[0]
-            assert first.coef.tobytes() == oracle.coef.tobytes()
-            assert first.coef_internal.tobytes() == oracle.coef_internal.tobytes()
-            assert first.intercept == oracle.intercept
-            assert first.objective == oracle.objective
-            for model, reference in zip(path, cold):
-                assert abs(model.objective - reference.objective) <= 1e-9 * abs(reference.objective)
+            first, fresh = path[0], fit(x, y, self.GRID[0], p, **options)
+            assert first.coef.tobytes() == fresh.coef.tobytes()
+            assert first.coef_internal.tobytes() == fresh.coef_internal.tobytes()
+            assert first.intercept == fresh.intercept
+            assert first.objective == fresh.objective
+            for model, reference, oracle in zip(path, cold, primal):
+                for found in (model, reference):
+                    assert abs(found.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
                 assert kkt_residual(model, x, y) <= 1e-6
+                if kind == "normal":
+                    assert model.nonzero_features == reference.nonzero_features == oracle.nonzero_features
+                    assert np.array_equal(predict(model, x), predict(reference, x))
+                    assert np.array_equal(predict(model, x), predict(oracle, x))
             assert np.all(path[-1].coef_internal == 0.0)
             assert np.all(cold[-1].coef_internal == 0.0)
 
     def test_without_highs_class_equals_cold_fits(self, monkeypatch):
-        # the cold route is linprog on the program written out densely here,
-        # one penalty at a time, on a program built once per grid
+        # the cold route is linprog on the dual written out densely here,
+        # minimizing -sum(s), one penalty at a time, on a program built once
+        # per grid: the coefficients are the negated difference of the duals
+        # of the rows G u <= n r and -G u <= n r, the intercept the negated
+        # dual of y . u = 0, and the objective -fun / n
         monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
         built = []
         real_program = svm_reject._program
         monkeypatch.setattr(svm_reject, "_program", lambda *args: built.append(args) or real_program(*args))
         rng = np.random.default_rng(12)
-        for kind in ("normal", "tied"):
+        for kind, fit_intercept in (("normal", False), ("tied", False), ("normal", True), ("tied", True)):
             x, y = path_instance(rng, kind)
             p = RejectLossParams(d=0.25)
             built.clear()
-            path = fit_path(x, y, self.GRID, p, fit_intercept=False)
+            path = fit_path(x, y, self.GRID, p, fit_intercept=fit_intercept)
             assert len(built) == 1
             n, m = x.shape
             center, scale = x.mean(axis=0), x.std(axis=0)
             scale = np.where(scale > 0.0, scale, 1.0)
-            dense = dense_a_ub((x - center) / scale, y, p.a, fit_intercept=False)
+            g, eq = dense_dual((x - center) / scale, y)
+            c = np.concatenate([np.full(n, -1.0), np.zeros(n)])
+            bounds = [(0.0, 1.0)] * n + [(0.0, p.a - 1.0)] * n
             for model, r in zip(path, self.GRID):
-                c = np.concatenate([np.full(2 * m, r), np.full(n, 1.0 / n)])
-                reference = linprog(c, A_ub=dense, b_ub=np.full(2 * n, -1.0), bounds=(0, None), method="highs")
-                coef_internal = reference.x[:m] - reference.x[m : 2 * m]
+                reference = linprog(
+                    c, A_ub=np.vstack([g, -g]), b_ub=np.full(2 * m, n * r), bounds=bounds, method="highs",
+                    **(dict(A_eq=eq, b_eq=[0.0]) if fit_intercept else {}),
+                )
+                upper, lower = np.split(reference.ineqlin.marginals, 2)
+                coef_internal = 0.0 - (upper - lower)
+                intercept_internal = 0.0 - reference.eqlin.marginals[0] if fit_intercept else 0.0
                 assert model.coef.tobytes() == (coef_internal / scale).tobytes()
                 assert model.coef_internal.tobytes() == coef_internal.tobytes()
-                assert model.intercept == -float(np.dot(coef_internal, center / scale))
-                assert model.objective == reference.fun
+                assert model.intercept_internal == intercept_internal
+                assert model.intercept == intercept_internal - float(np.dot(coef_internal, center / scale))
+                assert model.objective == -reference.fun / n
 
     def test_rejects_bad_penalties_and_takes_an_empty_grid(self):
         x, y = random_instance(np.random.default_rng(13))
@@ -383,8 +403,70 @@ class TestFitPath:
             fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
 
 
+def edge_case(name):
+    """A small design for one corner of the dual program, and the options it is fitted with."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(24, 4))
+    y = np.where(x[:, 0] + 0.5 * rng.normal(size=24) > 0, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    options, d = {}, 0.25
+    if name == "no_intercept":  # no equality row
+        options["fit_intercept"] = False
+    elif name == "two_rows":
+        x, y = x[:2], y[:2]
+    elif name == "constant_column":  # its feature row is empty
+        x[:, 2] = 3.0
+    elif name == "duplicate_columns":
+        x[:, 3] = x[:, 1]
+        x[:, 2] = x[:, 1]
+    elif name == "d_near_half":  # a - 1 is about 0.04
+        d = 0.49
+    elif name == "small_d":  # a = 99
+        d = 0.01
+    return x, y, RejectLossParams(d=d), options
+
+
+class TestDualEdgeCases:
+    """Both routes of the dual against the primal oracle and the stationarity residual."""
+
+    GRID = [0.003, 0.03, 0.3, 3.0]
+
+    @pytest.mark.parametrize("route", ["warm", "cold"])
+    @pytest.mark.parametrize(
+        "name", ["no_intercept", "two_rows", "constant_column", "duplicate_columns", "d_near_half", "small_d"]
+    )
+    def test_reaches_the_primal_optimum(self, cold_fit_path, route, name):
+        x, y, p, options = edge_case(name)
+        solve = fit_path if route == "warm" else cold_fit_path
+        path = solve(x, y, self.GRID, p, **options)
+        primal = primal_fit_path(x, y, self.GRID, p, **options)
+        for model, oracle in zip(path, primal):
+            assert abs(model.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
+            assert kkt_residual(model, x, y) <= 1e-6
+            if name == "no_intercept":
+                assert model.intercept_internal == 0.0
+            if name == "constant_column":
+                assert model.coef_internal[2] == 0.0
+        if name == "duplicate_columns":  # the penalty is indifferent to how a tied weight is shared
+            assert np.allclose([m.coef_internal[1:].sum() for m in path], [m.coef_internal[1:].sum() for m in primal])
+
+    @pytest.mark.parametrize("route", ["warm", "cold"])
+    def test_fresh_fit_reaches_the_optimum_within_the_default_tolerances(self, cold_fit_path, route):
+        # HiGHS's dual feasibility tolerance is absolute; with costs of -1/n
+        # on s instead of -1, a fresh solve of this program stopped short of
+        # the optimum on both routes (8e-9 relative on the warm one, r = 0.3)
+        ds, _ = synth_generate(148, 24, seed=298, model="logistic", active=4, coef=1.2, class_counts=(101, 47))
+        x, y, p = ds.X, ds.y.astype(float), RejectLossParams(d=1 / 3)
+        solve = fit_path if route == "warm" else cold_fit_path
+        for r in (0.1, 0.3, 1.0):
+            (model,) = solve(x, y, [r], p)
+            (oracle,) = primal_fit_path(x, y, [r], p)
+            assert abs(model.objective - oracle.objective) <= 1e-9 * oracle.objective
+
+
 class TestProgramArrays:
-    """``_program`` lays out A_ub exactly as ``scipy.sparse`` would."""
+    """The primal oracle's ``primal_program`` and the dual's ``_Program.csc`` lay out their
+    constraint matrices exactly as ``scipy.sparse`` would."""
 
     @staticmethod
     def scipy_matrix(x, y, p, fit_intercept, standardize):
@@ -401,8 +483,9 @@ class TestProgramArrays:
             [sparse.csc_matrix(np.vstack([lin, p.a * lin])), -sparse.vstack([eye, eye])], format="csc"
         )
 
-    def test_arrays_equal_scipy_sparse_bitwise(self):
-        rng = np.random.default_rng(21)
+    @staticmethod
+    def designs(rng):
+        """Random designs with zero columns, exact zeros and -0.0, under every option."""
         for trial in range(200):
             n = int(rng.integers(2, 41))
             m = int(rng.integers(1, 7))
@@ -418,7 +501,11 @@ class TestProgramArrays:
             y[:2] = (1.0, -1.0)
             p = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
             options = (bool(trial // 4 % 2), bool(trial // 8 % 2))  # intercept, standardize
-            lp = svm_reject._program(x, y, p, *options)
+            yield x, y, p, options
+
+    def test_arrays_equal_scipy_sparse_bitwise(self):
+        for x, y, p, options in self.designs(np.random.default_rng(21)):
+            lp = primal_program(x, y, p, *options)
             reference = self.scipy_matrix(x, y, p, *options)
             assert lp.shape == reference.shape
             for ours, theirs in ((lp.a_indptr, reference.indptr), (lp.a_indices, reference.indices), (lp.a_data, reference.data)):
@@ -428,10 +515,30 @@ class TestProgramArrays:
     def test_negative_zero_is_dropped(self):
         x = np.array([[-0.0, 1.0], [0.0, -1.0], [-0.0, 2.0]])
         y = np.array([1.0, -1.0, 1.0])
-        lp = svm_reject._program(x, y, RejectLossParams(d=0.25), False, False)
+        lp = primal_program(x, y, RejectLossParams(d=0.25), False, False)
         # the first feature's p and m columns (0 and 2) hold only zeros, -0.0 among them
         assert list(np.diff(lp.a_indptr)[:4]) == [0, 6, 0, 6]
         assert np.all(lp.a_data != 0.0)
+        # in the dual, the first feature's row is empty: each column holds one entry
+        start, index, value = svm_reject._program(x, y, RejectLossParams(d=0.25), False, False).csc()
+        assert list(np.diff(start)) == [1] * 6
+        assert list(index) == [1] * 6
+        assert np.all(value != 0.0)
+
+    def test_dual_arrays_equal_scipy_sparse_bitwise(self):
+        for x, y, p, options in self.designs(np.random.default_rng(22)):
+            lp = svm_reject._program(x, y, p, *options)
+            if options[1]:
+                scale = x.std(axis=0)
+                xs = (x - x.mean(axis=0)) / np.where(scale > 0.0, scale, 1.0)
+            else:
+                xs = (x - np.zeros(x.shape[1])) / np.ones(x.shape[1])
+            g, eq = dense_dual(xs, y)
+            reference = sparse.csc_matrix(np.vstack([g, eq]) if options[0] else g)
+            assert lp.g.shape[0] == reference.shape[0]
+            for ours, theirs in zip(lp.csc(), (reference.indptr, reference.indices, reference.data)):
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
 
 
 SRC = str(Path(dcovselect.__file__).resolve().parents[1])
@@ -468,6 +575,18 @@ def cold_fit(*args, **kwargs):
         return fit(*args, **kwargs)
     finally:
         svm_reject._highs_core = warm
+
+
+def agreement(first, fresh, cold):
+    # a fresh warm fit is bitwise the path's first point; the cold route
+    # solves the same program laid out as linprog lays it out
+    return {
+        "bitwise": [first.coef.tobytes() == fresh.coef.tobytes(), first.intercept == fresh.intercept,
+                    first.objective == fresh.objective],
+        "cold": [abs(first.objective - cold.objective) <= 1e-9 * cold.objective,
+                 first.nonzero_features == cold.nonzero_features,
+                 bool(np.array_equal(svm_reject.predict(first, x), svm_reject.predict(cold, x)))],
+    }
 """
 
 
@@ -484,14 +603,14 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 import scipy.optimize._highspy._core as dotted
 core = svm_reject._highs_core()
+fresh = fit(x, y, 0.05, p)
 cold = cold_fit(x, y, 0.05, p)
 res = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
 print(json.dumps({
     "before": before,
     "same": [core is _core, core is dotted, core is sys.modules[NAME]],
     "linprog": [int(res.status), float(res.fun)],
-    "bitwise": [first.coef.tobytes() == cold.coef.tobytes(), first.intercept == cold.intercept,
-                first.objective == cold.objective],
+    **agreement(first, fresh, cold),
 }))
 """)
         assert all(name.startswith("scipy.optimize._highspy._core") for name in result["before"])
@@ -499,6 +618,7 @@ print(json.dumps({
         assert result["same"] == [True, True, True]
         assert result["linprog"] == [0, 1.0]
         assert result["bitwise"] == [True, True, True]
+        assert result["cold"] == [True, True, True]
 
     def test_a_registered_module_is_used(self):
         result = run_python(LP_SETUP + """
@@ -515,14 +635,12 @@ print(json.dumps({"same": svm_reject._highs_core() is registered, "points": len(
 svm_reject._load_extension = lambda name: None  # as where the file is not found
 core = svm_reject._highs_core()
 first = fit_path(x, y, [0.05, 0.5], p)[0]
+fresh = fit(x, y, 0.05, p)
 cold = cold_fit(x, y, 0.05, p)
 from scipy.optimize._highspy import _core
-print(json.dumps({
-    "same": [core is _core, core is sys.modules[NAME]],
-    "bitwise": first.coef.tobytes() == cold.coef.tobytes() and first.objective == cold.objective,
-}))
+print(json.dumps({"same": [core is _core, core is sys.modules[NAME]], **agreement(first, fresh, cold)}))
 """)
-        assert result == {"same": [True, True], "bitwise": True}
+        assert result == {"same": [True, True], "bitwise": [True, True, True], "cold": [True, True, True]}
 
     def test_threads_asking_at_once_load_it_once(self):
         # cv's pool threads may make the first fit_path calls together
