@@ -19,12 +19,11 @@ class-1 probability ``eta`` (reject on ``d <= eta <= 1 - d``) and its risk
 are provided for synthetic-data validation.
 
 ``fit_path`` solves a penalty grid on one program; ``fit`` is its one-point
-grid.  Where scipy's private HiGHS bindings have a ``_Highs`` class, the
-grid is one HiGHS model warm-started along the penalties, which change only
-the feature rows' bounds; the bindings' extension module is loaded from its
-file and the CSC arrays are built with numpy, so neither ``scipy.optimize``
-nor ``scipy.sparse`` is imported.  Elsewhere each penalty is solved cold by
-``scipy.optimize.linprog``.
+grid.  The grid is one model of the ``_Highs`` class of scipy's private
+HiGHS bindings (scipy 1.15 or later), warm-started along the penalties,
+which change only the feature rows' bounds; the bindings' extension module
+is loaded from its file and the CSC arrays are built with numpy, so neither
+``scipy.optimize`` nor ``scipy.sparse`` is imported.
 """
 
 import functools
@@ -88,12 +87,13 @@ _HIGHS_LOCK = threading.Lock()
 
 @functools.cache
 def _highs_core():
-    """scipy's private HiGHS bindings, or None where they have no ``_Highs``.
+    """scipy's private HiGHS bindings, which every ``fit_path`` solves with.
 
-    ``_Highs`` is not public scipy API (scipy 1.10 lacks it), so its presence
-    is checked once, on the first ``fit_path``.  Pool threads may make that
-    first call together; the lock lets one load the extension, and the
-    others then find it in ``sys.modules``.
+    ``_Highs`` is not public scipy API; scipy 1.15 is the first release that
+    has it, so an older scipy raises ``ImportError`` on the first
+    ``fit_path``.  Pool threads may make that first call together; the lock
+    lets one load the extension, and the others then find it in
+    ``sys.modules``.
     """
     with _HIGHS_LOCK:
         # importing scipy.optimize costs ~0.2 s and ~48 MB of RSS; the extension alone loads in ~3 ms
@@ -102,11 +102,15 @@ def _highs_core():
             try:
                 from scipy.optimize._highspy import _core as core
             except ImportError:
-                return None
-    return core if hasattr(core, "_Highs") else None
+                pass
+    if not hasattr(core, "_Highs"):
+        import scipy
+
+        raise ImportError(f"the LP solver needs scipy >= 1.15 (HiGHS's _Highs class); found scipy {scipy.__version__}")
+    return core
 
 
-# the options linprog(method="highs") sets; every other option keeps its default
+# the options scipy.optimize's HiGHS methods set; every other option keeps its default
 _HIGHS_OPTIONS = (
     ("presolve", "on"),
     ("highs_debug_level", 0),
@@ -230,9 +234,9 @@ class _Program:
         return np.concatenate([np.full(self.n, -1.0), np.zeros(self.n)])
 
     @property
-    def bounds(self) -> np.ndarray:
-        upper = np.concatenate([np.ones(self.n), np.full(self.n, self.params.a - 1.0)])
-        return np.column_stack([np.zeros(2 * self.n), upper])
+    def upper(self) -> np.ndarray:
+        """The columns' upper bounds; every lower bound is 0."""
+        return np.concatenate([np.ones(self.n), np.full(self.n, self.params.a - 1.0)])
 
     def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The constraint matrix ``[g, g]`` as CSC column starts, row indices and values.
@@ -340,18 +344,16 @@ def fit_path(
     the intercept the equality row's negated dual, and ``objective`` the
     negated optimum over ``n``, the primal's optimum.
 
-    Where scipy has a ``_Highs`` class the program is one HiGHS model with
-    the options ``linprog(method="highs")`` sets; for each later ``r`` the
-    feature rows' bounds change and the dual simplex restarts from the
-    previous optimal basis, which stays dual feasible.  Without ``_Highs``
-    each penalty is solved cold by ``linprog``, on the same program laid out
-    as one-sided rows.  Objectives agree with a cold solve and with the
-    primal program within 1e-9 relative, but a degenerate program has
-    several optimal vertices, and the one reached depends on the route and
-    on the layout: of 4 800 fits on random designs with tied 0/1/2 values,
-    zero columns or duplicate columns, 55 differed from a cold solve in a
-    training decision (all on tied designs) and 5 in the nonzero set.  Any
-    non-optimal status raises ``SolverError``.
+    The program is one HiGHS model with the options scipy's HiGHS methods
+    set; for each later ``r`` the feature rows' bounds change and the dual
+    simplex restarts from the previous optimal basis, which stays dual
+    feasible.  Objectives agree with a fresh solve and with the primal
+    program within 1e-9 relative, but a degenerate program (tied, zero or
+    duplicate columns) has several optimal vertices, and a warm start may
+    reach another one than a fresh solve: of 2 700 path points on random
+    such designs, 23 differed from a fresh fit in a training decision (all
+    on tied designs) and 1 in the nonzero set.  Any non-optimal status
+    raises ``SolverError``.
     """
     r_grid = list(r_grid)
     for r in r_grid:
@@ -360,9 +362,6 @@ def fit_path(
     if not r_grid:
         return []
     core = _highs_core()
-    if core is None:
-        return _linprog_path(lp, r_grid)
-
     highs = core._Highs()
     for option, value in _HIGHS_OPTIONS:
         highs.setOptionValue(option, value)
@@ -372,7 +371,7 @@ def fit_path(
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
     model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = lp.csc()
     model.col_cost_ = lp.cost
-    model.col_lower_, model.col_upper_ = lp.bounds.T
+    model.col_lower_, model.col_upper_ = np.zeros(2 * lp.n), lp.upper
     bound, equality = lp.n * r_grid[0], np.zeros(lp.g.shape[0] - lp.m_feats)
     model.row_lower_ = np.concatenate([np.full(lp.m_feats, -bound), equality])
     model.row_upper_ = np.concatenate([np.full(lp.m_feats, bound), equality])
@@ -392,32 +391,6 @@ def fit_path(
             raise lp.failure(int(status), highs.modelStatusToString(status), r)
         row_dual = np.array(highs.getSolution().row_dual)
         models.append(lp.model(row_dual, highs.getInfo().objective_function_value, r))
-    return models
-
-
-def _linprog_path(lp: _Program, r_grid) -> list[RejectModel]:
-    """Each penalty of ``r_grid`` solved cold by ``linprog``: the route where scipy has no ``_Highs``.
-
-    ``linprog`` takes the feature rows ``G`` as ``G u <= n r`` and
-    ``-G u <= n r``; a two-sided row's dual is the difference of the two
-    one-sided rows' duals.
-    """
-    # importing scipy.optimize, and with it scipy.sparse, costs ~0.27 s and ~69 MB of RSS
-    from scipy.optimize import linprog
-
-    m_feats = lp.m_feats
-    g = np.hstack([lp.g, lp.g])
-    a_ub = np.vstack([g[:m_feats], -g[:m_feats]])
-    a_eq, b_eq = (g[m_feats:], [0.0]) if lp.fit_intercept else (None, None)
-    models = []
-    for r in r_grid:
-        b_ub = np.full(2 * m_feats, lp.n * r)
-        res = linprog(lp.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=lp.bounds, method="highs")
-        if res.status != 0 or res.x is None:
-            raise lp.failure(res.status, res.message, r)
-        upper, lower = np.split(res.ineqlin.marginals, 2)
-        row_dual = np.concatenate([upper - lower, res.eqlin.marginals if lp.fit_intercept else []])
-        models.append(lp.model(row_dual, res.fun, r))
     return models
 
 

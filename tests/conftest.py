@@ -4,8 +4,6 @@ import threading
 
 import pytest
 
-from dcovselect import svm_reject
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 
@@ -33,15 +31,3 @@ def finishes():
 
     return run
 
-
-@pytest.fixture
-def cold_fit_path(monkeypatch):
-    """``svm_reject.fit_path`` on its cold route, as where scipy has no ``_Highs``:
-    every penalty solved from scratch by ``linprog``."""
-
-    def solve(*args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(svm_reject, "_highs_core", lambda: None)
-            return svm_reject.fit_path(*args, **kwargs)
-
-    return solve

@@ -18,9 +18,6 @@ from dcovselect.errors import SolverError
 from dcovselect.svm_reject import RejectLossParams, decision_scores, fit
 
 
-HAS_HIGHS = svm_reject._highs_core() is not None
-
-
 def run(*argv):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -223,7 +220,6 @@ class TestExitCodes:
             ]
             assert finishes(lambda: run(*argv)) == {"value": 3}
 
-    @pytest.mark.skipif(not HAS_HIGHS, reason="this scipy has no private _Highs class")
     def test_solver_failure_in_svmr_fit_is_three(self, synth_dir, tmp_path, monkeypatch, capsys):
         core = svm_reject._highs_core()
 
@@ -457,7 +453,7 @@ def solver_modules():
 
 loaded = solver_modules()
 # the LP commands load HiGHS's extension module, and nothing else of scipy.optimize
-from dcovselect.svm_reject import RejectLossParams, _highs_core, fit
+from dcovselect.svm_reject import RejectLossParams, fit
 data = ["--input", out + "/binary/data.csv", "--label-col", "status"]
 binary = [*data, "--d", "1/4"]
 assert main(["synth", "--model", "logistic", "--n", "40", "--p", "6", "--active", "2", "--seed", "2", "--out-dir", out + "/binary"]) == 0
@@ -469,8 +465,7 @@ assert main(["svmr-predict", *data, "--model", out + "/fit/model.json", "--out-d
 x = np.array([[0.0], [1.0], [2.0], [3.0]])
 model = fit(x, np.array([-1.0, -1.0, 1.0, 1.0]), 0.01, RejectLossParams(d=0.25))
 lp_loaded = [m for m in solver_modules() if not m.startswith("scipy.optimize._highspy._core")]
-direct = _highs_core() is not None
-print(json.dumps({"loaded": loaded, "lp_loaded": lp_loaded, "direct": direct, "coef": model.coef.tolist()}))
+print(json.dumps({"loaded": loaded, "lp_loaded": lp_loaded, "coef": model.coef.tolist()}))
 """
 
 
@@ -490,8 +485,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["loaded"] == []
-        if result["direct"]:  # without a _Highs class every LP goes through linprog
-            assert result["lp_loaded"] == []
+        assert result["lp_loaded"] == []
         assert result["coef"][0] > 0.0
 
 

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcovselect import svm_reject
 from dcovselect.cli import main
 from dcovselect.data import Dataset, emit
 
@@ -33,17 +32,14 @@ _spec = importlib.util.spec_from_file_location("bench_check", ROOT / "bench" / "
 check = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check)
 
-# The LP picks one of several optimal vertices on such degenerate designs,
-# and which one depends on the route (warm-started HiGHS, or cold linprog
-# where scipy has no _Highs class): on 18 of the seeds 1-40 the two routes
-# give other cv5 or mcv outcomes (38 when the primal program was solved).
-# Seed 11 is one where they agree; cv5 and mcv are checked on both routes.
 DESIGN = {"seed": 11, "n": 200, "p": 400}
 D_VALUES = "1/3,1/4,1/5"
 COMMANDS = {
     "screen": ["screen"],
     "cv5": ["cv5", "--method", "dcsis", "--d", D_VALUES],
     "mcv": ["mcv", "--method", "dcsis", "--d", D_VALUES, "--voting", "all", "--reps", "4"],
+    "cv5-greedy": ["cv5", "--d", D_VALUES],
+    "mcv-greedy": ["mcv", "--d", D_VALUES, "--reps", "4"],
 }
 
 
@@ -80,14 +76,8 @@ def run(name, work):
     return check.digest(command, work / name)
 
 
-@pytest.mark.parametrize(
-    "name, route",
-    [pytest.param(name, "warm", id=name) for name in COMMANDS]
-    + [pytest.param(name, "cold", id=f"{name}-cold") for name in COMMANDS if name != "screen"],
-)
-def test_tied_genotypes_keep_their_recorded_outcomes(name, route, tmp_path, monkeypatch):
-    if route == "cold":  # as where scipy has no _Highs class: every penalty solved by linprog
-        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+@pytest.mark.parametrize("name", COMMANDS)
+def test_tied_genotypes_keep_their_recorded_outcomes(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert golden["design"] == DESIGN and golden["commands"] == COMMANDS
     assert check.reference_failures(run(name, tmp_path), golden["runs"][name]) == []

@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
+import scipy
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import linprog
@@ -32,8 +34,6 @@ from dcovselect.svm_reject import (
 from oracles import kkt_residual, primal_fit_path, primal_program, subgradient_fit
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
-HAS_HIGHS = svm_reject._highs_core() is not None
-needs_highs = pytest.mark.skipif(not HAS_HIGHS, reason="this scipy has no private _Highs class")
 
 
 def reject_loss(z, d, delta=0.5):
@@ -282,12 +282,13 @@ class TestFitPath:
     # the last penalty zeroes every coefficient, on standardized and raw designs
     GRID = R_GRID + [1000.0]
 
-    def test_matches_cold_fits(self, cold_fit_path):
+    def test_matches_cold_fits(self):
         # the path's first point is a fresh one-point fit, bit for bit; at
-        # every point the warm route, the cold route and the primal oracle
-        # reach one optimum, and on continuous designs one support and the
-        # same decisions (tied, zero or duplicate columns leave several
-        # optimal vertices, and which one is reached depends on the route)
+        # every point the warm-started path, a fresh one-point fit (a cold
+        # solve) and the primal oracle reach one optimum, and on continuous
+        # designs one support and the same decisions (tied, zero or
+        # duplicate columns leave several optimal vertices, and a warm start
+        # may reach another one)
         rng = np.random.default_rng(11)
         for trial in range(40):
             kind = ("normal", "tied", "zero_columns", "duplicate_columns")[trial % 4]
@@ -295,10 +296,10 @@ class TestFitPath:
             p = RejectLossParams(d=float(rng.choice([1 / 3, 1 / 4, 1 / 5])))
             options = dict(fit_intercept=bool(rng.integers(0, 2)), standardize=bool(rng.integers(0, 2)))
             path = fit_path(x, y, self.GRID, p, **options)
-            cold = cold_fit_path(x, y, self.GRID, p, **options)
+            cold = [fit(x, y, r, p, **options) for r in self.GRID]
             primal = primal_fit_path(x, y, self.GRID, p, **options)
             assert [m.r for m in path] == self.GRID
-            first, fresh = path[0], fit(x, y, self.GRID[0], p, **options)
+            first, fresh = path[0], cold[0]
             assert first.coef.tobytes() == fresh.coef.tobytes()
             assert first.coef_internal.tobytes() == fresh.coef_internal.tobytes()
             assert first.intercept == fresh.intercept
@@ -314,72 +315,26 @@ class TestFitPath:
             assert np.all(path[-1].coef_internal == 0.0)
             assert np.all(cold[-1].coef_internal == 0.0)
 
-    def test_without_highs_class_equals_cold_fits(self, monkeypatch):
-        # the cold route is linprog on the dual written out densely here,
-        # minimizing -sum(s), one penalty at a time, on a program built once
-        # per grid: the coefficients are the negated difference of the duals
-        # of the rows G u <= n r and -G u <= n r, the intercept the negated
-        # dual of y . u = 0, and the objective -fun / n
-        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+    def test_rejects_bad_penalties_and_takes_an_empty_grid(self, monkeypatch):
         built = []
         real_program = svm_reject._program
         monkeypatch.setattr(svm_reject, "_program", lambda *args: built.append(args) or real_program(*args))
-        rng = np.random.default_rng(12)
-        for kind, fit_intercept in (("normal", False), ("tied", False), ("normal", True), ("tied", True)):
-            x, y = path_instance(rng, kind)
-            p = RejectLossParams(d=0.25)
-            built.clear()
-            path = fit_path(x, y, self.GRID, p, fit_intercept=fit_intercept)
-            assert len(built) == 1
-            n, m = x.shape
-            center, scale = x.mean(axis=0), x.std(axis=0)
-            scale = np.where(scale > 0.0, scale, 1.0)
-            g, eq = dense_dual((x - center) / scale, y)
-            c = np.concatenate([np.full(n, -1.0), np.zeros(n)])
-            bounds = [(0.0, 1.0)] * n + [(0.0, p.a - 1.0)] * n
-            for model, r in zip(path, self.GRID):
-                reference = linprog(
-                    c, A_ub=np.vstack([g, -g]), b_ub=np.full(2 * m, n * r), bounds=bounds, method="highs",
-                    **(dict(A_eq=eq, b_eq=[0.0]) if fit_intercept else {}),
-                )
-                upper, lower = np.split(reference.ineqlin.marginals, 2)
-                coef_internal = 0.0 - (upper - lower)
-                intercept_internal = 0.0 - reference.eqlin.marginals[0] if fit_intercept else 0.0
-                assert model.coef.tobytes() == (coef_internal / scale).tobytes()
-                assert model.coef_internal.tobytes() == coef_internal.tobytes()
-                assert model.intercept_internal == intercept_internal
-                assert model.intercept == intercept_internal - float(np.dot(coef_internal, center / scale))
-                assert model.objective == -reference.fun / n
-
-    def test_rejects_bad_penalties_and_takes_an_empty_grid(self):
         x, y = random_instance(np.random.default_rng(13))
         p = RejectLossParams(d=0.25)
         with pytest.raises(ValueError, match="penalty r must be positive"):
             fit_path(x, y, [0.1, 0.0], p)
         assert fit_path(x, y, [], p) == []
+        assert len(fit_path(x, y, R_GRID, p)) == len(R_GRID)
+        assert len(built) == 2  # none for the rejected grid, one per accepted grid
 
-    @pytest.mark.parametrize("route", ["warm", "cold"])
     @pytest.mark.parametrize("r", [math.inf, math.nan])
-    def test_non_finite_penalty_rejected_on_both_routes(self, monkeypatch, route, r):
-        if route == "cold":
-            monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
+    def test_non_finite_penalty_rejected(self, r):
         x, y = random_instance(np.random.default_rng(13))
         with pytest.raises(ValueError, match=r"penalty r must be positive and finite, got (inf|nan)$"):
             fit_path(x, y, [0.1, r], RejectLossParams(d=0.25))
         with pytest.raises(ValueError, match="penalty r must be positive and finite"):
             fit(x, y, r, RejectLossParams(d=0.25))
 
-    def test_cold_route_failure_raises(self, monkeypatch):
-        class Result:
-            status, message, x, fun = 1, "Iteration limit reached.", None, math.nan
-
-        monkeypatch.setattr(svm_reject, "_highs_core", lambda: None)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Result())
-        x, y = random_instance(np.random.default_rng(14))
-        with pytest.raises(SolverError, match=r"linear program failed \(status 1\): Iteration limit reached\. \[n=\d+, features=\d+, r=0\.01, d=0\.25\]"):
-            fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
-
-    @needs_highs
     def test_non_optimal_status_raises(self, monkeypatch):
         core = svm_reject._highs_core()
 
@@ -400,6 +355,16 @@ class TestFitPath:
         monkeypatch.setattr(core, "_Highs", StalledHighs)
         x, y = random_instance(np.random.default_rng(14))
         with pytest.raises(SolverError, match=r"linear program failed \(status \d+\): .*\[n=\d+, features=\d+, r=0\.1, d=0\.25\]"):
+            fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
+
+    def test_scipy_without_the_highs_class_is_an_import_error(self, monkeypatch):
+        # as under scipy before 1.15, whose HiGHS bindings have no _Highs class
+        monkeypatch.delitem(sys.modules, svm_reject._HIGHS_MODULE, raising=False)
+        monkeypatch.setattr(svm_reject, "_load_extension", lambda name: types.ModuleType(name))
+        svm_reject._highs_core.cache_clear()
+        x, y = random_instance(np.random.default_rng(14))
+        found = re.escape(scipy.__version__)
+        with pytest.raises(ImportError, match=rf"needs scipy >= 1\.15 \(HiGHS's _Highs class\); found scipy {found}$"):
             fit_path(x, y, R_GRID, RejectLossParams(d=0.25))
 
 
@@ -427,7 +392,8 @@ def edge_case(name):
 
 
 class TestDualEdgeCases:
-    """Both routes of the dual against the primal oracle and the stationarity residual."""
+    """The dual against the primal oracle and the stationarity residual, warm-started along the grid
+    and solved cold (a fresh one-point fit, as ``svmr-fit`` makes) at each penalty."""
 
     GRID = [0.003, 0.03, 0.3, 3.0]
 
@@ -435,10 +401,12 @@ class TestDualEdgeCases:
     @pytest.mark.parametrize(
         "name", ["no_intercept", "two_rows", "constant_column", "duplicate_columns", "d_near_half", "small_d"]
     )
-    def test_reaches_the_primal_optimum(self, cold_fit_path, route, name):
+    def test_reaches_the_primal_optimum(self, route, name):
         x, y, p, options = edge_case(name)
-        solve = fit_path if route == "warm" else cold_fit_path
-        path = solve(x, y, self.GRID, p, **options)
+        if route == "warm":
+            path = fit_path(x, y, self.GRID, p, **options)
+        else:
+            path = [fit(x, y, r, p, **options) for r in self.GRID]
         primal = primal_fit_path(x, y, self.GRID, p, **options)
         for model, oracle in zip(path, primal):
             assert abs(model.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
@@ -450,16 +418,14 @@ class TestDualEdgeCases:
         if name == "duplicate_columns":  # the penalty is indifferent to how a tied weight is shared
             assert np.allclose([m.coef_internal[1:].sum() for m in path], [m.coef_internal[1:].sum() for m in primal])
 
-    @pytest.mark.parametrize("route", ["warm", "cold"])
-    def test_fresh_fit_reaches_the_optimum_within_the_default_tolerances(self, cold_fit_path, route):
+    def test_fresh_fit_reaches_the_optimum_within_the_default_tolerances(self):
         # HiGHS's dual feasibility tolerance is absolute; with costs of -1/n
         # on s instead of -1, a fresh solve of this program stopped short of
-        # the optimum on both routes (8e-9 relative on the warm one, r = 0.3)
+        # the optimum (8e-9 relative, r = 0.3)
         ds, _ = synth_generate(148, 24, seed=298, model="logistic", active=4, coef=1.2, class_counts=(101, 47))
         x, y, p = ds.X, ds.y.astype(float), RejectLossParams(d=1 / 3)
-        solve = fit_path if route == "warm" else cold_fit_path
         for r in (0.1, 0.3, 1.0):
-            (model,) = solve(x, y, [r], p)
+            model = fit(x, y, r, p)
             (oracle,) = primal_fit_path(x, y, [r], p)
             assert abs(model.objective - oracle.objective) <= 1e-9 * oracle.objective
 
@@ -552,7 +518,7 @@ def run_python(script):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-# a small program that both routes of fit_path solve
+# a small program for fit_path
 LP_SETUP = """
 import json, sys
 import numpy as np
@@ -567,30 +533,13 @@ p = RejectLossParams(d=0.25)
 NAME = "scipy.optimize._highspy._core"
 
 
-def cold_fit(*args, **kwargs):
-    # fit on the cold route (linprog), as where scipy has no _Highs
-    warm = svm_reject._highs_core
-    svm_reject._highs_core = lambda: None
-    try:
-        return fit(*args, **kwargs)
-    finally:
-        svm_reject._highs_core = warm
-
-
-def agreement(first, fresh, cold):
-    # a fresh warm fit is bitwise the path's first point; the cold route
-    # solves the same program laid out as linprog lays it out
-    return {
-        "bitwise": [first.coef.tobytes() == fresh.coef.tobytes(), first.intercept == fresh.intercept,
-                    first.objective == fresh.objective],
-        "cold": [abs(first.objective - cold.objective) <= 1e-9 * cold.objective,
-                 first.nonzero_features == cold.nonzero_features,
-                 bool(np.array_equal(svm_reject.predict(first, x), svm_reject.predict(cold, x)))],
-    }
+def bitwise(first, fresh):
+    # a fresh fit is bitwise the path's first point
+    return [first.coef.tobytes() == fresh.coef.tobytes(), first.intercept == fresh.intercept,
+            first.objective == fresh.objective]
 """
 
 
-@needs_highs
 class TestHighsLoader:
     """``_highs_core`` loads the same module object whichever way it is reached."""
 
@@ -604,13 +553,12 @@ from scipy.optimize._highspy import _core
 import scipy.optimize._highspy._core as dotted
 core = svm_reject._highs_core()
 fresh = fit(x, y, 0.05, p)
-cold = cold_fit(x, y, 0.05, p)
 res = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
 print(json.dumps({
     "before": before,
     "same": [core is _core, core is dotted, core is sys.modules[NAME]],
     "linprog": [int(res.status), float(res.fun)],
-    **agreement(first, fresh, cold),
+    "bitwise": bitwise(first, fresh),
 }))
 """)
         assert all(name.startswith("scipy.optimize._highspy._core") for name in result["before"])
@@ -618,7 +566,6 @@ print(json.dumps({
         assert result["same"] == [True, True, True]
         assert result["linprog"] == [0, 1.0]
         assert result["bitwise"] == [True, True, True]
-        assert result["cold"] == [True, True, True]
 
     def test_a_registered_module_is_used(self):
         result = run_python(LP_SETUP + """
@@ -636,11 +583,10 @@ svm_reject._load_extension = lambda name: None  # as where the file is not found
 core = svm_reject._highs_core()
 first = fit_path(x, y, [0.05, 0.5], p)[0]
 fresh = fit(x, y, 0.05, p)
-cold = cold_fit(x, y, 0.05, p)
 from scipy.optimize._highspy import _core
-print(json.dumps({"same": [core is _core, core is sys.modules[NAME]], **agreement(first, fresh, cold)}))
+print(json.dumps({"same": [core is _core, core is sys.modules[NAME]], "bitwise": bitwise(first, fresh)}))
 """)
-        assert result == {"same": [True, True], "bitwise": [True, True, True], "cold": [True, True, True]}
+        assert result == {"same": [True, True], "bitwise": [True, True, True]}
 
     def test_threads_asking_at_once_load_it_once(self):
         # cv's pool threads may make the first fit_path calls together
