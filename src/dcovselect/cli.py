@@ -17,7 +17,8 @@ cost are tagged ``f"{d:.6g}"`` and written in ``--d`` order: a repeated
 a usage error.
 
 Exit codes: 0 success, 1 usage error (also a file that cannot be read or
-written), 2 data validation error, 3 solver failure.
+written), 2 data validation error, 3 solver failure (also a scipy without
+HiGHS's ``_Highs`` class).
 """
 
 import argparse
@@ -678,6 +679,9 @@ def main(argv=None) -> int:
         return DATA_EXIT
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return SOLVER_EXIT
+    except ImportError as exc:  # a scipy without HiGHS's _Highs class
+        print(f"error: {exc}", file=sys.stderr)
         return SOLVER_EXIT
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

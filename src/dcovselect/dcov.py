@@ -11,24 +11,32 @@ matrix whose ``k >= 1`` columns are treated as one vector-valued variable, so
 joint statistics over several variables are just statistics of the
 column-concatenated block.
 
-Screening a large feature panel against one response does not build a
-matrix per feature: ``marginal_dcor2`` centers the response once and obtains
-every feature's statistics from sorted columns (see its docstring).  It has
-two ways to the cross term, chosen by the response alone.  A single-column
-response with exactly two values (a case/control status, a one-vs-rest
-indicator) is ranked by class blocks: its centered matrix is constant on
-each class-pair block, so per-class sorted columns give every sum in
-O(n log n) per feature.  Any other response takes ``n - 1`` row sweeps,
-O(n^2) per feature, which are also the test oracle for the class path.
-``centered_distances`` records the two classes on the matrix it returns,
-and that is the whole dispatch rule.  The per-matrix functions
-(``centered_distances``, which double-centers the distance matrix in place,
-and the statistics built on it) are the reference both paths are tested
-against.  Distances come from ``pairwise_distances``, a numpy kernel that
-sums squared coordinate differences in column order, as
-``scipy.spatial.distance.cdist`` does, so this module needs no scipy.
-All functions are pure, apart from the constant-response warning; results
-depend only on the inputs.
+The per-matrix functions (``centered_distances``, which double-centers the
+distance matrix in place, and the statistics built on it) are the
+reference.  Screening does not go through them for every response:
+
+* A response column with exactly two values a whole number apart (the -1/+1
+  status, the 0/1 one-vs-rest indicators) has every distance, row sum and
+  total an exact multiple of the gap, so its centered matrix is one
+  constant per class-pair block.  ``class_blocks`` keeps only the class
+  codes and those 2 x 2 constants (``ClassBlocks``), bitwise the entries
+  ``centered_distances`` writes, and dVar^2 comes from the class counts.
+  No ``n x n`` array is built for it.
+* Any other response keeps its ``CenteredDistanceMatrix``.
+
+``marginal_dcor2`` scores every feature against either form without a
+per-feature matrix: by class blocks from per-class sorted columns,
+O(n log n) per feature, or by ``n - 1`` row sweeps, O(n^2) per feature,
+which are also the class path's test oracle.  ``JointDistances`` serves
+the greedy walk: it keeps the selected block's summed squared distances as
+the strict upper triangle plus the diagonal squares, in row blocks of
+``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n - 1``), so
+the walk holds about ``n^2 / 2`` floats, plus as many again for a
+continuous response's own upper-triangle row blocks.  Distances come from
+``pairwise_distances``, a numpy kernel that sums squared coordinate
+differences in column order, as ``scipy.spatial.distance.cdist`` does, so
+this module needs no scipy.  All functions are pure, apart from the
+constant-response warning; results depend only on the inputs.
 """
 
 import warnings
@@ -39,7 +47,9 @@ import numpy as np
 from .errors import DataValidationError
 
 __all__ = [
+    "ROW_BLOCK",
     "CenteredDistanceMatrix",
+    "ClassBlocks",
     "DCovStats",
     "as_block",
     "pairwise_distances",
@@ -49,8 +59,14 @@ __all__ = [
     "dcor2",
     "dcov2_joint",
     "dcov2_centered",
+    "class_blocks",
+    "column_terms",
     "marginal_dcor2",
+    "JointDistances",
 ]
+
+# rows per block of ``JointDistances``; a block's one scratch array holds at most ROW_BLOCK * n floats
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,29 @@ class CenteredDistanceMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class ClassBlocks:
+    """The centered distance matrix of a two-valued column, without the matrix.
+
+    ``classes`` holds each subject's class, 0 for the smaller value and 1
+    for the larger, and ``beta[a, b]`` the matrix's entry on every pair of
+    subjects of classes ``(a, b)``: bitwise the entries
+    ``centered_distances`` writes for the column.
+    """
+
+    classes: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.classes.size
+
+    def dvar2(self) -> float:
+        """Squared distance variance, ``sum_ab n_a n_b beta_ab^2 / n^2``."""
+        counts = np.bincount(self.classes, minlength=2).astype(float)
+        return float((np.outer(counts, counts) * self.beta * self.beta).sum()) / (self.n * self.n)
 
 
 @dataclass(frozen=True)
@@ -131,20 +170,14 @@ def centered_distances(block) -> CenteredDistanceMatrix:
 
     A single-column block with two values also records its class codes.
     When those values lie a whole number apart (the -1/+1 status and the
-    0/1 indicators), every distance, row sum and total is an exact integer
-    multiple of that gap, so the four block constants are computed once, in
-    the same order, and the matrix is filled from them: bitwise the matrix
-    above, without an ``n x n`` distance pass.
+    0/1 indicators), the matrix is filled from ``class_blocks``'s four
+    constants: bitwise the matrix above, without an ``n x n`` distance pass.
     """
     x = as_block(block)
-    n = x.shape[0]
-    values = np.unique(x[:, 0]) if x.shape[1] == 1 else ()
-    classes = (x[:, 0] == values[1]).astype(np.intp) if len(values) == 2 else None
-    if classes is not None:
-        gap = float(values[1] - values[0])
-        # every distance sqrt(gap^2), row sum and the total is then exact
-        if gap.is_integer() and gap <= 2.0**26 and gap * n * n <= 2.0**53:
-            return CenteredDistanceMatrix(entries=_class_block_entries(classes, gap), classes=classes)
+    classes, gap = _two_classes(x)
+    if classes is not None and _exact_gap(gap, x.shape[0]):
+        beta = _class_block_constants(classes, gap)
+        return CenteredDistanceMatrix(entries=beta[:, classes][classes], classes=classes)  # C order
     d = pairwise_distances(x)
     if not np.all(np.isfinite(d)):
         raise DataValidationError("distance matrix contains non-finite values")
@@ -157,8 +190,34 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     return CenteredDistanceMatrix(entries=d, classes=classes)
 
 
-def _class_block_entries(classes: np.ndarray, gap: float) -> np.ndarray:
-    """The centered matrix of a two-valued column whose distances are exact.
+def class_blocks(response) -> ClassBlocks | None:
+    """The class form of a response column with two values a whole number apart.
+
+    Returns None for any other response, whose centered matrix is not
+    exactly constant on the class-pair blocks.
+    """
+    x = as_block(response)
+    classes, gap = _two_classes(x)
+    if classes is None or not _exact_gap(gap, x.shape[0]):
+        return None
+    return ClassBlocks(classes=classes, beta=_class_block_constants(classes, gap))
+
+
+def _two_classes(x: np.ndarray) -> tuple[np.ndarray | None, float | None]:
+    """Class codes and gap of a one-column block with exactly two values."""
+    values = np.unique(x[:, 0]) if x.shape[1] == 1 else ()
+    if len(values) != 2:
+        return None, None
+    return (x[:, 0] == values[1]).astype(np.intp), float(values[1] - values[0])
+
+
+def _exact_gap(gap: float, n: int) -> bool:
+    """Whether every distance sqrt(gap^2), row sum and the total is exact."""
+    return gap.is_integer() and gap <= 2.0**26 and gap * n * n <= 2.0**53
+
+
+def _class_block_constants(classes: np.ndarray, gap: float) -> np.ndarray:
+    """The 2 x 2 block constants of a two-valued column whose distances are exact.
 
     The generic path's means then round exactly as here: a row of class
     ``c`` sums ``gap`` once per member of the other class, column means
@@ -170,8 +229,7 @@ def _class_block_entries(classes: np.ndarray, gap: float) -> np.ndarray:
     n0 = n - n1
     means = (n1 * gap / n, n0 * gap / n)
     grand = 2 * n0 * n1 * gap / (n * n)
-    block = np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
-    return block[:, classes][classes]  # one row per class, then one per subject: C order
+    return np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
 
 
 def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
@@ -229,25 +287,30 @@ def dcov2_joint(selected, y) -> float:
     return dcov2(joint, y)
 
 
-def marginal_dcor2(x, response) -> np.ndarray:
+def marginal_dcor2(x, response, columns=None) -> np.ndarray:
     """Squared distance correlation of each column of ``x`` with ``response``.
 
     ``x`` is an ``n x p`` matrix whose columns are separate univariate
-    variables; ``response`` is an ``n x k`` block, or its
-    ``CenteredDistanceMatrix`` ``B`` when the caller has already built it.
-    Entry ``j`` of the result is ``dcor2(x[:, j], response).r2``, obtained
-    without forming any per-column ``n x n`` matrix.  ``B`` has zero row
-    and column sums, so ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij =
-    2 sum_{i<j} |x_i - x_j| B_ij``; that cross sum is taken one of two ways:
+    variables; ``response`` is an ``n x k`` block, or the ``ClassBlocks``
+    or ``CenteredDistanceMatrix`` ``B`` the caller has already built for
+    it.  A raw response becomes its ``class_blocks`` when it is a column
+    with two values a whole number apart, so no ``n x n`` array is built
+    for it, and its ``centered_distances`` otherwise.  Entry ``j`` of the
+    result is ``dcor2(x[:, j], response).r2``, obtained without forming any
+    per-column ``n x n`` matrix.  ``B`` has zero row and column sums, so
+    ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij = 2 sum_{i<j} |x_i - x_j|
+    B_ij``; that cross sum is taken one of two ways:
 
-    * class blocks, when ``B`` carries class codes (a one-column response
-      with two values): ``B`` is ``beta_ab`` on the block of classes
+    * class blocks, when the response has class codes (``ClassBlocks``, or
+      a matrix that records them, whose constants are read at the first
+      member of each class): ``B`` is ``beta_ab`` on the block of classes
       ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11 U_1 +
       beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over all
       pairs and ``U_c`` over the pairs within class ``c``.  A sorted column
       ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``; ``U``
       is half the row-sum total below and each ``U_c`` takes one sort of
-      that class's rows, in one reused buffer.  Every term, the column
+      that class's rows, in one reused buffer.  dVar^2 of the response is
+      ``ClassBlocks.dvar2``, from the class counts.  Every term, the column
       variance included, comes from sorted columns, so this kernel sees
       each column only as one multiset per class: columns with the same
       multisets (duplicates, constant columns, within-class permutations
@@ -258,12 +321,17 @@ def marginal_dcor2(x, response) -> np.ndarray:
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
-    row sums ``a_i.`` read off the gaps of the sorted column.  Memory is
-    O(np); every column goes through the same operations, so identical
-    columns get identical values.  A constant response warns and gives all
-    zeros.
+    row sums ``a_i.`` read off the gaps of the sorted column.  The class
+    path takes them, with each column's pair sum, from ``columns`` when
+    given: ``column_terms(x)``, computed once for several two-valued
+    responses on the same ``x``.  Memory is O(np); every column goes
+    through the same operations, so identical columns get identical
+    values.  A constant response warns and gives all zeros.
     """
-    b = response if isinstance(response, CenteredDistanceMatrix) else centered_distances(response)
+    if isinstance(response, (ClassBlocks, CenteredDistanceMatrix)):
+        b = response
+    else:
+        b = class_blocks(response) or centered_distances(response)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
@@ -272,28 +340,35 @@ def marginal_dcor2(x, response) -> np.ndarray:
         raise ValueError(f"sample counts differ: {n} vs {b.n}")
     if not np.all(np.isfinite(x)):
         raise DataValidationError("feature matrix contains non-finite values")
+    if isinstance(b, ClassBlocks):
+        return _class_r2(x, b, columns)
+    if b.classes is not None:
+        first = [int(np.argmax(b.classes == c)) for c in (0, 1)]
+        return _class_r2(x, ClassBlocks(classes=b.classes, beta=b.entries[np.ix_(first, first)]), columns)
     vy2 = dcov2_centered(b, b)
     if vy2 == 0.0:
         warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)
         return np.zeros(p)
-
-    if b.classes is None:
-        return _swept_r2(x, b.entries, vy2)
-    return _class_r2(x, b, vy2)
-
-
-def _swept_r2(x: np.ndarray, b: np.ndarray, vy2: float) -> np.ndarray:
-    """r^2 of every column from row sweeps, against the centered matrix ``b``."""
-    cross = _swept_cross(x, b)
+    cross = _swept_cross(x, b.entries)
     vx2, _ = _column_dvar2(np.sort(x, axis=0), x.var(axis=0))
-    return _r2(cross, vx2, vy2, x.shape[0])
+    return _r2(cross, vx2, vy2, n)
 
 
-def _class_r2(x: np.ndarray, b: CenteredDistanceMatrix, vy2: float) -> np.ndarray:
-    """r^2 of every column from class blocks; ``b`` carries class codes."""
-    s = np.sort(x, axis=0)
+def column_terms(x) -> tuple[np.ndarray, np.ndarray]:
+    """dVar^2 and pair sum ``sum_{i<j} |x_i - x_j|`` of every column of ``x``.
+
+    These are the terms of ``marginal_dcor2``'s class path that do not
+    depend on the response.
+    """
+    s = np.sort(np.asarray(x, dtype=float), axis=0)
     vx2, row_total = _column_dvar2(s, s.var(axis=0))
-    return _r2(_class_cross(x, b, 0.5 * row_total, s), vx2, vy2, x.shape[0])
+    return vx2, 0.5 * row_total
+
+
+def _class_r2(x: np.ndarray, y: ClassBlocks, columns) -> np.ndarray:
+    """r^2 of every column from class blocks."""
+    vx2, pairs = column_terms(x) if columns is None else columns
+    return _r2(_class_cross(x, y, pairs, np.empty_like(x)), vx2, y.dvar2(), x.shape[0])
 
 
 def _r2(cross: np.ndarray, vx2: np.ndarray, vy2: float, n: int) -> np.ndarray:
@@ -323,23 +398,20 @@ def _swept_cross(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cross
 
 
-def _class_cross(x: np.ndarray, b: CenteredDistanceMatrix, pairs: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _class_cross(x: np.ndarray, y: ClassBlocks, pairs: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``sum_{i<j} |x_i - x_j| B_ij`` of every column, from class blocks.
 
     ``pairs`` is each column's pair sum over all subjects and ``buf`` an
-    ``n x p`` scratch array.  Each block constant is read off ``B`` at the
-    first member of each class (the diagonal holds the within-class one,
-    so a one-member class needs no second member).
+    ``n x p`` scratch array.
     """
-    members = [np.flatnonzero(b.classes == c) for c in (0, 1)]
-    first = [rows[0] for rows in members]
-    beta = b.entries[np.ix_(first, first)]
     within = []
-    for rows in members:
+    for c in (0, 1):
+        rows = np.flatnonzero(y.classes == c)
         block = buf[: rows.size]
         np.take(x, rows, axis=0, out=block)
         block.sort(axis=0)
         within.append(_sorted_pair_sums(block))
+    beta = y.beta
     return beta[0, 0] * within[0] + beta[1, 1] * within[1] + beta[0, 1] * (pairs - within[0] - within[1])
 
 
@@ -382,3 +454,87 @@ def _column_dvar2(s: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rows *= rows
     vx2 = 2.0 * var - 2.0 * rows.sum(axis=0) / n**3 + (row_total / n**2) ** 2
     return np.maximum(vx2, 0.0), row_total
+
+
+class JointDistances:
+    """A growing block of columns and its joint squared distance covariance with a response.
+
+    The block is kept as the sum of its columns' squared pairwise
+    differences over the strict upper triangle and the diagonal squares,
+    in row blocks of at most ``ROW_BLOCK`` rows: block ``[i, i + k)`` holds
+    columns ``i .. n - 1``, so the state is about ``n^2 / 2`` floats.  Its
+    distances are the square roots of these sums; ``B`` has zero row and
+    column sums, so double-centering them would not change their inner
+    product with ``B``, and ``n^2 dCov^2 = 2 sum(rectangle) + sum(diagonal
+    square)`` over the blocks, the rectangle being columns ``i + k ..
+    n - 1``.
+
+    ``response`` is the ``ClassBlocks`` or ``CenteredDistanceMatrix`` of the
+    response.  A matrix keeps only its own upper-triangle row blocks.  For
+    class blocks the subjects are put in class order (a column passed in
+    keeps the caller's order and is reordered here) and no block straddles
+    the classes, so each block's ``B`` is one constant on its diagonal
+    square and on at most two rectangles: the square roots are summed per
+    class pair and weighted by ``beta`` once, at the end.  Scoring a
+    candidate takes one scratch array of at most ``ROW_BLOCK * n`` floats.
+    """
+
+    def __init__(self, response):
+        n = response.n
+        if isinstance(response, ClassBlocks):
+            self._order = np.argsort(response.classes, kind="stable")
+            self._n0 = n - int(response.classes.sum())
+            self._beta = response.beta
+        else:  # one class; each block's products with the matrix are summed
+            self._order = None
+            self._n0 = n
+            self._beta = np.array([[1.0, 0.0], [0.0, 0.0]])
+        self._blocks = _row_blocks(0, self._n0) + _row_blocks(self._n0, n)
+        self._weights = None
+        if isinstance(response, CenteredDistanceMatrix):
+            self._weights = [response.entries[i:end, i:].copy() for i, end in self._blocks]
+        self._sq = [np.zeros((end - i, n - i)) for i, end in self._blocks]
+        self._buf = np.empty(min(ROW_BLOCK, n) * n)
+        self._n = n
+
+    def dcov2_with(self, column) -> float:
+        """Joint squared distance covariance of the block plus ``column``; the block is unchanged."""
+        col = self._ordered(column)
+        sums = [0.0, 0.0, 0.0]  # over the pairs of classes (0, 0), (0, 1) and (1, 1)
+        for block, ((i, end), sq) in enumerate(zip(self._blocks, self._sq)):
+            dist = self._squared_differences(col, i, end)
+            dist += sq
+            np.sqrt(dist, out=dist)
+            if self._weights is not None:
+                dist *= self._weights[block]
+            k = end - i
+            if i < self._n0:
+                split = self._n0 - i
+                sums[0] += float(dist[:, :k].sum()) + 2.0 * float(dist[:, k:split].sum())
+                sums[1] += 2.0 * float(dist[:, split:].sum())
+            else:
+                sums[2] += float(dist[:, :k].sum()) + 2.0 * float(dist[:, k:].sum())
+        beta = self._beta
+        v2 = (beta[0, 0] * sums[0] + beta[0, 1] * sums[1] + beta[1, 1] * sums[2]) / (self._n * self._n)
+        # The biased estimator is nonnegative in exact arithmetic; clamp roundoff.
+        return float(v2) if v2 > 0.0 else 0.0
+
+    def add(self, column) -> None:
+        """Admit ``column`` into the block."""
+        col = self._ordered(column)
+        for (i, end), sq in zip(self._blocks, self._sq):
+            sq += self._squared_differences(col, i, end)
+
+    def _ordered(self, column: np.ndarray) -> np.ndarray:
+        return column if self._order is None else column[self._order]
+
+    def _squared_differences(self, col: np.ndarray, i: int, end: int) -> np.ndarray:
+        """``(col_r - col_c)^2`` for rows ``[i, end)`` and columns ``i .. n - 1``, in the scratch array."""
+        out = self._buf[: (end - i) * (self._n - i)].reshape(end - i, self._n - i)
+        np.subtract(col[i:end, None], col[None, i:], out=out)
+        out *= out
+        return out
+
+
+def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    return [(i, min(i + ROW_BLOCK, stop)) for i in range(start, stop, ROW_BLOCK)]

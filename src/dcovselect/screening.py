@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcov import centered_distances, marginal_dcor2
+from .dcov import JointDistances, centered_distances, class_blocks, column_terms, marginal_dcor2
 
 __all__ = [
     "ScreeningConfig",
@@ -115,10 +115,14 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
     class-block kernel gives it to every group of columns with the same
     values in each class, up to order: duplicates, within-class
     permutations of one column, and constant columns (r2 exactly 0).
-    ``response`` may also be its already built ``CenteredDistanceMatrix``;
-    ``marginal_dcor2`` scores all features against it at once.
+    ``response`` may also be its already built ``ClassBlocks`` or
+    ``CenteredDistanceMatrix``; ``marginal_dcor2`` scores all features
+    against it at once.
     """
-    r2 = marginal_dcor2(x, response)
+    return _ranked(marginal_dcor2(x, response))
+
+
+def _ranked(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if r2.size < 1:
         raise ValueError("need at least one feature")
     ranking = np.argsort(-r2, kind="stable")  # stable sort -> ascending index on ties
@@ -144,21 +148,35 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     consumed, skipped ones staying eligible for later steps.  The walk stops
     when no candidate in the window qualifies, or when the ranking is
     exhausted.
+
+    The selection is kept as ``dcov.JointDistances``: summed squared
+    differences in upper-triangle row blocks, about ``n^2 / 2`` floats,
+    scored block by block in one scratch array of at most ``ROW_BLOCK * n``
+    floats.  A response column with two values a whole number apart
+    builds no ``n x n`` array at all: ranking and walk read its class codes
+    and 2 x 2 block constants, and the walk visits the subjects in class
+    order.  Any other response builds its centered matrix once, for the
+    ranking, and the walk keeps its upper-triangle row blocks, another
+    ``n^2 / 2`` floats.
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)
-    b = centered_distances(response)
-    ranking, r2 = marginal_rank(x, b)
-    if config.standardize:
-        x = standardize_columns(x)
+    y = class_blocks(response)
+    b = centered_distances(response) if y is None else None
+    # a class response is ranked from the column itself, which takes O(n) to recode
+    ranking, r2 = marginal_rank(x, response if b is None else b)
+    joint = JointDistances(y if b is None else b)
+    del b  # the walk holds only its own row blocks of the matrix
+    return _greedy_walk(standardize_columns(x) if config.standardize else x, joint, ranking, r2, config)
 
+
+def _greedy_walk(
+    x: np.ndarray, joint: JointDistances, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig
+) -> ScreeningResult:
+    """The walk over ``ranking`` with the (z-scored) columns ``x``, from an empty ``joint``."""
     top = int(ranking[0])
-    # running sum of squared per-coordinate distances of the selected block;
-    # adding a column only adds its own squared differences.  ``buf`` is the
-    # one n x n scratch array for candidate sums and joint values.
-    sq = _sq_diff(x[:, top], np.empty_like(b.entries))
-    buf = np.empty_like(sq)
-    current = _joint_dcov2(sq, b, buf)
+    current = joint.dcov2_with(x[:, top])
+    joint.add(x[:, top])
 
     selected = [top]
     trajectory = [current]
@@ -171,18 +189,14 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
         window = remaining[: config.m_lookahead]
         admitted_pos = None
         for pos, j in enumerate(window):
-            cand_sq = _sq_diff(x[:, j], buf)
-            cand_sq += sq
-            value = _joint_dcov2(cand_sq, b, buf)
+            value = joint.dcov2_with(x[:, j])
             accepted = value >= current - config.epsilon
             trajectory.append(value)
             traj_features.append(j)
             traj_accepted.append(accepted)
             if accepted:
                 admitted_pos = pos
-                # the joint value overwrote the candidate sum; addition
-                # commutes, so this is bitwise that sum
-                sq += _sq_diff(x[:, j], buf)
+                joint.add(x[:, j])
                 current = value
                 selected.append(j)
                 break
@@ -202,36 +216,8 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     )
 
 
-def _sq_diff(col: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Squared pairwise differences of ``col``, written to ``out``."""
-    np.subtract(col[:, None], col[None, :], out=out)
-    out *= out
-    return out
-
-
-def _joint_dcov2(sq: np.ndarray, b, out: np.ndarray) -> float:
-    """Joint squared distance covariance from summed squared differences.
-
-    ``out`` may be ``sq`` itself.  b has zero row and column sums, so
-    double-centering the joint distances sqrt(sq) would not change their
-    inner product with it.
-    """
-    np.sqrt(sq, out=out)
-    out *= b.entries
-    v2 = float(np.mean(out))
-    return v2 if v2 > 0.0 else 0.0
-
-
-def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
-    """Run the configured screening method and return its result."""
-    config = config or ScreeningConfig()
-    if config.method == "dcov_greedy":
-        return dcov_greedy(x, response, config)
-
-    x = np.asarray(x, dtype=float)
-    ranking, r2 = marginal_rank(x, response)
-    d = config.d_model_size or default_model_size(x.shape[0])
-    selected = dc_sis_select(ranking, d)
+def _dc_sis(n: int, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
+    selected = dc_sis_select(ranking, config.d_model_size or default_model_size(n))
     return ScreeningResult(
         ranking=ranking,
         marginal_r2=r2,
@@ -243,6 +229,15 @@ def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> Sc
     )
 
 
+def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
+    """Run the configured screening method and return its result."""
+    config = config or ScreeningConfig()
+    if config.method == "dcov_greedy":
+        return dcov_greedy(x, response, config)
+    x = np.asarray(x, dtype=float)
+    return _dc_sis(x.shape[0], *marginal_rank(x, response), config)
+
+
 def one_vs_rest_screen(
     x: np.ndarray, class_labels, config: ScreeningConfig | None = None
 ) -> tuple[dict, list[int]]:
@@ -252,12 +247,20 @@ def one_vs_rest_screen(
     elsewhere; classes with fewer than two members are skipped with a
     warning.  Returns ``(per_class, union)`` where ``per_class`` maps each
     screened class label to its ScreeningResult and ``union`` is the sorted
-    union of the selected sets.
+    union of the selected sets.  Each class's result is ``screen``'s for
+    its indicator; the columns' dVar^2 and pair sums (``column_terms``),
+    and for the greedy walk their z-scores, are computed once for all
+    classes.
     """
+    config = config or ScreeningConfig()
     labels = np.asarray(class_labels)
     classes = [c for c in np.unique(labels)]
     if len(classes) < 2:
         raise ValueError("one-versus-rest screening needs at least 2 classes")
+    x = np.asarray(x, dtype=float)
+    columns = column_terms(x)
+    greedy = config.method == "dcov_greedy"
+    z = standardize_columns(x) if greedy and config.standardize else x
     per_class = {}
     union: set[int] = set()
     for c in classes:
@@ -265,8 +268,12 @@ def one_vs_rest_screen(
         if members < 2:
             warnings.warn(f"class {c!r} has {members} member(s); skipped", stacklevel=2)
             continue
-        indicator = np.where(labels == c, 0.0, 1.0)
-        result = screen(x, indicator, config)
+        y = class_blocks(np.where(labels == c, 0.0, 1.0))
+        ranking, r2 = _ranked(marginal_dcor2(x, y, columns))
+        if greedy:
+            result = _greedy_walk(z, JointDistances(y), ranking, r2, config)
+        else:
+            result = _dc_sis(x.shape[0], ranking, r2, config)
         per_class[c] = result
         union.update(result.selected)
     if not per_class:

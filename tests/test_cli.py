@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -238,6 +239,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.search(r"solver failure: linear program failed \(status \d+\): .+ \[n=80, features=15, r=0\.1, d=0\.25\]", err)
         assert not (out / "model.json").exists()
+
+    def test_scipy_without_the_highs_class_is_three(self, synth_dir, tmp_path, monkeypatch, capsys):
+        # as under scipy before 1.15, whose HiGHS bindings have no _Highs class
+        monkeypatch.delitem(sys.modules, svm_reject._HIGHS_MODULE, raising=False)
+        monkeypatch.setattr(svm_reject, "_load_extension", lambda name: types.ModuleType(name))
+        svm_reject._highs_core.cache_clear()
+        out = tmp_path / "fit"
+        assert run(
+            "svmr-fit", "--input", str(synth_dir / "data.csv"), "--label-col", "status",
+            "--d", "1/4", "--r", "0.1", "--out-dir", str(out),
+        ) == 3
+        assert re.fullmatch(r"error: the LP solver needs scipy >= 1\.15 \(HiGHS's _Highs class\); found scipy \S+\n", capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("svmr-fit", "--d", "1/4", "--r", "inf"),

@@ -6,8 +6,10 @@ from dcovselect.dcov import (
     CenteredDistanceMatrix,
     as_block,
     centered_distances,
+    class_blocks,
     dcor2,
     dcov2,
+    dcov2_centered,
     dcov2_joint,
     dvar2,
     marginal_dcor2,
@@ -402,8 +404,26 @@ class TestClassBlockKernel:
             assert b.entries.flags.c_contiguous
             assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
 
+    @pytest.mark.parametrize("coding", ["plus_minus_one", "zero_one"])
+    def test_class_codes_stand_for_the_matrix(self, coding):
+        rng = np.random.default_rng(48)
+        for n in (2, 3, 40, 279):
+            classes = (rng.random(n) < 0.4).astype(int)
+            classes[0], classes[-1] = 0, 1
+            y = coded(classes, coding)
+            b = centered_distances(y)
+            blocks = class_blocks(y)
+            assert np.array_equal(blocks.classes, classes)
+            assert blocks.beta[:, classes][classes].tobytes() == b.entries.tobytes()
+            # dVar^2 from the class counts, against the mean over the matrix
+            assert abs(blocks.dvar2() - dcov2_centered(b, b)) <= 1e-14 * dcov2_centered(b, b)
+            x = rng.normal(size=(n, 5))
+            assert marginal_dcor2(x, y).tobytes() == marginal_dcor2(x, blocks).tobytes()
+            assert marginal_dcor2(x, b).tobytes() == marginal_dcor2(x, blocks).tobytes()
+
     def test_other_codings_keep_the_generic_matrix(self):
         y = coded(np.arange(11) % 2, "tenths")
+        assert class_blocks(y) is None
         b = centered_distances(y)
         assert np.array_equal(b.classes, np.arange(11) % 2)
         assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
@@ -411,6 +431,7 @@ class TestClassBlockKernel:
     @pytest.mark.parametrize("y", [np.arange(6.0), np.full(6, 2.0), np.zeros((6, 2)), np.tile([0.0, 1.0], (3, 2))])
     def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
         assert centered_distances(y).classes is None
+        assert class_blocks(y) is None
 
     @staticmethod
     def assert_ties_rank_by_index(r2, ranking, groups):

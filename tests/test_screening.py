@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from dcovselect.screening import (
     standardize_columns,
 )
 
-from oracles import composed_greedy_walk, composed_standardize
+from oracles import composed_greedy_walk, composed_marginal_dcor2, composed_standardize
 
 
 def greedy_reference(x, response, epsilon=0.0, m=1, standardize=True):
@@ -324,6 +326,45 @@ class TestOneVsRest:
         _, union = one_vs_rest_screen(x, labels)
         assert set(range(2 * classes)) <= set(union)
 
+    @pytest.mark.parametrize("method", ["dcov_greedy", "dc_sis"])
+    def test_each_class_ranks_as_its_indicator_does(self, method):
+        # the column terms are shared across the classes; each class's r^2 stays its own screen's
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 3, size=(90, 30)).astype(float)
+        x[:, 7] = x[:, 2]
+        labels = np.array(["a", "b", "c"])[rng.integers(0, 3, size=90)]
+        x[labels == "b", 4] += 1.0
+        config = ScreeningConfig(method=method)
+        per_class, _ = one_vs_rest_screen(x, labels, config)
+        for c, result in per_class.items():
+            indicator = np.where(labels == c, 0.0, 1.0)
+            ranking, r2 = marginal_rank(x, indicator)
+            assert result.marginal_r2.tobytes() == r2.tobytes()
+            assert result.ranking.tobytes() == ranking.tobytes()
+            alone = screen(x, indicator, config)
+            assert result.selected == alone.selected
+            assert result.trajectory == alone.trajectory
+
+
+class TestWalkMemory:
+    """A two-valued response builds no n x n array; the greedy walk holds about n^2 / 2 floats."""
+
+    @pytest.mark.parametrize("method, bound", [("dcov_greedy", 1.0), ("dc_sis", 0.05)])
+    def test_binary_screen_peaks_below_one_square_matrix(self, method, bound):
+        n = 2000
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(n, 6))
+        y = np.where(x[:, 0] + x[:, 1] + x[:, 2] + rng.normal(size=n) > 0.0, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            result = screen(x, y, ScreeningConfig(method=method, d_model_size=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(result.selected) == [0, 1, 2]
+        # one n x n float array is 32 MB
+        assert peak < bound * 8 * n * n
+
 
 class TestStandardizeFlag:
     def test_affine_rescaling_leaves_selection_unchanged(self):
@@ -393,7 +434,7 @@ def test_recovery_of_additive_plus_weak_interaction_model():
 
 
 class TestLeanGreedy:
-    """The buffer-reusing walk and z-scores against their former compositions, bit for bit."""
+    """The row-block walk and the z-scores against their former compositions."""
 
     @staticmethod
     def designs():
@@ -407,22 +448,48 @@ class TestLeanGreedy:
         for n in (5, 17, 33):
             x = rng.normal(size=(n, 8))
             yield x, rng.normal(size=(n, 2))
+        # below, at and just above one row block, and several blocks
+        for n in (63, 64, 65, 130, 300):
+            x = rng.normal(size=(n, 10))
+            x[:, 3] = np.round(x[:, 3])
+            x[:, 8] = x[:, 1]  # a duplicate
+            status = (x[:, 0] + x[:, 1] + rng.normal(size=n) > 0.0).astype(float)
+            yield x, 2.0 * status - 1.0  # -1/+1
+            yield x, status  # 0/1
+            yield x, x[:, 0] * x[:, 2] + rng.normal(size=n)
+        x = rng.normal(size=(130, 6))
+        yield x, np.r_[np.zeros(64), np.ones(66)]  # the class boundary on a block boundary
+        lone = np.zeros(70)
+        lone[37] = 1.0
+        yield rng.normal(size=(70, 6)), lone  # a one-member class
+        x = rng.normal(size=(65, 6))
+        yield x, np.where(x[:, 0] > 0.0, 0.7, 0.1)  # two values, a gap that is not whole: the matrix path
+        yield rng.normal(size=(20, 5)), np.full(20, 3.0)  # a constant response
 
+    @pytest.mark.filterwarnings("ignore:response is constant")
     @pytest.mark.parametrize("m, epsilon", [(1, 0.0), (3, 0.0), (1, 1e-3), (3, 0.05)])
     def test_walk_equals_its_former_composition(self, m, epsilon):
+        """Discrete outcomes and non-binary r^2 bytes are the composition's; joint values agree to 1e-12."""
         for x, y in self.designs():
             config = ScreeningConfig(m_lookahead=m, epsilon=epsilon)
             result = dcov_greedy(x, y, config)
             ranking, r2 = marginal_rank(x, y)
+            b = centered_distances(y)
             selected, trajectory, features, accepted = composed_greedy_walk(
-                composed_standardize(x), ranking, centered_distances(y).entries, epsilon, m
+                composed_standardize(x), ranking, b.entries, epsilon, m
             )
+            composed_r2 = composed_marginal_dcor2(x, b.entries)
             assert result.ranking.tobytes() == ranking.tobytes()
             assert result.marginal_r2.tobytes() == r2.tobytes()
+            if b.classes is None:
+                assert r2.tobytes() == composed_r2.tobytes()
+            else:
+                assert np.abs(r2 - composed_r2).max() < 1e-12
             assert result.selected == selected
-            assert np.array(result.trajectory).tobytes() == np.array(trajectory).tobytes()
+            np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-12, atol=0.0)
             assert result.trajectory_features == features
             assert result.trajectory_accepted == accepted
+            assert result.stop_reason == (STOP_EXHAUSTED if len(selected) == x.shape[1] else STOP_DECREASE)
 
     def test_standardize_columns_equals_its_former_composition(self):
         for x, _ in self.designs():
