@@ -13,15 +13,12 @@ column-concatenated block.
 
 The per-matrix functions (``centered_distances``, which double-centers the
 distance matrix in place, and the statistics built on it) are the
-reference.  Screening does not go through them for every response:
+reference.  Screening keeps the response in one of two forms:
 
-* A response column with exactly two values a whole number apart (the -1/+1
-  status, the 0/1 one-vs-rest indicators) has every distance, row sum and
-  total an exact multiple of the gap, so its centered matrix is one
-  constant per class-pair block.  ``class_blocks`` keeps only the class
-  codes and those 2 x 2 constants (``ClassBlocks``), bitwise the entries
-  ``centered_distances`` writes, and dVar^2 comes from the class counts.
-  No ``n x n`` array is built for it.
+* A column with exactly two values, however coded, has a centered matrix
+  that is one constant per class-pair block.  ``class_blocks`` keeps only
+  the class codes and those 2 x 2 constants (``ClassBlocks``), and dVar^2
+  comes from the class counts.  No ``n x n`` array is built for it.
 * Any other response keeps its ``CenteredDistanceMatrix``.
 
 ``marginal_dcor2`` scores every feature against either form without a
@@ -65,7 +62,7 @@ __all__ = [
     "JointDistances",
 ]
 
-# rows per block of ``JointDistances``; a block's one scratch array holds at most ROW_BLOCK * n floats
+# rows per block of ``JointDistances`` and ``pairwise_distances``; a block's scratch array holds ROW_BLOCK * n floats
 ROW_BLOCK = 64
 
 
@@ -74,13 +71,10 @@ class CenteredDistanceMatrix:
     """Double-centered distance matrix.
 
     ``entries`` is symmetric and every row and column sums to zero (up to
-    roundoff).  ``classes`` holds, for a single-column block with exactly
-    two values, each subject's class: 0 for the smaller value, 1 for the
-    larger; it is ``None`` for any other block.
+    roundoff).
     """
 
     entries: np.ndarray
-    classes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -94,7 +88,8 @@ class ClassBlocks:
     ``classes`` holds each subject's class, 0 for the smaller value and 1
     for the larger, and ``beta[a, b]`` the matrix's entry on every pair of
     subjects of classes ``(a, b)``: bitwise the entries
-    ``centered_distances`` writes for the column.
+    ``centered_distances`` computes for the -1/+1 and 0/1 codings, and
+    equal to rounding for others.
     """
 
     classes: np.ndarray
@@ -149,13 +144,21 @@ def pairwise_distances(block) -> np.ndarray:
     Squared differences are added one coordinate at a time, in column order,
     and the root taken last, so each entry is computed exactly as
     ``scipy.spatial.distance.cdist`` computes it, without importing scipy.
+    The first coordinate goes straight into the result and each later one
+    through a scratch array of ``ROW_BLOCK`` rows: one ``n x n`` array.
     """
     x = as_block(block)
-    sq = np.zeros((x.shape[0], x.shape[0]))
-    for k in range(x.shape[1]):
-        diff = x[:, k, None] - x[None, :, k]
-        diff *= diff
-        sq += diff
+    n = x.shape[0]
+    sq = np.subtract(x[:, 0, None], x[None, :, 0])
+    sq *= sq
+    buf = np.empty(min(ROW_BLOCK, n) * n)
+    for i in range(0, n, ROW_BLOCK):
+        rows = sq[i : i + ROW_BLOCK]
+        diff = buf[: rows.size].reshape(rows.shape)
+        for k in range(1, x.shape[1]):
+            np.subtract(x[i : i + ROW_BLOCK, k, None], x[None, :, k], out=diff)
+            diff *= diff
+            rows += diff
     return np.sqrt(sq, out=sq)
 
 
@@ -166,19 +169,10 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     evaluated left to right, so its entries are bitwise those of the same
     expression in new arrays.  It is square, symmetric and zero on the
     diagonal by construction; only finiteness is checked (a finite block
-    can overflow).
-
-    A single-column block with two values also records its class codes.
-    When those values lie a whole number apart (the -1/+1 status and the
-    0/1 indicators), the matrix is filled from ``class_blocks``'s four
-    constants: bitwise the matrix above, without an ``n x n`` distance pass.
+    can overflow).  Screening keeps a two-valued column as its
+    ``class_blocks`` instead.
     """
-    x = as_block(block)
-    classes, gap = _two_classes(x)
-    if classes is not None and _exact_gap(gap, x.shape[0]):
-        beta = _class_block_constants(classes, gap)
-        return CenteredDistanceMatrix(entries=beta[:, classes][classes], classes=classes)  # C order
-    d = pairwise_distances(x)
+    d = pairwise_distances(block)
     if not np.all(np.isfinite(d)):
         raise DataValidationError("distance matrix contains non-finite values")
     row_means = d.mean(axis=1)
@@ -187,49 +181,36 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     d -= row_means[:, None]
     d -= col_means[None, :]
     d += grand_mean
-    return CenteredDistanceMatrix(entries=d, classes=classes)
+    return CenteredDistanceMatrix(entries=d)
 
 
 def class_blocks(response) -> ClassBlocks | None:
-    """The class form of a response column with two values a whole number apart.
+    """The class form of a response that is one column with exactly two values.
 
-    Returns None for any other response, whose centered matrix is not
-    exactly constant on the class-pair blocks.
+    Returns None for any other response.  Whatever the two values, a row of
+    class ``c`` sums the gap once per member of the other class, column
+    means equal row means, and block ``(a, b)`` holds ``((distance -
+    mean_a) - mean_b) + grand``.  When every distance, row sum and the
+    total are exact (a whole-number gap up to 2^26 with ``gap n^2 <=
+    2^53``), the generic path's means round exactly as here.  A constant
+    or dVar^2 that overflows raises, as in ``centered_distances``.
     """
     x = as_block(response)
-    classes, gap = _two_classes(x)
-    if classes is None or not _exact_gap(gap, x.shape[0]):
-        return None
-    return ClassBlocks(classes=classes, beta=_class_block_constants(classes, gap))
-
-
-def _two_classes(x: np.ndarray) -> tuple[np.ndarray | None, float | None]:
-    """Class codes and gap of a one-column block with exactly two values."""
     values = np.unique(x[:, 0]) if x.shape[1] == 1 else ()
     if len(values) != 2:
-        return None, None
-    return (x[:, 0] == values[1]).astype(np.intp), float(values[1] - values[0])
-
-
-def _exact_gap(gap: float, n: int) -> bool:
-    """Whether every distance sqrt(gap^2), row sum and the total is exact."""
-    return gap.is_integer() and gap <= 2.0**26 and gap * n * n <= 2.0**53
-
-
-def _class_block_constants(classes: np.ndarray, gap: float) -> np.ndarray:
-    """The 2 x 2 block constants of a two-valued column whose distances are exact.
-
-    The generic path's means then round exactly as here: a row of class
-    ``c`` sums ``gap`` once per member of the other class, column means
-    equal row means, and block ``(a, b)`` holds ``((distance - mean_a) -
-    mean_b) + grand``.
-    """
+        return None
+    gap = float(values[1] - values[0])
+    classes = (x[:, 0] == values[1]).astype(np.intp)
     n = classes.size
     n1 = int(classes.sum())
     n0 = n - n1
     means = (n1 * gap / n, n0 * gap / n)
     grand = 2 * n0 * n1 * gap / (n * n)
-    return np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
+    beta = np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
+    blocks = ClassBlocks(classes=classes, beta=beta)
+    if not np.isfinite(blocks.dvar2()):  # both classes are populated, so this covers every constant
+        raise DataValidationError("class-block distance statistics contain non-finite values")
+    return blocks
 
 
 def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
@@ -294,30 +275,29 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
     variables; ``response`` is an ``n x k`` block, or the ``ClassBlocks``
     or ``CenteredDistanceMatrix`` ``B`` the caller has already built for
     it.  A raw response becomes its ``class_blocks`` when it is a column
-    with two values a whole number apart, so no ``n x n`` array is built
-    for it, and its ``centered_distances`` otherwise.  Entry ``j`` of the
-    result is ``dcor2(x[:, j], response).r2``, obtained without forming any
-    per-column ``n x n`` matrix.  ``B`` has zero row and column sums, so
+    with exactly two values, so no ``n x n`` array is built for it, and
+    its ``centered_distances`` otherwise.  Entry ``j`` of the result is
+    ``dcor2(x[:, j], response).r2`` (to rounding), obtained without forming
+    any per-column ``n x n`` matrix.  ``B`` has zero row and column sums, so
     ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij = 2 sum_{i<j} |x_i - x_j|
     B_ij``; that cross sum is taken one of two ways:
 
-    * class blocks, when the response has class codes (``ClassBlocks``, or
-      a matrix that records them, whose constants are read at the first
-      member of each class): ``B`` is ``beta_ab`` on the block of classes
-      ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11 U_1 +
-      beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over all
-      pairs and ``U_c`` over the pairs within class ``c``.  A sorted column
-      ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``; ``U``
-      is half the row-sum total below and each ``U_c`` takes one sort of
-      that class's rows, in one reused buffer.  dVar^2 of the response is
-      ``ClassBlocks.dvar2``, from the class counts.  Every term, the column
-      variance included, comes from sorted columns, so this kernel sees
-      each column only as one multiset per class: columns with the same
-      multisets (duplicates, constant columns, within-class permutations
-      of one column) get bitwise-equal values.  O(n log n) per column;
-    * row sweeps otherwise: the upper triangle accumulated for all columns
-      in ``n - 1`` sweeps over the rows, O(n^2) per column.  They are also
-      the class path's test oracle, which it matches to rounding.
+    * class blocks, for ``ClassBlocks``: ``B`` is ``beta_ab`` on the block
+      of classes ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11
+      U_1 + beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over
+      all pairs and ``U_c`` over the pairs within class ``c``.  A sorted
+      column ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``;
+      ``U`` is half the row-sum total below and each ``U_c`` takes one sort
+      of that class's rows, in one reused buffer.  dVar^2 of the response
+      is ``ClassBlocks.dvar2``, from the class counts.  Every term, the
+      column variance included, comes from sorted columns, so this kernel
+      sees each column only as one multiset per class: columns with the
+      same multisets (duplicates, constant columns, within-class
+      permutations of one column) get bitwise-equal values.  O(n log n)
+      per column;
+    * row sweeps, for a ``CenteredDistanceMatrix``: ``n - 1`` sweeps over
+      the rows accumulate the upper triangle of every column, O(n^2) per
+      column.  They are the class path's test oracle, to rounding.
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
@@ -342,9 +322,6 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
         raise DataValidationError("feature matrix contains non-finite values")
     if isinstance(b, ClassBlocks):
         return _class_r2(x, b, columns)
-    if b.classes is not None:
-        first = [int(np.argmax(b.classes == c)) for c in (0, 1)]
-        return _class_r2(x, ClassBlocks(classes=b.classes, beta=b.entries[np.ix_(first, first)]), columns)
     vy2 = dcov2_centered(b, b)
     if vy2 == 0.0:
         warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)

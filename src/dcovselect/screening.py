@@ -111,10 +111,11 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ranking, r2)`` where ``ranking`` sorts feature indices by
     decreasing ``r2`` with ties broken by ascending original index.  A tie
-    is bitwise equality of ``r2``.  Against a two-valued response the
-    class-block kernel gives it to every group of columns with the same
-    values in each class, up to order: duplicates, within-class
-    permutations of one column, and constant columns (r2 exactly 0).
+    is bitwise equality of ``r2``.  Against a response column with two
+    values, however coded, the class-block kernel gives it to every group
+    of columns with the same values in each class, up to order:
+    duplicates, within-class permutations of one column, and constant
+    columns (r2 exactly 0).
     ``response`` may also be its already built ``ClassBlocks`` or
     ``CenteredDistanceMatrix``; ``marginal_dcor2`` scores all features
     against it at once.
@@ -152,12 +153,12 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     The selection is kept as ``dcov.JointDistances``: summed squared
     differences in upper-triangle row blocks, about ``n^2 / 2`` floats,
     scored block by block in one scratch array of at most ``ROW_BLOCK * n``
-    floats.  A response column with two values a whole number apart
-    builds no ``n x n`` array at all: ranking and walk read its class codes
-    and 2 x 2 block constants, and the walk visits the subjects in class
-    order.  Any other response builds its centered matrix once, for the
-    ranking, and the walk keeps its upper-triangle row blocks, another
-    ``n^2 / 2`` floats.
+    floats.  A response column with exactly two values, however coded,
+    builds no ``n x n`` array at all: ranking and walk read its
+    ``class_blocks``, the class codes and 2 x 2 block constants, and the
+    walk visits the subjects in class order.  Any other response builds
+    its centered matrix once, for the ranking, and the walk keeps its
+    upper-triangle row blocks, another ``n^2 / 2`` floats.
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)

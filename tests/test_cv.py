@@ -436,10 +436,9 @@ class TestClassPathOutcomes:
         real_marginal = dcov.marginal_dcor2
 
         def swept_marginal(x, response):
-            # the sweep, reached through the same matrix without its class codes
-            b = response if isinstance(response, dcov.CenteredDistanceMatrix) else dcov.centered_distances(response)
-            calls.append(b.classes is not None)
-            return real_marginal(x, dcov.CenteredDistanceMatrix(b.entries))
+            # the sweep, reached through the response's centered matrix
+            calls.append(dcov.class_blocks(response) is not None)
+            return real_marginal(x, dcov.centered_distances(response))
 
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class

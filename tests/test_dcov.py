@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from dcovselect.dcov import (
-    CenteredDistanceMatrix,
     as_block,
     centered_distances,
     class_blocks,
@@ -50,12 +51,26 @@ class TestPairwiseDistances:
         with pytest.raises(DataValidationError):
             as_block(np.array([1.0]))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_peak_is_the_matrix_alone(self, k):
+        n = 2000
+        x = np.random.default_rng(k).normal(size=(n, k))
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * d.nbytes
+        assert np.array_equal(d, cdist(x, x))
+
 
 class TestEuclideanDistances:
     @pytest.mark.parametrize("k", range(1, 41))
     def test_bitwise_equal_to_cdist(self, k):
         rng = np.random.default_rng(k)
-        a = rng.normal(size=(31, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
+        # 28 to 145 rows: one row block, exactly one (k = 13), and several
+        a = rng.normal(size=(25 + 3 * k, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
         a[:, 0] = np.round(a[:, 0])  # tied coordinates
         a[4] = a[9]  # tied rows
         assert np.array_equal(pairwise_distances(a), cdist(a, a))
@@ -320,22 +335,22 @@ class TestLeanKernels:
             else:
                 y = rng.normal(size=(n, 2))
             b = centered_distances(y)
-            if response == "binary":
-                # the sweep, reached through a matrix without class codes, stays
-                # bitwise; the class path agrees with it to rounding
-                swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
-                assert swept.tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
-                assert np.abs(marginal_dcor2(x, b) - swept).max() < 1e-12
-            else:
-                assert marginal_dcor2(x, b).tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
+            swept = marginal_dcor2(x, b)
+            assert swept.tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
+            if response == "binary":  # the class path agrees with the sweep to rounding
+                assert np.abs(marginal_dcor2(x, y) - swept).max() < 1e-12
 
 
-CODINGS = {"plus_minus_one": (-1.0, 1.0), "zero_one": (0.0, 1.0), "tenths": (0.1, 0.7)}
+CODINGS = {"plus_minus_one": (-1.0, 1.0), "zero_one": (0.0, 1.0), "tenths": (0.1, 0.7), "z_scored": None}
 
 
 def coded(classes, coding):
+    """The classes as a response column in ``coding``; ``z_scored`` is the z-scored 0/1 column."""
+    classes = np.asarray(classes)
+    if coding == "z_scored":
+        return (classes - classes.mean()) / classes.std()
     low, high = CODINGS[coding]
-    return np.where(np.asarray(classes) == 1, high, low)
+    return np.where(classes == 1, high, low)
 
 
 class TestClassBlockKernel:
@@ -343,10 +358,9 @@ class TestClassBlockKernel:
 
     @staticmethod
     def assert_matches_oracles(x, y):
-        b = centered_distances(y)
-        assert b.classes is not None
-        got = marginal_dcor2(x, b)
-        swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
+        got = marginal_dcor2(x, class_blocks(y))
+        assert got.tobytes() == marginal_dcor2(x, y).tobytes()
+        swept = marginal_dcor2(x, centered_distances(y))
         assert np.abs(got - swept).max() < 1e-12
         for j in range(x.shape[1]):
             assert abs(got[j] - brute_dcor2(x[:, j], y)) < 1e-12
@@ -398,11 +412,9 @@ class TestClassBlockKernel:
             classes = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
             classes[0], classes[-1] = 0, 1
             y = coded(classes, coding)
-            b = centered_distances(y)
-            assert np.array_equal(b.classes, classes)
-            # memory order too: sums over the matrix run in memory order
-            assert b.entries.flags.c_contiguous
-            assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
+            blocks = class_blocks(y)
+            assert np.array_equal(blocks.classes, classes)
+            assert blocks.beta[:, classes][classes].tobytes() == composed_center(pairwise_distances(y)).tobytes()
 
     @pytest.mark.parametrize("coding", ["plus_minus_one", "zero_one"])
     def test_class_codes_stand_for_the_matrix(self, coding):
@@ -419,19 +431,36 @@ class TestClassBlockKernel:
             assert abs(blocks.dvar2() - dcov2_centered(b, b)) <= 1e-14 * dcov2_centered(b, b)
             x = rng.normal(size=(n, 5))
             assert marginal_dcor2(x, y).tobytes() == marginal_dcor2(x, blocks).tobytes()
-            assert marginal_dcor2(x, b).tobytes() == marginal_dcor2(x, blocks).tobytes()
+            assert np.abs(marginal_dcor2(x, b) - marginal_dcor2(x, blocks)).max() < 1e-12
 
-    def test_other_codings_keep_the_generic_matrix(self):
-        y = coded(np.arange(11) % 2, "tenths")
-        assert class_blocks(y) is None
-        b = centered_distances(y)
-        assert np.array_equal(b.classes, np.arange(11) % 2)
-        assert b.entries.tobytes() == composed_center(pairwise_distances(y)).tobytes()
+    @pytest.mark.parametrize("coding", ["tenths", "z_scored"])
+    def test_other_codings_are_class_blocks_to_rounding(self, coding):
+        rng = np.random.default_rng(49)
+        for n in (2, 3, 11, 40, 279):
+            classes = (rng.random(n) < 0.4).astype(int)
+            classes[0], classes[-1] = 0, 1
+            y = coded(classes, coding)
+            b = centered_distances(y)
+            blocks = class_blocks(y)
+            assert np.array_equal(blocks.classes, classes)
+            scale = np.abs(b.entries).max()
+            assert np.abs(blocks.beta[:, classes][classes] - b.entries).max() <= 1e-14 * scale
+            assert abs(blocks.dvar2() - dcov2_centered(b, b)) <= 1e-13 * dcov2_centered(b, b)
 
     @pytest.mark.parametrize("y", [np.arange(6.0), np.full(6, 2.0), np.zeros((6, 2)), np.tile([0.0, 1.0], (3, 2))])
     def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
-        assert centered_distances(y).classes is None
         assert class_blocks(y) is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("values", [(0.0, 1e200), (-1e200, 0.5), (-1e308, 1e308), (0.0, 1e308)])
+    def test_overflowing_gap_is_rejected(self, values):
+        # every entry is finite, but a block constant or dVar^2 overflows
+        classes = np.arange(9) % 2
+        y = np.where(classes == 1, values[1], values[0])
+        x = np.random.default_rng(50).normal(size=(9, 3))
+        for call in (class_blocks, lambda y: marginal_dcor2(x, y), centered_distances):
+            with pytest.raises(DataValidationError, match="non-finite"):
+                call(y)
 
     @staticmethod
     def assert_ties_rank_by_index(r2, ranking, groups):
@@ -458,13 +487,13 @@ class TestClassBlockKernel:
         others = rng.binomial(2, 0.3, size=(n, 8)).astype(float)
         x = np.column_stack([others[:, :3], base, *twins[:3], others[:, 3:], *twins[3:]])
         # the class kernel sees each column as one multiset per class
-        ranking, r2 = marginal_rank(x, centered_distances(y))
+        ranking, r2 = marginal_rank(x, y)
         self.assert_ties_rank_by_index(r2, ranking, [[3, 4, 5, 6, 12, 13, 14]])
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_ties_bitwise_and_matches_the_sweep(self, layout):
         """A duplicate and a within-class twin tie bitwise in every storage
-        order, and every column agrees with the sweep to rounding."""
+        order and coding, and every column agrees with the sweep to rounding."""
         rng = np.random.default_rng(46)
         for trial in range(40):
             n = int(rng.choice([2, 3, 7, 40, 148, 279]))
@@ -480,9 +509,9 @@ class TestClassBlockKernel:
             if trial % 2:
                 x = 0.3 * x - 1.7  # codes that are not whole numbers
             x = {"C": x, "F": np.asfortranarray(x), "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
-            b = centered_distances(coded(classes, "plus_minus_one" if trial % 3 else "zero_one"))
-            got = marginal_dcor2(x, b)
-            swept = marginal_dcor2(x, CenteredDistanceMatrix(b.entries))
+            y = coded(classes, list(CODINGS)[trial % len(CODINGS)])
+            got = marginal_dcor2(x, y)
+            swept = marginal_dcor2(x, centered_distances(y))
             assert np.abs(got - swept).max() < 1e-12
             if p >= 4:
                 ranking = np.argsort(-got, kind="stable")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcovselect.dcov import centered_distances, dcov2, dcov2_joint, marginal_dcor2
+from dcovselect.dcov import centered_distances, class_blocks, dcov2, dcov2_joint, marginal_dcor2
 from dcovselect.screening import (
     STOP_DECREASE,
     STOP_EXHAUSTED,
@@ -365,6 +365,25 @@ class TestWalkMemory:
         # one n x n float array is 32 MB
         assert peak < bound * 8 * n * n
 
+    @pytest.mark.parametrize("method, bound", [("dcov_greedy", 1.0), ("dc_sis", 0.05)])
+    def test_other_codings_peak_and_select_as_plus_minus_one(self, method, bound):
+        n = 2000
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(n, 6))
+        status = x[:, 0] + x[:, 1] + x[:, 2] + rng.normal(size=n) > 0.0
+        config = ScreeningConfig(method=method, d_model_size=3)
+        tracemalloc.start()
+        try:
+            result = screen(x, np.where(status, 0.7, 0.1), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n * n
+        plus_minus_one = screen(x, np.where(status, 1.0, -1.0), config)
+        assert np.array_equal(result.ranking, plus_minus_one.ranking)
+        assert result.selected == plus_minus_one.selected
+        assert result.trajectory_accepted == plus_minus_one.trajectory_accepted
+
 
 class TestStandardizeFlag:
     def test_affine_rescaling_leaves_selection_unchanged(self):
@@ -462,8 +481,14 @@ class TestLeanGreedy:
         lone = np.zeros(70)
         lone[37] = 1.0
         yield rng.normal(size=(70, 6)), lone  # a one-member class
+        # two values a gap apart that is not a whole number: class blocks too
         x = rng.normal(size=(65, 6))
-        yield x, np.where(x[:, 0] > 0.0, 0.7, 0.1)  # two values, a gap that is not whole: the matrix path
+        x[:, 4] = x[:, 1]  # a duplicate
+        yield x, np.where(x[:, 0] > 0.0, 0.7, 0.1)
+        status = (x[:, 0] + rng.normal(size=65) > 0.0).astype(float)
+        yield x, (status - status.mean()) / status.std()  # z-scored 0/1
+        yield rng.normal(size=(2, 3)), np.array([0.7, 0.1])
+        yield rng.normal(size=(70, 6)), np.where(lone == 1.0, 0.1, 0.7)  # a one-member class
         yield rng.normal(size=(20, 5)), np.full(20, 3.0)  # a constant response
 
     @pytest.mark.filterwarnings("ignore:response is constant")
@@ -481,7 +506,7 @@ class TestLeanGreedy:
             composed_r2 = composed_marginal_dcor2(x, b.entries)
             assert result.ranking.tobytes() == ranking.tobytes()
             assert result.marginal_r2.tobytes() == r2.tobytes()
-            if b.classes is None:
+            if class_blocks(y) is None:
                 assert r2.tobytes() == composed_r2.tobytes()
             else:
                 assert np.abs(r2 - composed_r2).max() < 1e-12
