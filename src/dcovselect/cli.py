@@ -44,7 +44,7 @@ from .cv import (
 from .data import Dataset, emit, ingest, read_rows, response_kind, synth_generate
 from .errors import DataValidationError, SolverError
 from .rng import stream
-from .screening import ScreeningConfig, one_vs_rest_screen, screen
+from .screening import ScreeningConfig, marginal_rank, one_vs_rest_screen, screen
 from .svm_reject import RejectLossParams, RejectModel, decide, decision_scores, fit
 
 DEFAULT_D = (1 / 3, 1 / 4, 1 / 5)
@@ -266,12 +266,6 @@ def _options_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _d_tags(d_values) -> dict[float, str]:
     """The tag that names each ``d``'s files and ``results.json`` run.
 
@@ -366,7 +360,7 @@ def _write_histograms(out: Path, payload: dict, runs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, out: Path) -> int:
     # every flag goes through: the model reads its own and ignores the rest
     ds, truth = synth_generate(
         args.n,
@@ -381,14 +375,13 @@ def cmd_synth(args) -> int:
         class_counts=args.class_counts,
         seed=args.seed,
     )
-    out = _out_dir(args)
     emit(ds, out / "data.csv")
     rpt.write_json(out / "truth.json", truth)
-    print(f"wrote {out / 'data.csv'} ({ds.n} x {ds.p}, label column {ds.label_name!r})")
+    print(f"wrote {Path(args.out_dir) / 'data.csv'} ({ds.n} x {ds.p}, label column {ds.label_name!r})")
     return 0
 
 
-def cmd_screen(args) -> int:
+def cmd_screen(args, out: Path) -> int:
     ds = _load_dataset(args)
     config = _screen_config(args)
     kind = response_kind(ds)
@@ -401,7 +394,6 @@ def cmd_screen(args) -> int:
     }
     if kind == "classes":
         per_class, union = one_vs_rest_screen(ds.X, ds.y, config)
-        out = _out_dir(args)
         for label, result in per_class.items():
             rpt.write_ranking(out / f"ranking_{label}.csv", ds.feature_names, result.ranking, result.marginal_r2)
             rpt.write_selected(out / f"selected_{label}.csv", ds.feature_names, result.selected)
@@ -413,7 +405,6 @@ def cmd_screen(args) -> int:
         print(f"one-versus-rest over {len(per_class)} classes; union size {len(union)}")
     else:
         result = screen(ds.X, ds.y.astype(float), config)
-        out = _out_dir(args)
         rpt.write_ranking(out / "ranking.csv", ds.feature_names, result.ranking, result.marginal_r2)
         rpt.write_selected(out / "selected.csv", ds.feature_names, result.selected)
         if result.trajectory:
@@ -450,7 +441,7 @@ def _read_feature_column(path, p: int) -> list[int]:
     return features
 
 
-def cmd_svmr_fit(args) -> int:
+def cmd_svmr_fit(args, out: Path) -> int:
     ds = _load_binary(args)
     features = _read_feature_column(args.features, ds.p) if args.features else list(range(ds.p))
     model = fit(
@@ -464,25 +455,43 @@ def cmd_svmr_fit(args) -> int:
     # model.json is the model's fields with ``params`` flattened into d and delta
     payload = asdict(model)
     payload.update(payload.pop("params"), features=features, feature_names=[ds.feature_names[j] for j in features])
-    rpt.write_json(_out_dir(args) / "model.json", payload)
+    rpt.write_json(out / "model.json", payload)
     kept = len(model.nonzero_features)
     print(f"fitted: objective {model.objective:.6f}, {kept}/{len(features)} features kept")
     return 0
 
 
+def _model_field(value, kind, n: int):
+    """A ``model.json`` value as a field of ``kind``: a list of ``n`` numbers for an
+    ndarray, else a number or a boolean; a value of any other JSON type is a TypeError."""
+    if kind is np.ndarray:
+        array = np.asarray(value, dtype=float)
+        if isinstance(value, list) and len(value) == n and all(type(v) in (int, float) for v in value):
+            return array
+        raise TypeError(f"expected a list of {n} numbers")
+    if kind is bool and type(value) is bool or kind is float and type(value) in (int, float):
+        return kind(value)
+    raise TypeError(f"expected {'true or false' if kind is bool else 'a number'}")
+
+
 def _load_model(path) -> tuple[RejectModel, list[str]]:
     """The ``RejectModel`` that ``svmr-fit`` wrote to ``model.json``, and its feature names.
 
-    A missing field, or one whose value its type cannot convert, is a data
+    A missing field, or one whose value is not of its JSON type (numbers,
+    booleans, and lists of numbers as long as ``feature_names``), is a data
     validation error naming the file and the field.
     """
     raw = _read_json_object(path)
-    # each model field's annotation (ndarray, float or bool) converts its JSON value
+    # each model field's annotation (ndarray, float or bool) gives its JSON type
     kinds = [(f.name, f.type) for f in fields(RejectModel) if f.name != "params"]
     values, loss = {}, {}
+    key = "feature_names"
     try:
-        for key, kind in kinds + [("feature_names", list), ("d", float), ("delta", float)]:
-            values[key] = np.asarray(raw[key], dtype=float) if kind is np.ndarray else kind(raw[key])
+        names = raw[key]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise TypeError("expected a list of names")
+        for key, kind in kinds + [("d", float), ("delta", float)]:
+            values[key] = _model_field(raw[key], kind, len(names))
             if key in ("d", "delta"):  # checks d alone, then delta beside it
                 loss[key] = values.pop(key)
                 params = RejectLossParams(**loss)
@@ -490,11 +499,10 @@ def _load_model(path) -> tuple[RejectModel, list[str]]:
         raise DataValidationError(f"{path}: no {key!r} field; expected a model.json from svmr-fit") from None
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: field {key!r}: {exc}") from None
-    names = values.pop("feature_names")
     return RejectModel(params=params, **values), names
 
 
-def cmd_svmr_predict(args) -> int:
+def cmd_svmr_predict(args, out: Path) -> int:
     ds = _load_dataset(args)
     model, feature_names = _load_model(args.model)
     try:
@@ -503,13 +511,13 @@ def cmd_svmr_predict(args) -> int:
         raise DataValidationError(f"dataset lacks a model feature: {exc}") from None
     scores = decision_scores(model, ds.X[:, cols])
     labels = decide(scores, model.params.delta)
-    rpt.write_predictions(_out_dir(args) / "predictions.csv", ds.subject_ids, scores, labels)
+    rpt.write_predictions(out / "predictions.csv", ds.subject_ids, scores, labels)
     n_dec = int(np.sum(labels != 0))
     print(f"predicted {len(labels)} subjects; {n_dec} with a definite decision")
     return 0
 
 
-def cmd_cv5(args) -> int:
+def cmd_cv5(args, out: Path) -> int:
     tags = _d_tags(args.d)
     ds = _load_binary(args)
     config = _screen_config(args)
@@ -522,8 +530,7 @@ def cmd_cv5(args) -> int:
     # the overlap table pairs the fold selections with the all-subjects one
     payload["selections"] = selections + [full]
     payload["selection_names"] = [f"S{i + 1}" for i in range(len(selections))] + ["ALL"]
-    out = _out_dir(args)
-    for tag, run in _require_runs(payload, out / "results.json"):
+    for tag, run in _require_runs(payload, Path(args.out_dir) / "results.json"):
         rpt.write_mcv_records(out / f"folds_d{tag}.csv", run["records"])
     matrix, union, freq = selection_overlap(payload["selections"])
     rpt.write_overlap_table(out / "overlap.csv", matrix, payload["selection_names"])
@@ -549,14 +556,13 @@ def _mcv_payload(args, ds: Dataset) -> dict:
     return payload
 
 
-def _write_mcv(args, payload: dict) -> Path:
-    """Make ``--out-dir`` and write an mcv payload's tables there; return the directory.
+def _write_mcv(args, payload: dict, out: Path) -> None:
+    """Write an mcv payload's tables into ``out``.
 
     Every table is written from the payload, by the helpers that ``report``
     applies to ``results.json``.
     """
-    out = _out_dir(args)
-    runs = _require_mcv_runs(payload, out / "results.json")
+    runs = _require_mcv_runs(payload, Path(args.out_dir) / "results.json")
     for tag, run in runs:
         rpt.write_mcv_records(out / f"records_d{tag}.csv", run["records"])
         summary = run["summary"]
@@ -570,21 +576,20 @@ def _write_mcv(args, payload: dict) -> Path:
     _write_histograms(out, payload, runs)
     rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
     rpt.write_json(out / "results.json", payload)
-    return out
 
 
-def cmd_mcv(args) -> int:
-    _write_mcv(args, _mcv_payload(args, _load_binary(args)))
+def cmd_mcv(args, out: Path) -> int:
+    _write_mcv(args, _mcv_payload(args, _load_binary(args)), out)
     return 0
 
 
-def cmd_permute_mcv(args) -> int:
+def cmd_permute_mcv(args, out: Path) -> int:
     ds = _load_binary(args)
     payload = _mcv_payload(args, permute_response(ds, stream(args.seed, "permutation")))
     # side-by-side check data: strongest marginal association per permuted
     # replication vs the original-label value on the full data
-    original = float(screen(ds.X, ds.y.astype(float), _screen_config(args)).marginal_r2.max())
-    out = _write_mcv(args, payload)
+    original = float(marginal_rank(ds.X, ds.y.astype(float))[1].max())
+    _write_mcv(args, payload, out)
     rows = [
         (tag, rec["rep_id"], rec["max_marginal_r2"], original)
         for tag, run in sorted(payload["runs"].items())
@@ -598,56 +603,44 @@ def cmd_permute_mcv(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    """Write ``--kind``'s tables from a ``results.json``: made in a scratch
-    directory, they reach ``--out-dir`` only once all are made, so a
-    malformed payload is a data validation error that leaves no table."""
+def cmd_report(args, out: Path) -> int:
+    """Write ``--kind``'s tables from a ``results.json`` into ``out``; a
+    malformed payload is a data validation error."""
     payload = _read_json_object(args.input)
-    with tempfile.TemporaryDirectory() as staged:
-        try:
-            _write_report(args, payload, Path(staged))
-        except KeyError as exc:
-            raise DataValidationError(f"{args.input}: no {exc.args[0]!r} entry; expected a results.json") from None
-        except (IndexError, TypeError, ValueError) as exc:
-            raise DataValidationError(f"{args.input}: malformed results.json: {exc}") from None
-        out = _out_dir(args)
-        for table in sorted(Path(staged).iterdir()):
-            shutil.copyfile(table, out / table.name)
-    print(f"wrote {args.kind} table(s) to {out}")
-    return 0
-
-
-def _write_report(args, payload: dict, out: Path) -> None:
-    """Write ``args.kind``'s tables from ``payload`` into ``out``."""
     kind = args.kind
-    if kind == "overlap_table":
-        selections = payload.get("selections")
-        if not selections:
-            raise DataValidationError(f"{args.input}: no selections recorded for an overlap table")
-        matrix, _, _ = selection_overlap(selections)
-        names = payload.get("selection_names") or [f"S{i + 1}" for i in range(len(selections))]
-        rpt.write_overlap_table(out / "overlap.csv", matrix, names)
-    elif kind == "mcv_summary":
-        runs = _require_mcv_runs(payload, args.input)
-        rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
-    elif kind == "voting_bins":
-        _write_voting(out, payload, _require_mcv_runs(payload, args.input), scores=False)
-    elif kind == "pairwise_distance":
-        selected = payload.get("selected")
-        if selected is None:
-            raise DataValidationError(f"{args.input}: no selected feature set recorded")
-        ds = ingest(**payload["dataset"])
-        rpt.write_pairwise_distance(
-            out / "pairwise_distance.csv", ds.X[:, selected], ds.subject_ids
-        )
-    elif kind == "frequency_histogram":
-        if "runs" in payload:
-            _write_histograms(out, payload, _require_runs(payload, args.input))
-        elif "selections" in payload:
-            pre, post = Counter(chain.from_iterable(payload["selections"])), Counter()
-            rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
-        else:
-            raise DataValidationError(f"{args.input}: nothing to histogram")
+    try:
+        if kind == "overlap_table":
+            selections = payload.get("selections")
+            if not selections:
+                raise DataValidationError(f"{args.input}: no selections recorded for an overlap table")
+            matrix, _, _ = selection_overlap(selections)
+            names = payload.get("selection_names") or [f"S{i + 1}" for i in range(len(selections))]
+            rpt.write_overlap_table(out / "overlap.csv", matrix, names)
+        elif kind == "mcv_summary":
+            runs = _require_mcv_runs(payload, args.input)
+            rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
+        elif kind == "voting_bins":
+            _write_voting(out, payload, _require_mcv_runs(payload, args.input), scores=False)
+        elif kind == "pairwise_distance":
+            selected = payload.get("selected")
+            if selected is None:
+                raise DataValidationError(f"{args.input}: no selected feature set recorded")
+            ds = ingest(**payload["dataset"])
+            rpt.write_pairwise_distance(out / "pairwise_distance.csv", ds.X[:, selected], ds.subject_ids)
+        elif kind == "frequency_histogram":
+            if "runs" in payload:
+                _write_histograms(out, payload, _require_runs(payload, args.input))
+            elif "selections" in payload:
+                pre, post = Counter(chain.from_iterable(payload["selections"])), Counter()
+                rpt.write_frequency_histogram(out / "histogram.csv", payload["feature_names"], pre, post)
+            else:
+                raise DataValidationError(f"{args.input}: nothing to histogram")
+    except KeyError as exc:
+        raise DataValidationError(f"{args.input}: no {exc.args[0]!r} entry; expected a results.json") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DataValidationError(f"{args.input}: malformed results.json: {exc}") from None
+    print(f"wrote {kind} table(s) to {Path(args.out_dir)}")
+    return 0
 
 
 COMMANDS = {
@@ -663,14 +656,26 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command, then record its options in ``manifest.json``; return the exit code."""
+    """Run one command and land its files in ``--out-dir``; return the exit code.
+
+    The command writes into a staging directory, and ``main`` adds
+    ``manifest.json`` with the run's options.  Only once the command has
+    returned is ``--out-dir`` made and the staged files copied in, so a run
+    that fails, at any point before that, leaves no ``--out-dir`` behind.
+    """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
-        code = COMMANDS[args.command](args)
-        rpt.write_manifest(args.out_dir, args.command, _options_dict(args))
+        with tempfile.TemporaryDirectory() as staged:
+            out = Path(staged)
+            code = COMMANDS[args.command](args, out)
+            rpt.write_manifest(out, args.command, _options_dict(args))
+            landed = Path(args.out_dir)
+            landed.mkdir(parents=True, exist_ok=True)
+            for path in sorted(out.iterdir()):
+                shutil.copyfile(path, landed / path.name)
         return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT

@@ -162,12 +162,10 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)
-    y = class_blocks(response)
-    b = centered_distances(response) if y is None else None
-    # a class response is ranked from the column itself, which takes O(n) to recode
-    ranking, r2 = marginal_rank(x, response if b is None else b)
-    joint = JointDistances(y if b is None else b)
-    del b  # the walk holds only its own row blocks of the matrix
+    b = class_blocks(response) or centered_distances(response)
+    ranking, r2 = marginal_rank(x, b)
+    joint = JointDistances(b)
+    del b  # the walk holds only its own row blocks of a matrix
     return _greedy_walk(standardize_columns(x) if config.standardize else x, joint, ranking, r2, config)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dcovselect
-from dcovselect import cv, svm_reject
+from dcovselect import cv, report, svm_reject
 from dcovselect.cli import main, parse_fraction
 from dcovselect.data import ingest
 from dcovselect.errors import SolverError
@@ -372,12 +372,26 @@ class TestExitCodes:
     def test_model_field_of_the_wrong_type_is_two(self, synth_dir, tmp_path, capsys):
         data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
         assert run("svmr-fit", *data, "--d", "1/4", "--r", "0.1", "--out-dir", str(tmp_path / "fit")) == 0
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps({**json.loads(read(tmp_path / "fit" / "model.json")), "coef": "x"}))
-        out = tmp_path / "o"
-        assert run("svmr-predict", *data, "--model", str(model), "--out-dir", str(out)) == 2
-        assert f"data validation error: {model}: field 'coef': could not convert" in capsys.readouterr().err
-        assert not out.exists()
+        fitted = json.loads(read(tmp_path / "fit" / "model.json"))
+        p = len(fitted["feature_names"])
+        for field, value, shown in [
+            ("coef", "x", "could not convert"),
+            ("coef", None, f"expected a list of {p} numbers"),
+            ("coef", fitted["coef"][:-1], f"expected a list of {p} numbers"),
+            ("coef", [str(v) for v in fitted["coef"]], f"expected a list of {p} numbers"),
+            ("coef_internal", None, f"expected a list of {p} numbers"),
+            ("standardize", "false", "expected true or false"),
+            ("fit_intercept", 1, "expected true or false"),
+            ("r", "1e3", "expected a number"),
+            ("intercept", True, "expected a number"),
+            ("feature_names", "f1", "expected a list of names"),
+        ]:
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({**fitted, field: value}))
+            out = tmp_path / "o"
+            assert run("svmr-predict", *data, "--model", str(model), "--out-dir", str(out)) == 2, (field, value)
+            assert f"data validation error: {model}: field {field!r}: {shown}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value, shown",
@@ -408,6 +422,18 @@ class TestExitCodes:
         data = () if command == "synth" else ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
         out = tmp_path / "o"
         assert run(command, *data, *extra, "--out-dir", str(out)) == code
+        assert not out.exists()
+
+    def test_failure_while_writing_tables_leaves_no_out_dir(self, synth_dir, tmp_path, monkeypatch, capsys):
+        def full_disk(path, summaries):
+            raise OSError(28, "No space left on device", str(path))
+
+        # the summary table is written after the records, voting and histogram tables
+        monkeypatch.setattr(report, "write_mcv_summary", full_disk)
+        data = ("--input", str(synth_dir / "data.csv"), "--label-col", "status")
+        out = tmp_path / "o"
+        assert run("mcv", *data, "--d", "1/4", "--reps", "2", "--out-dir", str(out)) == 1
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejected_json_input_leaves_no_out_dir(self, synth_dir, tmp_path):

@@ -5,6 +5,7 @@ import struct
 import threading
 import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -361,16 +362,29 @@ class TestLpGrid:
         ds, _ = planted_dataset(n=120, p=15)
         real_fit_path = cv.fit_path
         started = []
+        leading = set()  # split 0's d = 1/3 and 1/4 paths, the first two queued
+        released = threading.Event()
 
         def rows(y):
             return hashlib.sha1(np.asarray(y, dtype=float).tobytes()).hexdigest()
 
         def failing_fit_path(x, y, r_grid, params):
             started.append(params.d)
+            if (rows(y), params.d) not in leading:
+                # a path queued after the failing one waits until the pool has cancelled its queue,
+                # so how many paths start does not depend on timing
+                released.wait(timeout=120.0)
             if params.d == 1 / 4 and 0.3 in r_grid:
                 # every split's d = 1/4 path fails, each naming its training labels
                 raise SolverError(f"linear program failed (status 4) [r=0.3, rows {rows(y)}]")
             return real_fit_path(x, y, r_grid, params)
+
+        class CancellingPool(ThreadPoolExecutor):
+            # cancels the queue first, then lets the held paths run
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
 
         runs = (
             (lambda: mcv_run(ds, self.D_VALUES, R_GRID, n_reps=3, seed=8), 3),
@@ -379,8 +393,12 @@ class TestLpGrid:
         first_splits = [call().popitem()[1].records[0].train_idx for call, _ in runs]
         monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(cv, "fit_path", failing_fit_path)
+        monkeypatch.setattr(cv, "ThreadPoolExecutor", CancellingPool)
         for (call, splits), train_idx in zip(runs, first_splits):
             started.clear()
+            released.clear()
+            leading.clear()
+            leading.update((rows(ds.y[train_idx]), d) for d in self.D_VALUES[:2])
             outcome = finishes(call)
             error = outcome.get("error")
             assert isinstance(error, SolverError)
@@ -436,9 +454,12 @@ class TestClassPathOutcomes:
         real_marginal = dcov.marginal_dcor2
 
         def swept_marginal(x, response):
-            # the sweep, reached through the response's centered matrix
-            calls.append(dcov.class_blocks(response) is not None)
-            return real_marginal(x, dcov.centered_distances(response))
+            # the sweep over the class blocks' own matrix, bitwise centered_distances of a -1/+1 status;
+            # the greedy walk ranks against its ClassBlocks, dc_sis against the column
+            blocks = response if isinstance(response, dcov.ClassBlocks) else dcov.class_blocks(response)
+            calls.append(blocks is not None)
+            entries = blocks.beta[np.ix_(blocks.classes, blocks.classes)]
+            return real_marginal(x, dcov.CenteredDistanceMatrix(entries))
 
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class
