@@ -11,25 +11,30 @@ matrix whose ``k >= 1`` columns are treated as one vector-valued variable, so
 joint statistics over several variables are just statistics of the
 column-concatenated block.
 
-The per-matrix functions (``centered_distances``, which double-centers the
-distance matrix in place, and the statistics built on it) are the
-reference.  Screening keeps the response in one of two forms:
+``centered_distances``, which double-centers the distance matrix in place,
+and the ``dcor2`` family built on it are the reference.  Screening builds
+no ``n x n`` array: its response is one column, kept in one of two forms.
 
 * A column with exactly two values, however coded, has a centered matrix
   that is one constant per class-pair block.  ``class_blocks`` keeps only
   the class codes and those 2 x 2 constants (``ClassBlocks``), and dVar^2
-  comes from the class counts.  No ``n x n`` array is built for it.
-* Any other response keeps its ``CenteredDistanceMatrix``.
+  comes from the class counts.
+* Any other column is its ``sorted_response`` (``SortedResponse``).  With
+  the subjects in (stable) y order, the centered entry on and above the
+  diagonal is ``B_ij = u_j - v_i``, where ``u = y - m + g/2``, ``v = y + m
+  - g/2``, ``m`` holds the row means of ``|y_i - y_j|`` and ``g`` is their
+  mean (a shift of y cancels, so y is taken less its smallest value); ``m``
+  and dVar^2 come from the sorted column's gaps.
 
 ``marginal_dcor2`` scores every feature against either form without a
 per-feature matrix: by class blocks from per-class sorted columns,
-O(n log n) per feature, or by ``n - 1`` row sweeps, O(n^2) per feature,
-which are also the class path's test oracle.  ``JointDistances`` serves
-the greedy walk: it keeps the selected block's summed squared distances as
-the strict upper triangle plus the diagonal squares, in row blocks of
-``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n - 1``), so
-the walk holds about ``n^2 / 2`` floats, plus as many again for a
-continuous response's own upper-triangle row blocks.  Distances come from
+O(n log n) per feature, or by ``n - 1`` row sweeps in y order, row ``i``
+weighted by ``u[i+1:] - v[i]``, O(n^2) per feature.  ``JointDistances``
+serves the greedy walk: it keeps the selected block's summed squared
+distances as the strict upper triangle plus the diagonal squares, in row
+blocks of ``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n -
+1``), so the walk holds about ``n^2 / 2`` floats; a sorted response's
+weights are built block by block in a scratch array.  Distances come from
 ``pairwise_distances``, a numpy kernel that sums squared coordinate
 differences in column order, as ``scipy.spatial.distance.cdist`` does, so
 this module needs no scipy.  All functions are pure, apart from the
@@ -45,8 +50,8 @@ from .errors import DataValidationError
 
 __all__ = [
     "ROW_BLOCK",
-    "CenteredDistanceMatrix",
     "ClassBlocks",
+    "SortedResponse",
     "DCovStats",
     "as_block",
     "pairwise_distances",
@@ -55,8 +60,8 @@ __all__ = [
     "dvar2",
     "dcor2",
     "dcov2_joint",
-    "dcov2_centered",
     "class_blocks",
+    "sorted_response",
     "column_terms",
     "marginal_dcor2",
     "JointDistances",
@@ -64,21 +69,6 @@ __all__ = [
 
 # rows per block of ``JointDistances`` and ``pairwise_distances``; a block's scratch array holds ROW_BLOCK * n floats
 ROW_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class CenteredDistanceMatrix:
-    """Double-centered distance matrix.
-
-    ``entries`` is symmetric and every row and column sums to zero (up to
-    roundoff).
-    """
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,6 +93,26 @@ class ClassBlocks:
         """Squared distance variance, ``sum_ab n_a n_b beta_ab^2 / n^2``."""
         counts = np.bincount(self.classes, minlength=2).astype(float)
         return float((np.outer(counts, counts) * self.beta * self.beta).sum()) / (self.n * self.n)
+
+
+@dataclass(frozen=True)
+class SortedResponse:
+    """The centered distance matrix of a one-column response, without the matrix.
+
+    ``order`` sorts the subjects by the response (stable), and ``u`` and
+    ``v`` are indexed in that order: the matrix's entry on subjects
+    ``order[i]`` and ``order[j]`` with ``i <= j`` is ``u[j] - v[i]``.
+    ``vy2`` is the response's dVar^2, exactly 0 when it is constant.
+    """
+
+    order: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    vy2: float
+
+    @property
+    def n(self) -> int:
+        return self.order.size
 
 
 @dataclass(frozen=True)
@@ -162,15 +172,15 @@ def pairwise_distances(block) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def centered_distances(block) -> CenteredDistanceMatrix:
+def centered_distances(block) -> np.ndarray:
     """Pairwise distances of ``block``, double-centered in place.
 
     The distance matrix gets ``d - row means - column means + grand mean``,
     evaluated left to right, so its entries are bitwise those of the same
     expression in new arrays.  It is square, symmetric and zero on the
     diagonal by construction; only finiteness is checked (a finite block
-    can overflow).  Screening keeps a two-valued column as its
-    ``class_blocks`` instead.
+    can overflow).  Only the ``dcor2`` family builds it; screening keeps a
+    response as its ``class_blocks`` or ``sorted_response``.
     """
     d = pairwise_distances(block)
     if not np.all(np.isfinite(d)):
@@ -181,7 +191,7 @@ def centered_distances(block) -> CenteredDistanceMatrix:
     d -= row_means[:, None]
     d -= col_means[None, :]
     d += grand_mean
-    return CenteredDistanceMatrix(entries=d)
+    return d
 
 
 def class_blocks(response) -> ClassBlocks | None:
@@ -213,13 +223,29 @@ def class_blocks(response) -> ClassBlocks | None:
     return blocks
 
 
-def dcov2_centered(a: CenteredDistanceMatrix, b: CenteredDistanceMatrix) -> float:
-    """Squared distance covariance from two precomputed centered matrices."""
-    if a.n != b.n:
-        raise ValueError(f"sample counts differ: {a.n} vs {b.n}")
-    v2 = float(np.mean(a.entries * b.entries))
-    # The biased estimator is nonnegative in exact arithmetic; clamp roundoff.
-    return v2 if v2 > 0.0 else 0.0
+def sorted_response(response) -> SortedResponse:
+    """The sorted form of a one-column response; more columns raise ValueError.
+
+    The column is taken in stable sort order less its smallest value, so
+    ``u`` and ``v`` are of the size of its spread, however far from zero
+    it lies.  Its row sums and dVar^2 come from its gaps and its variance
+    through the same code as each feature column's in ``column_terms``.
+    A constant column has ``vy2`` exactly 0; a non-finite statistic (a
+    finite column can overflow) raises, as in ``centered_distances``.
+    """
+    y = as_block(response)
+    if y.shape[1] != 1:
+        raise ValueError(f"a screening response must be one column, got {y.shape[1]}")
+    order = np.argsort(y[:, 0], kind="stable")
+    s = y[order] - y[order[0]]
+    rows = _row_sums(s.copy())
+    m = rows[:, 0] / s.shape[0]
+    h = m - m.mean() / 2  # u = y - h and v = y + h
+    vy2 = float(_column_dvar2(s.var(axis=0), rows)[0][0]) if s[0, 0] != s[-1, 0] else 0.0
+    u, v = s[:, 0] - h, s[:, 0] + h
+    if not np.all(np.isfinite(np.r_[u, v, vy2])):
+        raise DataValidationError("sorted-response distance statistics contain non-finite values")
+    return SortedResponse(order=order, u=u, v=v, vy2=vy2)
 
 
 def dcov2(x, y) -> float:
@@ -233,17 +259,21 @@ def dcov2(x, y) -> float:
 
 def dvar2(x) -> float:
     """Squared sample distance variance, ``dcov2(x, x)``."""
-    a = centered_distances(x)
-    return dcov2_centered(a, a)
+    return dcor2(x, x).vx2
 
 
 def dcor2(x, y) -> DCovStats:
-    """Squared sample distance correlation of two blocks, with components."""
+    """Squared sample distance correlation of two blocks, with components.
+
+    The reference: each statistic is the mean of the products of two
+    ``centered_distances`` matrices.
+    """
     a = centered_distances(x)
     b = centered_distances(y)
-    v2 = dcov2_centered(a, b)
-    vx2 = dcov2_centered(a, a)
-    vy2 = dcov2_centered(b, b)
+    if a.shape != b.shape:
+        raise ValueError(f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
+    # The biased estimator is nonnegative in exact arithmetic; clamp roundoff.
+    v2, vx2, vy2 = (v if v > 0.0 else 0.0 for v in (float(np.mean(p * q)) for p, q in ((a, b), (a, a), (b, b))))
     denom2 = vx2 * vy2
     r2 = min(v2 / np.sqrt(denom2), 1.0) if denom2 > 0.0 else 0.0
     return DCovStats(v2=v2, vx2=vx2, vy2=vy2, r2=float(r2))
@@ -260,58 +290,50 @@ def dcov2_joint(selected, y) -> float:
     blocks = [as_block(b) for b in selected]
     if not blocks:
         raise ValueError("joint distance covariance needs at least one block")
-    n = blocks[0].shape[0]
-    for b in blocks[1:]:
-        if b.shape[0] != n:
-            raise ValueError(f"sample counts differ: {n} vs {b.shape[0]}")
-    joint = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-    return dcov2(joint, y)
+    return dcov2(np.hstack(blocks), y)  # blocks of different sample counts raise ValueError here
 
 
 def marginal_dcor2(x, response, columns=None) -> np.ndarray:
     """Squared distance correlation of each column of ``x`` with ``response``.
 
     ``x`` is an ``n x p`` matrix whose columns are separate univariate
-    variables; ``response`` is an ``n x k`` block, or the ``ClassBlocks``
-    or ``CenteredDistanceMatrix`` ``B`` the caller has already built for
-    it.  A raw response becomes its ``class_blocks`` when it is a column
-    with exactly two values, so no ``n x n`` array is built for it, and
-    its ``centered_distances`` otherwise.  Entry ``j`` of the result is
-    ``dcor2(x[:, j], response).r2`` (to rounding), obtained without forming
-    any per-column ``n x n`` matrix.  ``B`` has zero row and column sums, so
-    ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij = 2 sum_{i<j} |x_i - x_j|
-    B_ij``; that cross sum is taken one of two ways:
+    variables; ``response`` is one column, or the ``ClassBlocks`` or
+    ``SortedResponse`` ``B`` the caller has already built for it.  A raw
+    column becomes its ``class_blocks`` when it has exactly two values and
+    its ``sorted_response`` otherwise; more columns raise ValueError.
+    Entry ``j`` of the result is ``dcor2(x[:, j], response).r2`` (to
+    rounding), obtained without any ``n x n`` matrix.  ``B`` has zero row
+    and column sums, so ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij = 2
+    sum_{i<j} |x_i - x_j| B_ij``; that cross sum is taken one of two ways:
 
     * class blocks, for ``ClassBlocks``: ``B`` is ``beta_ab`` on the block
       of classes ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11
       U_1 + beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over
       all pairs and ``U_c`` over the pairs within class ``c``.  A sorted
       column ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``;
-      ``U`` is half the row-sum total below and each ``U_c`` takes one sort
-      of that class's rows, in one reused buffer.  dVar^2 of the response
-      is ``ClassBlocks.dvar2``, from the class counts.  Every term, the
-      column variance included, comes from sorted columns, so this kernel
-      sees each column only as one multiset per class: columns with the
-      same multisets (duplicates, constant columns, within-class
-      permutations of one column) get bitwise-equal values.  O(n log n)
-      per column;
-    * row sweeps, for a ``CenteredDistanceMatrix``: ``n - 1`` sweeps over
-      the rows accumulate the upper triangle of every column, O(n^2) per
-      column.  They are the class path's test oracle, to rounding.
+      ``U`` is the column's pair sum and each ``U_c`` takes one sort of
+      that class's rows, in one reused buffer.  This kernel sees each
+      column only as one multiset per class: columns with the same
+      multisets (duplicates, constant columns, within-class permutations
+      of one column) get bitwise-equal values.  O(n log n) per column;
+    * row sweeps, for a ``SortedResponse``: the subjects are copied into y
+      order and ``n - 1`` sweeps accumulate the upper triangle of every
+      column, row ``i`` weighted by ``u[i+1:] - v[i]``.  O(n^2) per
+      column; for a response without ties the result does not depend on
+      the order of the subjects.
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
-    row sums ``a_i.`` read off the gaps of the sorted column.  The class
-    path takes them, with each column's pair sum, from ``columns`` when
-    given: ``column_terms(x)``, computed once for several two-valued
-    responses on the same ``x``.  Memory is O(np); every column goes
-    through the same operations, so identical columns get identical
-    values.  A constant response warns and gives all zeros.
+    row sums ``a_i.`` read off the gaps of the sorted column.  These terms
+    and each column's pair sum come from ``columns`` when given:
+    ``column_terms(x)``, computed once for several responses on the same
+    ``x``.  Memory is O(np); every column goes through the same
+    operations, so identical columns get identical values.  A constant
+    response warns and gives all zeros.
     """
-    if isinstance(response, (ClassBlocks, CenteredDistanceMatrix)):
-        b = response
-    else:
-        b = class_blocks(response) or centered_distances(response)
+    b = response
+    if not isinstance(b, (ClassBlocks, SortedResponse)):
+        b = class_blocks(response) or sorted_response(response)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
@@ -320,32 +342,24 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
         raise ValueError(f"sample counts differ: {n} vs {b.n}")
     if not np.all(np.isfinite(x)):
         raise DataValidationError("feature matrix contains non-finite values")
-    if isinstance(b, ClassBlocks):
-        return _class_r2(x, b, columns)
-    vy2 = dcov2_centered(b, b)
+    vy2 = b.dvar2() if isinstance(b, ClassBlocks) else b.vy2
     if vy2 == 0.0:
         warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)
         return np.zeros(p)
-    cross = _swept_cross(x, b.entries)
-    vx2, _ = _column_dvar2(np.sort(x, axis=0), x.var(axis=0))
+    vx2, pairs = column_terms(x) if columns is None else columns
+    cross = _class_cross(x, b, pairs, np.empty_like(x)) if isinstance(b, ClassBlocks) else _swept_cross(x[b.order], b)
     return _r2(cross, vx2, vy2, n)
 
 
 def column_terms(x) -> tuple[np.ndarray, np.ndarray]:
     """dVar^2 and pair sum ``sum_{i<j} |x_i - x_j|`` of every column of ``x``.
 
-    These are the terms of ``marginal_dcor2``'s class path that do not
-    depend on the response.
+    These are the terms of ``marginal_dcor2`` that do not depend on the
+    response, all taken from the sorted columns.
     """
     s = np.sort(np.asarray(x, dtype=float), axis=0)
-    vx2, row_total = _column_dvar2(s, s.var(axis=0))
+    vx2, row_total = _column_dvar2(s.var(axis=0), _row_sums(s))  # the variance is taken before s is overwritten
     return vx2, 0.5 * row_total
-
-
-def _class_r2(x: np.ndarray, y: ClassBlocks, columns) -> np.ndarray:
-    """r^2 of every column from class blocks."""
-    vx2, pairs = column_terms(x) if columns is None else columns
-    return _r2(_class_cross(x, y, pairs, np.empty_like(x)), vx2, y.dvar2(), x.shape[0])
 
 
 def _r2(cross: np.ndarray, vx2: np.ndarray, vy2: float, n: int) -> np.ndarray:
@@ -357,11 +371,13 @@ def _r2(cross: np.ndarray, vx2: np.ndarray, vy2: float, n: int) -> np.ndarray:
     return r2
 
 
-def _swept_cross(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_{i<j} |x_i - x_j| b_ij`` of every column, in ``n - 1`` row sweeps.
+def _swept_cross(x: np.ndarray, b: SortedResponse) -> np.ndarray:
+    """``sum_{i<j} |x_i - x_j| B_ij`` of every column, in ``n - 1`` row sweeps.
 
-    Reductions along axis 0 treat every column alike, unlike a BLAS
-    product.  Every sweep reuses the rows of one buffer.
+    ``x`` holds the subjects in ``b.order``, so row ``i``'s entries of ``B``
+    right of the diagonal are ``u[i+1:] - v[i]``.  Reductions along axis 0
+    treat every column alike, unlike a BLAS product.  Every sweep reuses
+    the rows of one buffer.
     """
     n, p = x.shape
     cross = np.zeros(p)
@@ -370,7 +386,7 @@ def _swept_cross(x: np.ndarray, b: np.ndarray) -> np.ndarray:
         dist = buf[: n - 1 - i]
         np.subtract(x[i + 1 :], x[i], out=dist)
         np.abs(dist, out=dist)
-        dist *= b[i, i + 1 :, None]
+        dist *= (b.u[i + 1 :] - b.v[i])[:, None]
         cross += dist.sum(axis=0)
     return cross
 
@@ -405,28 +421,34 @@ def _sorted_pair_sums(s: np.ndarray) -> np.ndarray:
     return tail.sum(axis=0)
 
 
-def _column_dvar2(s: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance variance of every column, and its row-sum total.
+def _row_sums(s: np.ndarray) -> np.ndarray:
+    """Row sums ``a_i. = sum_l |s_i - s_l|`` of every sorted column of ``s``, in ``s``.
 
-    ``s`` holds the columns sorted, and is overwritten; ``var`` holds their
-    variances.  The row-sum total ``sum_i a_i.`` of a column is twice its
-    pair sum.  Row sums of |x_i - x_l| in sorted order: gap m (between
-    sorted entries m and m+1) is crossed by the m+1 entries below it and
-    the n-1-m above.  Both cumulative sums run in place, one in ``s`` and
-    one in the gap array, so the block holds two n x p arrays at a time.
+    Gap m (between sorted entries m and m+1) is crossed by the m+1 entries
+    below it and the n-1-m above.  Both cumulative sums run in place, one
+    in ``s`` and one in the gap array, so the block holds two n x p arrays
+    at a time.
     """
-    n, p = s.shape
     gaps = np.diff(s, axis=0)
-    below = np.arange(1, n, dtype=float)[:, None]
-    rows = s
-    rows[0] = 0.0
-    np.multiply(below, gaps, out=rows[1:])
-    np.cumsum(rows[1:], axis=0, out=rows[1:])
+    below = np.arange(1, s.shape[0], dtype=float)[:, None]
+    s[0] = 0.0
+    np.multiply(below, gaps, out=s[1:])
+    np.cumsum(s[1:], axis=0, out=s[1:])
     # the sums from the top: cumulate the reversed products in the reversed gaps
     np.multiply(below[::-1], gaps, out=gaps)
     np.cumsum(gaps[::-1], axis=0, out=gaps[::-1])
-    rows[:-1] += gaps
-    del gaps
+    s[:-1] += gaps
+    return s
+
+
+def _column_dvar2(var: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance variance of every column, and its row-sum total.
+
+    ``var`` holds the columns' variances and ``rows`` their ``_row_sums``,
+    which are overwritten.  The row-sum total ``sum_i a_i.`` of a column is
+    twice its pair sum.
+    """
+    n = rows.shape[0]
     row_total = rows.sum(axis=0)
     rows *= rows
     vx2 = 2.0 * var - 2.0 * rows.sum(axis=0) / n**3 + (row_total / n**2) ** 2
@@ -446,44 +468,46 @@ class JointDistances:
     square)`` over the blocks, the rectangle being columns ``i + k ..
     n - 1``.
 
-    ``response`` is the ``ClassBlocks`` or ``CenteredDistanceMatrix`` of the
-    response.  A matrix keeps only its own upper-triangle row blocks.  For
-    class blocks the subjects are put in class order (a column passed in
-    keeps the caller's order and is reordered here) and no block straddles
-    the classes, so each block's ``B`` is one constant on its diagonal
-    square and on at most two rectangles: the square roots are summed per
-    class pair and weighted by ``beta`` once, at the end.  Scoring a
-    candidate takes one scratch array of at most ``ROW_BLOCK * n`` floats.
+    ``response`` is the ``ClassBlocks`` or ``SortedResponse`` of the
+    response, and the subjects are visited in class order or in y order (a
+    column passed in keeps the caller's order and is reordered here).  For
+    class blocks no block straddles the classes, so each block's ``B`` is
+    one constant on its diagonal square and on at most two rectangles: the
+    square roots are summed per class pair and weighted by ``beta`` once,
+    at the end.  For a sorted response each block's ``B`` is built in a
+    second scratch array, as ``u_c - v_r`` on and above the diagonal and
+    mirrored below it in the diagonal square.  Scoring a candidate takes
+    scratch arrays of at most ``ROW_BLOCK * n`` floats.
     """
 
     def __init__(self, response):
         n = response.n
+        self._wbuf = None
         if isinstance(response, ClassBlocks):
             self._order = np.argsort(response.classes, kind="stable")
             self._n0 = n - int(response.classes.sum())
             self._beta = response.beta
-        else:  # one class; each block's products with the matrix are summed
-            self._order = None
+        else:  # one class; each block's products with its built B are summed
+            self._order = response.order
             self._n0 = n
             self._beta = np.array([[1.0, 0.0], [0.0, 0.0]])
+            self._u, self._v = response.u, response.v
+            self._wbuf = np.empty(min(ROW_BLOCK, n) * n)
         self._blocks = _row_blocks(0, self._n0) + _row_blocks(self._n0, n)
-        self._weights = None
-        if isinstance(response, CenteredDistanceMatrix):
-            self._weights = [response.entries[i:end, i:].copy() for i, end in self._blocks]
         self._sq = [np.zeros((end - i, n - i)) for i, end in self._blocks]
         self._buf = np.empty(min(ROW_BLOCK, n) * n)
         self._n = n
 
     def dcov2_with(self, column) -> float:
         """Joint squared distance covariance of the block plus ``column``; the block is unchanged."""
-        col = self._ordered(column)
+        col = column[self._order]
         sums = [0.0, 0.0, 0.0]  # over the pairs of classes (0, 0), (0, 1) and (1, 1)
-        for block, ((i, end), sq) in enumerate(zip(self._blocks, self._sq)):
+        for (i, end), sq in zip(self._blocks, self._sq):
             dist = self._squared_differences(col, i, end)
             dist += sq
             np.sqrt(dist, out=dist)
-            if self._weights is not None:
-                dist *= self._weights[block]
+            if self._wbuf is not None:
+                dist *= self._block_weights(i, end)
             k = end - i
             if i < self._n0:
                 split = self._n0 - i
@@ -498,12 +522,9 @@ class JointDistances:
 
     def add(self, column) -> None:
         """Admit ``column`` into the block."""
-        col = self._ordered(column)
+        col = column[self._order]
         for (i, end), sq in zip(self._blocks, self._sq):
             sq += self._squared_differences(col, i, end)
-
-    def _ordered(self, column: np.ndarray) -> np.ndarray:
-        return column if self._order is None else column[self._order]
 
     def _squared_differences(self, col: np.ndarray, i: int, end: int) -> np.ndarray:
         """``(col_r - col_c)^2`` for rows ``[i, end)`` and columns ``i .. n - 1``, in the scratch array."""
@@ -511,6 +532,14 @@ class JointDistances:
         np.subtract(col[i:end, None], col[None, i:], out=out)
         out *= out
         return out
+
+    def _block_weights(self, i: int, end: int) -> np.ndarray:
+        """A sorted response's ``B`` on the same rows and columns, in the second scratch array."""
+        k = end - i
+        w = self._wbuf[: k * (self._n - i)].reshape(k, self._n - i)
+        np.subtract(self._u[None, i:], self._v[i:end, None], out=w)
+        np.copyto(w[:, :k], w[:, :k].T, where=np.tri(k, k=-1, dtype=bool))
+        return w
 
 
 def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 Two selection methods over one ranking:
 
 * ``dc_sis``: rank all features by marginal squared distance correlation with
-  the response and keep the top ``d`` (default ``floor(n / log n)``).
+  the response and keep the top ``d`` (default ``floor(n / log n)``, or all
+  ``p`` features when there are fewer).
 * ``dcov_greedy``: walk the same ranking and grow a selected set, admitting
   the next candidate as long as the joint squared distance covariance of the
   selected block with the response does not decrease (an ``epsilon`` slack
@@ -11,7 +12,9 @@ Two selection methods over one ranking:
   candidates before giving up).
 
 Multicategory problems are screened one-versus-rest with 0/1 class
-indicators and the per-class selections are unioned.
+indicators and the per-class selections are unioned.  The response is one
+column, kept as ``dcov.class_blocks`` when it has two values and as
+``dcov.sorted_response`` otherwise, so no screen builds an ``n x n`` array.
 """
 
 import warnings
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcov import JointDistances, centered_distances, class_blocks, column_terms, marginal_dcor2
+from .dcov import JointDistances, class_blocks, column_terms, marginal_dcor2, sorted_response
 
 __all__ = [
     "ScreeningConfig",
@@ -43,13 +46,14 @@ class ScreeningConfig:
     """Options shared by both screening methods.
 
     ``d_model_size`` applies to ``dc_sis`` only (``None`` means
-    ``floor(n / log n)``).  ``epsilon`` relaxes the greedy stop rule in the
-    keep-adding direction: a candidate is admitted when the joint value drops
-    by no more than ``epsilon``.  ``standardize`` z-scores the feature
-    columns for the greedy walk alone: a column's marginal r^2 does not
-    change under ``x -> a x + b``, so both methods rank the raw columns,
-    but the joint covariance of a concatenated block depends on each
-    column's scale.
+    ``floor(n / log n)``, capped at the feature count ``p``; a size above
+    ``p`` is rejected before any ranking).  ``epsilon`` relaxes the greedy
+    stop rule in the keep-adding direction: a candidate is admitted when
+    the joint value drops by no more than ``epsilon``.  ``standardize``
+    z-scores the feature columns for the greedy walk alone: a column's
+    marginal r^2 does not change under ``x -> a x + b``, so both methods
+    rank the raw columns, but the joint covariance of a concatenated block
+    depends on each column's scale.
     """
 
     method: str = "dcov_greedy"
@@ -111,14 +115,15 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ranking, r2)`` where ``ranking`` sorts feature indices by
     decreasing ``r2`` with ties broken by ascending original index.  A tie
-    is bitwise equality of ``r2``.  Against a response column with two
-    values, however coded, the class-block kernel gives it to every group
-    of columns with the same values in each class, up to order:
-    duplicates, within-class permutations of one column, and constant
-    columns (r2 exactly 0).
-    ``response`` may also be its already built ``ClassBlocks`` or
-    ``CenteredDistanceMatrix``; ``marginal_dcor2`` scores all features
-    against it at once.
+    is bitwise equality of ``r2``, which every group of identical columns
+    gets, constant columns included (r2 exactly 0).  Against a response
+    column with two values, however coded, the class-block kernel also
+    gives it to within-class permutations of one column.  Any other
+    response column is scored by row sweeps in its sort order, so for a
+    response without ties the values do not depend on the order of the
+    subjects.  ``response`` may also be its already built ``ClassBlocks``
+    or ``SortedResponse``; ``marginal_dcor2`` scores all features against
+    it at once.
     """
     return _ranked(marginal_dcor2(x, response))
 
@@ -152,21 +157,19 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
 
     The selection is kept as ``dcov.JointDistances``: summed squared
     differences in upper-triangle row blocks, about ``n^2 / 2`` floats,
-    scored block by block in one scratch array of at most ``ROW_BLOCK * n``
-    floats.  A response column with exactly two values, however coded,
-    builds no ``n x n`` array at all: ranking and walk read its
-    ``class_blocks``, the class codes and 2 x 2 block constants, and the
-    walk visits the subjects in class order.  Any other response builds
-    its centered matrix once, for the ranking, and the walk keeps its
-    upper-triangle row blocks, another ``n^2 / 2`` floats.
+    scored block by block in scratch arrays of at most ``ROW_BLOCK * n``
+    floats.  The response is built once, for ranking and walk: a column
+    with exactly two values, however coded, as its ``class_blocks`` (the
+    walk visits the subjects in class order), and any other column as its
+    ``sorted_response`` (the walk visits them in y order and builds each
+    row block's weights from ``u`` and ``v``).  No ``n x n`` array is
+    built; a response of more than one column raises ValueError.
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)
-    b = class_blocks(response) or centered_distances(response)
+    b = class_blocks(response) or sorted_response(response)
     ranking, r2 = marginal_rank(x, b)
-    joint = JointDistances(b)
-    del b  # the walk holds only its own row blocks of a matrix
-    return _greedy_walk(standardize_columns(x) if config.standardize else x, joint, ranking, r2, config)
+    return _greedy_walk(standardize_columns(x) if config.standardize else x, JointDistances(b), ranking, r2, config)
 
 
 def _greedy_walk(
@@ -215,8 +218,14 @@ def _greedy_walk(
     )
 
 
+def _check_model_size(x: np.ndarray, config: ScreeningConfig) -> None:
+    """Reject a ``dc_sis`` model size above the feature count, before any ranking."""
+    if config.method == "dc_sis" and (config.d_model_size or 0) > x.shape[-1]:
+        raise ValueError(f"model size must be in [1, {x.shape[-1]}], got {config.d_model_size}")
+
+
 def _dc_sis(n: int, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
-    selected = dc_sis_select(ranking, config.d_model_size or default_model_size(n))
+    selected = dc_sis_select(ranking, config.d_model_size or min(default_model_size(n), ranking.size))
     return ScreeningResult(
         ranking=ranking,
         marginal_r2=r2,
@@ -231,9 +240,10 @@ def _dc_sis(n: int, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig
 def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
     """Run the configured screening method and return its result."""
     config = config or ScreeningConfig()
+    x = np.asarray(x, dtype=float)
+    _check_model_size(x, config)
     if config.method == "dcov_greedy":
         return dcov_greedy(x, response, config)
-    x = np.asarray(x, dtype=float)
     return _dc_sis(x.shape[0], *marginal_rank(x, response), config)
 
 
@@ -257,6 +267,7 @@ def one_vs_rest_screen(
     if len(classes) < 2:
         raise ValueError("one-versus-rest screening needs at least 2 classes")
     x = np.asarray(x, dtype=float)
+    _check_model_size(x, config)
     columns = column_terms(x)
     greedy = config.method == "dcov_greedy"
     z = standardize_columns(x) if greedy and config.standardize else x

@@ -157,6 +157,37 @@ class TestSynthAndScreen:
         lines = read(out / "selected.csv").strip().splitlines()
         assert len(lines) == 7  # header + 6
 
+    @pytest.fixture
+    def narrow_data(self, tmp_path):
+        data_dir = tmp_path / "narrow"
+        assert run(
+            "synth", "--model", "linear", "--n", "60", "--p", "10", "--seed", "4", "--out-dir", str(data_dir),
+        ) == 0
+        return data_dir / "data.csv"
+
+    def test_dcsis_default_model_size_keeps_every_feature_when_p_is_smaller(self, narrow_data, tmp_path):
+        # floor(60 / log 60) = 14 > p = 10: the top-d rule keeps all 10
+        out = tmp_path / "sis"
+        assert run(
+            "screen", "--input", str(narrow_data), "--label-col", "response", "--method", "dcsis",
+            "--out-dir", str(out),
+        ) == 0
+        lines = read(out / "selected.csv").strip().splitlines()
+        assert sorted(int(line.split(",")[1]) for line in lines[1:]) == list(range(10))
+
+    def test_dcsis_model_size_above_p_is_a_usage_error_before_ranking(self, narrow_data, tmp_path, monkeypatch):
+        from dcovselect import screening
+
+        ranked = []
+        monkeypatch.setattr(screening, "marginal_rank", lambda *args: ranked.append(args))
+        out = tmp_path / "sis"
+        assert run(
+            "screen", "--input", str(narrow_data), "--label-col", "response", "--method", "dcsis",
+            "--model-size", "11", "--out-dir", str(out),
+        ) == 1
+        assert not ranked
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_data_validation_is_two(self, tmp_path):

@@ -30,7 +30,7 @@ from dcovselect.data import Dataset, synth_generate
 from dcovselect.errors import SolverError
 from dcovselect.screening import ScreeningConfig, screen
 from dcovselect.svm_reject import RejectLossParams, fit, predict
-from oracles import loop_voting_bins, loop_voting_scores, primal_fit_path
+from oracles import composed_marginal_dcor2, loop_voting_bins, loop_voting_scores, primal_fit_path
 
 R_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0]
 
@@ -451,15 +451,13 @@ class TestClassPathOutcomes:
         ds = tied_genotypes(seed)
         by_class = self.outcomes(ds)
         calls = []
-        real_marginal = dcov.marginal_dcor2
 
         def swept_marginal(x, response):
             # the sweep over the class blocks' own matrix, bitwise centered_distances of a -1/+1 status;
             # the greedy walk ranks against its ClassBlocks, dc_sis against the column
             blocks = response if isinstance(response, dcov.ClassBlocks) else dcov.class_blocks(response)
             calls.append(blocks is not None)
-            entries = blocks.beta[np.ix_(blocks.classes, blocks.classes)]
-            return real_marginal(x, dcov.CenteredDistanceMatrix(entries))
+            return composed_marginal_dcor2(x, blocks.beta[np.ix_(blocks.classes, blocks.classes)])
 
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class

@@ -10,11 +10,11 @@ from dcovselect.dcov import (
     class_blocks,
     dcor2,
     dcov2,
-    dcov2_centered,
     dcov2_joint,
     dvar2,
     marginal_dcor2,
     pairwise_distances,
+    sorted_response,
 )
 from dcovselect.errors import DataValidationError
 from dcovselect.screening import marginal_rank
@@ -82,17 +82,17 @@ class TestDoubleCenter:
     def test_two_point_hand_value(self):
         # d=[[0,2],[2,0]]: row/col means are 1, grand mean 1 -> [[-1,1],[1,-1]]
         a = centered_distances(np.array([0.0, 2.0]))
-        assert np.array_equal(a.entries, [[-1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(a, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_zero_matrix_centers_to_zero(self):
         a = centered_distances(np.full((4, 2), 3.5))
-        assert np.all(a.entries == 0.0)
+        assert np.all(a == 0.0)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(11)
         a = centered_distances(rng.normal(size=(5, 3)))
-        assert np.abs(a.entries.sum(axis=0)).max() < 1e-12
-        assert np.abs(a.entries.sum(axis=1)).max() < 1e-12
+        assert np.abs(a.sum(axis=0)).max() < 1e-12
+        assert np.abs(a.sum(axis=1)).max() < 1e-12
 
 
 class TestDcovAgainstBruteForce:
@@ -225,7 +225,7 @@ class TestMarginalDcor2:
             assert abs(got[j] - brute_dcor2(x[:, j], y)) < 1e-12
             assert abs(got[j] - dcor2(x[:, j], y).r2) < 1e-12
 
-    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    @pytest.mark.parametrize("response", ["binary", "continuous"])
     def test_random_instances_match_oracles(self, response):
         rng = np.random.default_rng(31)
         for trial in range(60):
@@ -235,10 +235,8 @@ class TestMarginalDcor2:
                 x = np.round(2.0 * x)  # ties and repeated values
             if response == "binary":
                 y = np.arange(n) % 2 if trial % 3 else rng.permutation(np.arange(n) % 2)
-            elif response == "continuous":
-                y = rng.normal(size=n)
             else:
-                y = rng.normal(size=(n, 2))
+                y = rng.normal(size=n)
             self.assert_matches_oracles(x, np.asarray(y, dtype=float))
 
     def test_n_equals_two(self):
@@ -277,11 +275,25 @@ class TestMarginalDcor2:
         r2 = marginal_dcor2(x, base[:, 0] + rng.normal(size=50))
         assert r2[37] == r2[58] == r2[59]
 
-    def test_precomputed_response_matrix_gives_same_values(self):
+    def test_prebuilt_sorted_response_gives_the_same_bytes(self):
         rng = np.random.default_rng(36)
         x = rng.normal(size=(20, 6))
-        y = rng.normal(size=(20, 2))
-        assert np.array_equal(marginal_dcor2(x, centered_distances(y)), marginal_dcor2(x, y))
+        y = np.round(rng.normal(size=20), 1)  # ties
+        assert marginal_dcor2(x, sorted_response(y)).tobytes() == marginal_dcor2(x, y).tobytes()
+
+    @pytest.mark.parametrize("y", [np.zeros((6, 2)), np.arange(12.0).reshape(6, 2), np.tile([0.0, 1.0], (3, 2))])
+    def test_response_of_several_columns_is_rejected(self, y):
+        with pytest.raises(ValueError, match="one column"):
+            marginal_dcor2(np.arange(12.0).reshape(6, 2), y)
+
+    def test_subject_order_does_not_move_values_for_a_response_without_ties(self):
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(60, 30)) * 10.0 ** rng.integers(-3, 4, size=30)
+        y = x[:, 0] * x[:, 1] + rng.normal(size=60)
+        want = marginal_dcor2(x, y)
+        for _ in range(3):
+            rows = rng.permutation(60)
+            assert marginal_dcor2(x[rows], y[rows]).tobytes() == want.tobytes()
 
     def test_rejects_nonfinite_features(self):
         x = np.ones((5, 2))
@@ -313,7 +325,7 @@ class TestLeanKernels:
     @pytest.mark.parametrize("block", list(lean_kernel_blocks()), ids=lambda b: "x".join(map(str, b.shape)))
     def test_centered_distances_equal_double_center_of_distances(self, block):
         got = centered_distances(block)
-        assert got.entries.tobytes() == composed_center(pairwise_distances(block)).tobytes()
+        assert got.tobytes() == composed_center(pairwise_distances(block)).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("block", [[[0.0], [1e308]], [[1e308], [-1e308]], [[1e308, 1e308], [0.0, 0.0]]])
@@ -322,23 +334,51 @@ class TestLeanKernels:
         with pytest.raises(DataValidationError, match="non-finite"):
             centered_distances(np.array(block))
 
-    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    @pytest.mark.parametrize("response", ["binary", "continuous"])
     def test_marginal_dcor2_equals_its_former_composition(self, response):
+        """Both response forms agree with the sweep over the centered matrix to rounding."""
         rng = np.random.default_rng(38)
         for x in lean_kernel_blocks():
             n = x.shape[0]
             x = np.hstack([x, rng.normal(size=(n, 2)), np.full((n, 1), -2.0)])
-            if response == "binary":
-                y = (np.arange(n) % 2).astype(float)
-            elif response == "continuous":
-                y = rng.normal(size=n)
-            else:
-                y = rng.normal(size=(n, 2))
-            b = centered_distances(y)
-            swept = marginal_dcor2(x, b)
-            assert swept.tobytes() == composed_marginal_dcor2(x, b.entries).tobytes()
-            if response == "binary":  # the class path agrees with the sweep to rounding
-                assert np.abs(marginal_dcor2(x, y) - swept).max() < 1e-12
+            y = (np.arange(n) % 2).astype(float) if response == "binary" else rng.normal(size=n)
+            swept = composed_marginal_dcor2(x, centered_distances(y))
+            assert np.abs(marginal_dcor2(x, y) - swept).max() < 1e-12
+
+
+class TestSortedResponse:
+    """A response column as its sort order and two weight vectors."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3e8])
+    def test_weights_are_the_centered_matrix(self, offset):
+        rng = np.random.default_rng(51)
+        for n in (2, 3, 9, 65, 200):
+            y = offset + rng.normal(size=n)
+            y[n // 2] = y[0]  # a tie
+            b = sorted_response(y)
+            assert np.array_equal(y[b.order], np.sort(y))
+            want = centered_distances(y)[np.ix_(b.order, b.order)]
+            upper = np.triu_indices(n)
+            built = (b.u[None, :] - b.v[:, None])[upper]
+            scale = np.abs(want).max()
+            assert np.abs(built - want[upper]).max() <= 1e-13 * scale
+            assert abs(b.vy2 - np.mean(want * want)) <= 1e-13 * np.mean(want * want)
+
+    @pytest.mark.parametrize("value", [0.7, 1.1, np.pi])
+    def test_constant_response_has_exactly_zero_variance(self, value):
+        y = np.full(11, value)
+        assert np.var(y) > 0.0  # so a rounded variance would not tell
+        assert sorted_response(y).vy2 == 0.0
+        with pytest.warns(UserWarning, match="constant"):
+            assert np.array_equal(marginal_dcor2(np.random.default_rng(52).normal(size=(11, 3)), y), np.zeros(3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("values", [(0.0, 1e308, 5.0), (-1e308, 0.5, 1e308), (-1e308, 1.0, 2.0)])
+    def test_overflowing_statistics_are_rejected(self, values):
+        x = np.random.default_rng(53).normal(size=(3, 2))
+        for call in (sorted_response, lambda y: marginal_dcor2(x, y)):
+            with pytest.raises(DataValidationError, match="non-finite"):
+                call(np.array(values))
 
 
 CODINGS = {"plus_minus_one": (-1.0, 1.0), "zero_one": (0.0, 1.0), "tenths": (0.1, 0.7), "z_scored": None}
@@ -360,7 +400,7 @@ class TestClassBlockKernel:
     def assert_matches_oracles(x, y):
         got = marginal_dcor2(x, class_blocks(y))
         assert got.tobytes() == marginal_dcor2(x, y).tobytes()
-        swept = marginal_dcor2(x, centered_distances(y))
+        swept = composed_marginal_dcor2(x, centered_distances(y))
         assert np.abs(got - swept).max() < 1e-12
         for j in range(x.shape[1]):
             assert abs(got[j] - brute_dcor2(x[:, j], y)) < 1e-12
@@ -426,12 +466,12 @@ class TestClassBlockKernel:
             b = centered_distances(y)
             blocks = class_blocks(y)
             assert np.array_equal(blocks.classes, classes)
-            assert blocks.beta[:, classes][classes].tobytes() == b.entries.tobytes()
+            assert blocks.beta[:, classes][classes].tobytes() == b.tobytes()
             # dVar^2 from the class counts, against the mean over the matrix
-            assert abs(blocks.dvar2() - dcov2_centered(b, b)) <= 1e-14 * dcov2_centered(b, b)
+            assert abs(blocks.dvar2() - np.mean(b * b)) <= 1e-14 * np.mean(b * b)
             x = rng.normal(size=(n, 5))
             assert marginal_dcor2(x, y).tobytes() == marginal_dcor2(x, blocks).tobytes()
-            assert np.abs(marginal_dcor2(x, b) - marginal_dcor2(x, blocks)).max() < 1e-12
+            assert np.abs(composed_marginal_dcor2(x, b) - marginal_dcor2(x, blocks)).max() < 1e-12
 
     @pytest.mark.parametrize("coding", ["tenths", "z_scored"])
     def test_other_codings_are_class_blocks_to_rounding(self, coding):
@@ -443,9 +483,9 @@ class TestClassBlockKernel:
             b = centered_distances(y)
             blocks = class_blocks(y)
             assert np.array_equal(blocks.classes, classes)
-            scale = np.abs(b.entries).max()
-            assert np.abs(blocks.beta[:, classes][classes] - b.entries).max() <= 1e-14 * scale
-            assert abs(blocks.dvar2() - dcov2_centered(b, b)) <= 1e-13 * dcov2_centered(b, b)
+            scale = np.abs(b).max()
+            assert np.abs(blocks.beta[:, classes][classes] - b).max() <= 1e-14 * scale
+            assert abs(blocks.dvar2() - np.mean(b * b)) <= 1e-13 * np.mean(b * b)
 
     @pytest.mark.parametrize("y", [np.arange(6.0), np.full(6, 2.0), np.zeros((6, 2)), np.tile([0.0, 1.0], (3, 2))])
     def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
@@ -511,7 +551,7 @@ class TestClassBlockKernel:
             x = {"C": x, "F": np.asfortranarray(x), "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
             y = coded(classes, list(CODINGS)[trial % len(CODINGS)])
             got = marginal_dcor2(x, y)
-            swept = marginal_dcor2(x, centered_distances(y))
+            swept = composed_marginal_dcor2(x, centered_distances(y))
             assert np.abs(got - swept).max() < 1e-12
             if p >= 4:
                 ranking = np.argsort(-got, kind="stable")

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcovselect.dcov import centered_distances, class_blocks, dcov2, dcov2_joint, marginal_dcor2
+from dcovselect import screening
+from dcovselect.dcov import centered_distances, dcov2, dcov2_joint, marginal_dcor2
 from dcovselect.screening import (
     STOP_DECREASE,
     STOP_EXHAUSTED,
@@ -136,6 +137,31 @@ class TestDcSis:
         with pytest.raises(ValueError):
             dc_sis_select(np.array([0, 1]), 3)
 
+    def test_default_model_size_is_capped_at_the_feature_count(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(60, 10))  # floor(60 / log 60) = 14
+        res = screen(x, x[:, 3] + rng.normal(size=60), ScreeningConfig(method="dc_sis"))
+        assert sorted(res.selected) == list(range(10))
+        labels = np.repeat(["a", "b", "c"], 20)
+        _, union = one_vs_rest_screen(x, labels, ScreeningConfig(method="dc_sis"))
+        assert union == list(range(10))
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_model_size_above_the_feature_count_is_rejected_before_ranking(self, monkeypatch, binary):
+        def ranked(*args, **kwargs):
+            raise AssertionError("ranked before the model size was checked")
+
+        monkeypatch.setattr(screening, "marginal_rank", ranked)
+        monkeypatch.setattr(screening, "marginal_dcor2", ranked)
+        monkeypatch.setattr(screening, "column_terms", ranked)
+        x = np.random.default_rng(17).normal(size=(30, 10))
+        config = ScreeningConfig(method="dc_sis", d_model_size=11)
+        with pytest.raises(ValueError, match="model size"):
+            if binary:
+                one_vs_rest_screen(x, np.arange(30) % 3, config)
+            else:
+                screen(x, x[:, 0], config)
+
     def test_screen_dispatch(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(63, 30))
@@ -206,7 +232,7 @@ class TestGreedy:
             assert res.stop_reason == reason
             assert np.allclose(res.trajectory, traj, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("response", ["binary", "continuous", "two_columns"])
+    @pytest.mark.parametrize("response", ["binary", "continuous"])
     def test_every_step_equals_joint_dcov(self, response):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40, 8))
@@ -214,7 +240,6 @@ class TestGreedy:
         y = {
             "binary": (signal > 0).astype(float),
             "continuous": signal + 0.3 * rng.normal(size=40),
-            "two_columns": np.column_stack([signal, x[:, 0] ** 2]),
         }[response]
         res = dcov_greedy(x, y, ScreeningConfig(epsilon=0.05, m_lookahead=2))
         xs = standardize_columns(x)
@@ -224,6 +249,12 @@ class TestGreedy:
             if accepted:
                 selected.append(j)
         assert selected == res.selected
+
+    def test_response_of_several_columns_is_rejected(self):
+        x = np.random.default_rng(15).normal(size=(20, 4))
+        for y in (np.column_stack([x[:, 0], x[:, 1] ** 2]), np.tile([0.0, 1.0], (10, 2))):
+            with pytest.raises(ValueError, match="one column"):
+                dcov_greedy(x, y)
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
@@ -347,7 +378,7 @@ class TestOneVsRest:
 
 
 class TestWalkMemory:
-    """A two-valued response builds no n x n array; the greedy walk holds about n^2 / 2 floats."""
+    """No response builds an n x n array; the greedy walk holds about n^2 / 2 floats."""
 
     @pytest.mark.parametrize("method, bound", [("dcov_greedy", 1.0), ("dc_sis", 0.05)])
     def test_binary_screen_peaks_below_one_square_matrix(self, method, bound):
@@ -363,6 +394,21 @@ class TestWalkMemory:
             tracemalloc.stop()
         assert sorted(result.selected) == [0, 1, 2]
         # one n x n float array is 32 MB
+        assert peak < bound * 8 * n * n
+
+    @pytest.mark.parametrize("method, bound", [("dcov_greedy", 1.0), ("dc_sis", 0.05)])
+    def test_continuous_screen_peaks_below_one_square_matrix(self, method, bound):
+        n = 2000
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(n, 6))
+        y = x[:, 0] + x[:, 1] + x[:, 2] + 0.5 * rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            result = screen(x, y, ScreeningConfig(method=method, d_model_size=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(result.selected) == [0, 1, 2]
         assert peak < bound * 8 * n * n
 
     @pytest.mark.parametrize("method, bound", [("dcov_greedy", 1.0), ("dc_sis", 0.05)])
@@ -466,7 +512,7 @@ class TestLeanGreedy:
         yield x, x[:, 2] - x[:, 7] ** 2 + rng.normal(size=60)
         for n in (5, 17, 33):
             x = rng.normal(size=(n, 8))
-            yield x, rng.normal(size=(n, 2))
+            yield x, rng.normal(size=(n, 2))[:, 0]  # two columns drawn, one kept: the later designs keep their draws
         # below, at and just above one row block, and several blocks
         for n in (63, 64, 65, 130, 300):
             x = rng.normal(size=(n, 10))
@@ -494,22 +540,18 @@ class TestLeanGreedy:
     @pytest.mark.filterwarnings("ignore:response is constant")
     @pytest.mark.parametrize("m, epsilon", [(1, 0.0), (3, 0.0), (1, 1e-3), (3, 0.05)])
     def test_walk_equals_its_former_composition(self, m, epsilon):
-        """Discrete outcomes and non-binary r^2 bytes are the composition's; joint values agree to 1e-12."""
+        """Discrete outcomes are the composition's; r^2 and joint values agree to 1e-12."""
         for x, y in self.designs():
             config = ScreeningConfig(m_lookahead=m, epsilon=epsilon)
             result = dcov_greedy(x, y, config)
             ranking, r2 = marginal_rank(x, y)
             b = centered_distances(y)
             selected, trajectory, features, accepted = composed_greedy_walk(
-                composed_standardize(x), ranking, b.entries, epsilon, m
+                composed_standardize(x), ranking, b, epsilon, m
             )
-            composed_r2 = composed_marginal_dcor2(x, b.entries)
             assert result.ranking.tobytes() == ranking.tobytes()
             assert result.marginal_r2.tobytes() == r2.tobytes()
-            if class_blocks(y) is None:
-                assert r2.tobytes() == composed_r2.tobytes()
-            else:
-                assert np.abs(r2 - composed_r2).max() < 1e-12
+            assert np.abs(r2 - composed_marginal_dcor2(x, b)).max() < 1e-12
             assert result.selected == selected
             np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-12, atol=0.0)
             assert result.trajectory_features == features
