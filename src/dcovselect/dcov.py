@@ -13,12 +13,14 @@ column-concatenated block.
 
 ``centered_distances``, which double-centers the distance matrix in place,
 and the ``dcor2`` family built on it are the reference.  Screening builds
-no ``n x n`` array: its response is one column, kept in one of two forms.
+no ``n x n`` array: its response is one column, kept in one of two forms,
+and both put the subjects in an ``order`` of their own in which every
+screen works from start to finish.
 
 * A column with exactly two values, however coded, has a centered matrix
-  that is one constant per class-pair block.  ``class_blocks`` keeps only
-  the class codes and those 2 x 2 constants (``ClassBlocks``), and dVar^2
-  comes from the class counts.
+  that is one constant per class-pair block.  ``class_blocks`` keeps the
+  stable class order (class 0 first), the size ``n0`` of class 0, those
+  2 x 2 constants and dVar^2, from the class counts (``ClassBlocks``).
 * Any other column is its ``sorted_response`` (``SortedResponse``).  With
   the subjects in (stable) y order, the centered entry on and above the
   diagonal is ``B_ij = u_j - v_i``, where ``u = y - m + g/2``, ``v = y + m
@@ -26,19 +28,21 @@ no ``n x n`` array: its response is one column, kept in one of two forms.
   mean (a shift of y cancels, so y is taken less its smallest value); ``m``
   and dVar^2 come from the sorted column's gaps.
 
-``marginal_dcor2`` scores every feature against either form without a
-per-feature matrix: by class blocks from per-class sorted columns,
-O(n log n) per feature, or by ``n - 1`` row sweeps in y order, row ``i``
-weighted by ``u[i+1:] - v[i]``, O(n^2) per feature.  ``JointDistances``
-serves the greedy walk: it keeps the selected block's summed squared
-distances as the strict upper triangle plus the diagonal squares, in row
-blocks of ``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n -
-1``), so the walk holds about ``n^2 / 2`` floats; a sorted response's
-weights are built block by block in a scratch array.  Distances come from
-``pairwise_distances``, a numpy kernel that sums squared coordinate
-differences in column order, as ``scipy.spatial.distance.cdist`` does, so
-this module needs no scipy.  All functions are pure, apart from the
-constant-response warning; results depend only on the inputs.
+``marginal_dcor2`` copies the features into the response's order once and
+scores every one against either form without a per-feature matrix: by
+class blocks from the sorted class slices, O(n log n) per feature, or by
+``n - 1`` row sweeps, row ``i`` weighted by ``u[i+1:] - v[i]``, O(n^2) per
+feature.  ``JointDistances`` serves the greedy walk on columns in the
+response's order: it keeps the selected block's summed squared distances
+as the strict upper triangle plus the diagonal squares, in row blocks of
+``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n - 1``), so
+the walk holds about ``n^2 / 2`` floats, and it has one weighting rule:
+each form multiplies its own ``B`` into a row block of distances.
+Distances come from ``pairwise_distances``, a numpy kernel that sums
+squared coordinate differences in column order, as
+``scipy.spatial.distance.cdist`` does, so this module needs no scipy.  All
+functions are pure, apart from the constant-response warning; results
+depend only on the inputs.
 """
 
 import warnings
@@ -75,24 +79,50 @@ ROW_BLOCK = 64
 class ClassBlocks:
     """The centered distance matrix of a two-valued column, without the matrix.
 
-    ``classes`` holds each subject's class, 0 for the smaller value and 1
-    for the larger, and ``beta[a, b]`` the matrix's entry on every pair of
-    subjects of classes ``(a, b)``: bitwise the entries
+    ``order`` puts the subjects of class 0 (the smaller value) first and
+    those of class 1 after them, each in their original order, and ``n0``
+    is the size of class 0.  ``beta[a, b]`` is the matrix's entry on every
+    pair of subjects of classes ``(a, b)``: bitwise the entries
     ``centered_distances`` computes for the -1/+1 and 0/1 codings, and
-    equal to rounding for others.
+    equal to rounding for others.  ``vy2`` is the column's dVar^2.
     """
 
-    classes: np.ndarray
+    order: np.ndarray
+    n0: int
     beta: np.ndarray
+    vy2: float
 
     @property
     def n(self) -> int:
-        return self.classes.size
+        return self.order.size
 
-    def dvar2(self) -> float:
-        """Squared distance variance, ``sum_ab n_a n_b beta_ab^2 / n^2``."""
-        counts = np.bincount(self.classes, minlength=2).astype(float)
-        return float((np.outer(counts, counts) * self.beta * self.beta).sum()) / (self.n * self.n)
+    def cross_sums(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """``sum_{i<j} |x_i - x_j| B_ij`` of every column of ``x``, overwriting ``x``.
+
+        ``x`` holds the subjects in ``order`` and ``pairs`` each column's
+        pair sum over all of them; the pair sum within each class comes
+        from that class's slice of ``x``, sorted in place (the class-block
+        kernel of ``marginal_dcor2``).
+        """
+        within = []
+        for rows in (x[: self.n0], x[self.n0 :]):
+            rows.sort(axis=0)
+            within.append(_sorted_pair_sums(rows))
+        beta = self.beta
+        return beta[0, 0] * within[0] + beta[1, 1] * within[1] + beta[0, 1] * (pairs - within[0] - within[1])
+
+    def weigh(self, dist: np.ndarray, i: int, scratch: np.ndarray) -> None:
+        """Multiply ``B``'s rows ``i .. i + k - 1`` and columns ``i .. n - 1`` into the ``k``-row ``dist``.
+
+        In ``order`` that part of ``B`` is one constant on each of at most
+        four rectangles, scaled in place; ``scratch`` is not needed.
+        """
+        c = max(self.n0 - i, 0)  # the columns of class 0
+        r = min(c, dist.shape[0])  # and the rows
+        dist[:r, :c] *= self.beta[0, 0]
+        dist[:r, c:] *= self.beta[0, 1]
+        dist[r:, :c] *= self.beta[1, 0]
+        dist[r:, c:] *= self.beta[1, 1]
 
 
 @dataclass(frozen=True)
@@ -113,6 +143,37 @@ class SortedResponse:
     @property
     def n(self) -> int:
         return self.order.size
+
+    def cross_sums(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """``sum_{i<j} |x_i - x_j| B_ij`` of every column of ``x``, in ``n - 1`` row sweeps.
+
+        ``x`` holds the subjects in ``order``, so row ``i``'s entries of
+        ``B`` right of the diagonal are ``u[i+1:] - v[i]``; ``pairs`` is not
+        needed.  Reductions along axis 0 treat every column alike, unlike a
+        BLAS product.  Every sweep reuses the rows of one buffer.
+        """
+        n, p = x.shape
+        cross = np.zeros(p)
+        buf = np.empty((n - 1, p))
+        for i in range(n - 1):
+            dist = buf[: n - 1 - i]
+            np.subtract(x[i + 1 :], x[i], out=dist)
+            np.abs(dist, out=dist)
+            dist *= (self.u[i + 1 :] - self.v[i])[:, None]
+            cross += dist.sum(axis=0)
+        return cross
+
+    def weigh(self, dist: np.ndarray, i: int, scratch: np.ndarray) -> None:
+        """Multiply ``B``'s rows ``i .. i + k - 1`` and columns ``i .. n - 1`` into the ``k``-row ``dist``.
+
+        That part of ``B`` is built in ``scratch`` as ``u_c - v_r`` on and
+        above the diagonal, and mirrored below it in the diagonal square.
+        """
+        k = dist.shape[0]
+        w = scratch[: dist.size].reshape(dist.shape)
+        np.subtract(self.u[None, i:], self.v[i : i + k, None], out=w)
+        np.copyto(w[:, :k], w[:, :k].T, where=np.tri(k, k=-1, dtype=bool))
+        dist *= w
 
 
 @dataclass(frozen=True)
@@ -202,25 +263,27 @@ def class_blocks(response) -> ClassBlocks | None:
     means equal row means, and block ``(a, b)`` holds ``((distance -
     mean_a) - mean_b) + grand``.  When every distance, row sum and the
     total are exact (a whole-number gap up to 2^26 with ``gap n^2 <=
-    2^53``), the generic path's means round exactly as here.  A constant
-    or dVar^2 that overflows raises, as in ``centered_distances``.
+    2^53``), the generic path's means round exactly as here.  dVar^2 is
+    ``sum_ab n_a n_b beta_ab^2 / n^2`` over the class counts ``n_a``.  A
+    constant or dVar^2 that overflows raises, as in ``centered_distances``.
     """
     x = as_block(response)
     values = np.unique(x[:, 0]) if x.shape[1] == 1 else ()
     if len(values) != 2:
         return None
     gap = float(values[1] - values[0])
-    classes = (x[:, 0] == values[1]).astype(np.intp)
+    classes = x[:, 0] == values[1]
     n = classes.size
     n1 = int(classes.sum())
     n0 = n - n1
     means = (n1 * gap / n, n0 * gap / n)
     grand = 2 * n0 * n1 * gap / (n * n)
     beta = np.array([[((gap * (a != b) - means[a]) - means[b]) + grand for b in (0, 1)] for a in (0, 1)])
-    blocks = ClassBlocks(classes=classes, beta=beta)
-    if not np.isfinite(blocks.dvar2()):  # both classes are populated, so this covers every constant
+    counts = np.array([n0, n1], dtype=float)
+    vy2 = float((np.outer(counts, counts) * beta * beta).sum()) / (n * n)
+    if not np.isfinite(vy2):  # both classes are populated, so this covers every constant
         raise DataValidationError("class-block distance statistics contain non-finite values")
-    return blocks
+    return ClassBlocks(order=np.argsort(classes, kind="stable"), n0=n0, beta=beta, vy2=vy2)
 
 
 def sorted_response(response) -> SortedResponse:
@@ -304,23 +367,24 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
     Entry ``j`` of the result is ``dcor2(x[:, j], response).r2`` (to
     rounding), obtained without any ``n x n`` matrix.  ``B`` has zero row
     and column sums, so ``sum_ij A_ij B_ij`` equals ``sum_ij a_ij B_ij = 2
-    sum_{i<j} |x_i - x_j| B_ij``; that cross sum is taken one of two ways:
+    sum_{i<j} |x_i - x_j| B_ij``.  The features are copied once into the
+    response's ``order``, and the form's ``cross_sums`` takes that cross
+    sum one of two ways:
 
     * class blocks, for ``ClassBlocks``: ``B`` is ``beta_ab`` on the block
       of classes ``(a, b)``, so the cross sum is ``beta_00 U_0 + beta_11
       U_1 + beta_01 (U - U_0 - U_1)``, where ``U`` sums ``|x_i - x_j|`` over
       all pairs and ``U_c`` over the pairs within class ``c``.  A sorted
       column ``s`` of length ``K`` has pair sum ``sum_k s_k (2k - K + 1)``;
-      ``U`` is the column's pair sum and each ``U_c`` takes one sort of
-      that class's rows, in one reused buffer.  This kernel sees each
-      column only as one multiset per class: columns with the same
-      multisets (duplicates, constant columns, within-class permutations
-      of one column) get bitwise-equal values.  O(n log n) per column;
-    * row sweeps, for a ``SortedResponse``: the subjects are copied into y
-      order and ``n - 1`` sweeps accumulate the upper triangle of every
-      column, row ``i`` weighted by ``u[i+1:] - v[i]``.  O(n^2) per
-      column; for a response without ties the result does not depend on
-      the order of the subjects.
+      ``U`` is the column's pair sum and each ``U_c`` sorts that class's
+      contiguous slice of the copy in place.  This kernel sees each column
+      only as one multiset per class: columns with the same multisets
+      (duplicates, constant columns, within-class permutations of one
+      column) get bitwise-equal values.  O(n log n) per column;
+    * row sweeps, for a ``SortedResponse``: ``n - 1`` sweeps accumulate
+      the upper triangle of every column, row ``i`` weighted by ``u[i+1:]
+      - v[i]``.  O(n^2) per column; for a response without ties the result
+      does not depend on the order of the subjects.
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
@@ -342,13 +406,11 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
         raise ValueError(f"sample counts differ: {n} vs {b.n}")
     if not np.all(np.isfinite(x)):
         raise DataValidationError("feature matrix contains non-finite values")
-    vy2 = b.dvar2() if isinstance(b, ClassBlocks) else b.vy2
-    if vy2 == 0.0:
+    if b.vy2 == 0.0:
         warnings.warn("response is constant: all marginal distance correlations are zero", stacklevel=2)
         return np.zeros(p)
     vx2, pairs = column_terms(x) if columns is None else columns
-    cross = _class_cross(x, b, pairs, np.empty_like(x)) if isinstance(b, ClassBlocks) else _swept_cross(x[b.order], b)
-    return _r2(cross, vx2, vy2, n)
+    return _r2(b.cross_sums(x[b.order], pairs), vx2, b.vy2, n)
 
 
 def column_terms(x) -> tuple[np.ndarray, np.ndarray]:
@@ -369,43 +431,6 @@ def _r2(cross: np.ndarray, vx2: np.ndarray, vy2: float, n: int) -> np.ndarray:
     pos = denom2 > 0.0
     r2[pos] = np.minimum(v2[pos] / np.sqrt(denom2[pos]), 1.0)
     return r2
-
-
-def _swept_cross(x: np.ndarray, b: SortedResponse) -> np.ndarray:
-    """``sum_{i<j} |x_i - x_j| B_ij`` of every column, in ``n - 1`` row sweeps.
-
-    ``x`` holds the subjects in ``b.order``, so row ``i``'s entries of ``B``
-    right of the diagonal are ``u[i+1:] - v[i]``.  Reductions along axis 0
-    treat every column alike, unlike a BLAS product.  Every sweep reuses
-    the rows of one buffer.
-    """
-    n, p = x.shape
-    cross = np.zeros(p)
-    buf = np.empty((n - 1, p))
-    for i in range(n - 1):
-        dist = buf[: n - 1 - i]
-        np.subtract(x[i + 1 :], x[i], out=dist)
-        np.abs(dist, out=dist)
-        dist *= (b.u[i + 1 :] - b.v[i])[:, None]
-        cross += dist.sum(axis=0)
-    return cross
-
-
-def _class_cross(x: np.ndarray, y: ClassBlocks, pairs: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``sum_{i<j} |x_i - x_j| B_ij`` of every column, from class blocks.
-
-    ``pairs`` is each column's pair sum over all subjects and ``buf`` an
-    ``n x p`` scratch array.
-    """
-    within = []
-    for c in (0, 1):
-        rows = np.flatnonzero(y.classes == c)
-        block = buf[: rows.size]
-        np.take(x, rows, axis=0, out=block)
-        block.sort(axis=0)
-        within.append(_sorted_pair_sums(block))
-    beta = y.beta
-    return beta[0, 0] * within[0] + beta[1, 1] * within[1] + beta[0, 1] * (pairs - within[0] - within[1])
 
 
 def _sorted_pair_sums(s: np.ndarray) -> np.ndarray:
@@ -458,88 +483,55 @@ def _column_dvar2(var: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 class JointDistances:
     """A growing block of columns and its joint squared distance covariance with a response.
 
-    The block is kept as the sum of its columns' squared pairwise
-    differences over the strict upper triangle and the diagonal squares,
-    in row blocks of at most ``ROW_BLOCK`` rows: block ``[i, i + k)`` holds
-    columns ``i .. n - 1``, so the state is about ``n^2 / 2`` floats.  Its
-    distances are the square roots of these sums; ``B`` has zero row and
-    column sums, so double-centering them would not change their inner
-    product with ``B``, and ``n^2 dCov^2 = 2 sum(rectangle) + sum(diagonal
-    square)`` over the blocks, the rectangle being columns ``i + k ..
-    n - 1``.
-
     ``response`` is the ``ClassBlocks`` or ``SortedResponse`` of the
-    response, and the subjects are visited in class order or in y order (a
-    column passed in keeps the caller's order and is reordered here).  For
-    class blocks no block straddles the classes, so each block's ``B`` is
-    one constant on its diagonal square and on at most two rectangles: the
-    square roots are summed per class pair and weighted by ``beta`` once,
-    at the end.  For a sorted response each block's ``B`` is built in a
-    second scratch array, as ``u_c - v_r`` on and above the diagonal and
-    mirrored below it in the diagonal square.  Scoring a candidate takes
-    scratch arrays of at most ``ROW_BLOCK * n`` floats.
+    response, and every column passed in holds the subjects in its
+    ``order``.  The block is kept as the sum of its columns' squared
+    pairwise differences over the strict upper triangle and the diagonal
+    squares, in row blocks of at most ``ROW_BLOCK`` rows: block ``[i, i +
+    k)`` holds columns ``i .. n - 1``, so the state is about ``n^2 / 2``
+    floats.  Its distances are the square roots of these sums; ``B`` has
+    zero row and column sums, so double-centering them would not change
+    their inner product with ``B``, and ``n^2 dCov^2 = 2 sum(rectangle) +
+    sum(diagonal square)`` over the blocks of distances weighted by ``B``,
+    the rectangle being columns ``i + k .. n - 1``.  There is one
+    weighting rule: the response's ``weigh`` multiplies its part of ``B``
+    into each block.  Scoring a candidate takes a scratch array of at most
+    ``ROW_BLOCK * n`` floats, and a sorted response's weights a second.
     """
 
     def __init__(self, response):
         n = response.n
-        self._wbuf = None
-        if isinstance(response, ClassBlocks):
-            self._order = np.argsort(response.classes, kind="stable")
-            self._n0 = n - int(response.classes.sum())
-            self._beta = response.beta
-        else:  # one class; each block's products with its built B are summed
-            self._order = response.order
-            self._n0 = n
-            self._beta = np.array([[1.0, 0.0], [0.0, 0.0]])
-            self._u, self._v = response.u, response.v
-            self._wbuf = np.empty(min(ROW_BLOCK, n) * n)
-        self._blocks = _row_blocks(0, self._n0) + _row_blocks(self._n0, n)
+        self._response = response
+        self._blocks = _row_blocks(0, n)
         self._sq = [np.zeros((end - i, n - i)) for i, end in self._blocks]
-        self._buf = np.empty(min(ROW_BLOCK, n) * n)
+        self._buf = np.empty((2, min(ROW_BLOCK, n) * n))  # the second row is touched only by sorted weights
         self._n = n
 
     def dcov2_with(self, column) -> float:
         """Joint squared distance covariance of the block plus ``column``; the block is unchanged."""
-        col = column[self._order]
-        sums = [0.0, 0.0, 0.0]  # over the pairs of classes (0, 0), (0, 1) and (1, 1)
+        total = 0.0
         for (i, end), sq in zip(self._blocks, self._sq):
-            dist = self._squared_differences(col, i, end)
+            dist = self._squared_differences(column, i, end)
             dist += sq
             np.sqrt(dist, out=dist)
-            if self._wbuf is not None:
-                dist *= self._block_weights(i, end)
+            self._response.weigh(dist, i, self._buf[1])
             k = end - i
-            if i < self._n0:
-                split = self._n0 - i
-                sums[0] += float(dist[:, :k].sum()) + 2.0 * float(dist[:, k:split].sum())
-                sums[1] += 2.0 * float(dist[:, split:].sum())
-            else:
-                sums[2] += float(dist[:, :k].sum()) + 2.0 * float(dist[:, k:].sum())
-        beta = self._beta
-        v2 = (beta[0, 0] * sums[0] + beta[0, 1] * sums[1] + beta[1, 1] * sums[2]) / (self._n * self._n)
+            total += float(dist[:, :k].sum()) + 2.0 * float(dist[:, k:].sum())
+        v2 = total / (self._n * self._n)
         # The biased estimator is nonnegative in exact arithmetic; clamp roundoff.
-        return float(v2) if v2 > 0.0 else 0.0
+        return v2 if v2 > 0.0 else 0.0
 
     def add(self, column) -> None:
         """Admit ``column`` into the block."""
-        col = column[self._order]
         for (i, end), sq in zip(self._blocks, self._sq):
-            sq += self._squared_differences(col, i, end)
+            sq += self._squared_differences(column, i, end)
 
     def _squared_differences(self, col: np.ndarray, i: int, end: int) -> np.ndarray:
         """``(col_r - col_c)^2`` for rows ``[i, end)`` and columns ``i .. n - 1``, in the scratch array."""
-        out = self._buf[: (end - i) * (self._n - i)].reshape(end - i, self._n - i)
+        out = self._buf[0, : (end - i) * (self._n - i)].reshape(end - i, self._n - i)
         np.subtract(col[i:end, None], col[None, i:], out=out)
         out *= out
         return out
-
-    def _block_weights(self, i: int, end: int) -> np.ndarray:
-        """A sorted response's ``B`` on the same rows and columns, in the second scratch array."""
-        k = end - i
-        w = self._wbuf[: k * (self._n - i)].reshape(k, self._n - i)
-        np.subtract(self._u[None, i:], self._v[i:end, None], out=w)
-        np.copyto(w[:, :k], w[:, :k].T, where=np.tri(k, k=-1, dtype=bool))
-        return w
 
 
 def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:

@@ -15,6 +15,10 @@ Multicategory problems are screened one-versus-rest with 0/1 class
 indicators and the per-class selections are unioned.  The response is one
 column, kept as ``dcov.class_blocks`` when it has two values and as
 ``dcov.sorted_response`` otherwise, so no screen builds an ``n x n`` array.
+Every screen works in its response's ``order`` from start to finish: the
+ranking copies the features into it, and the greedy walk copies them once
+more, takes the z-scores there, and weighs each row block of distances by
+the response's one weighting rule.
 """
 
 import warnings
@@ -94,12 +98,15 @@ class ScreeningResult:
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
     """Z-score each column; constant columns become all zeros."""
-    x = np.asarray(x, dtype=float)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    z = x - mean
-    z /= std
+    return _standardize_in_place(np.array(x, dtype=float))
+
+
+def _standardize_in_place(z: np.ndarray) -> np.ndarray:
+    """``standardize_columns`` of a float array, overwriting it."""
+    mean = z.mean(axis=0)
+    std = z.std(axis=0)
+    z -= mean
+    z /= np.where(std > 0.0, std, 1.0)
     return z
 
 
@@ -122,8 +129,8 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
     response column is scored by row sweeps in its sort order, so for a
     response without ties the values do not depend on the order of the
     subjects.  ``response`` may also be its already built ``ClassBlocks``
-    or ``SortedResponse``; ``marginal_dcor2`` scores all features against
-    it at once.
+    or ``SortedResponse``; ``marginal_dcor2`` copies the features into its
+    order once and scores them all against it at once.
     """
     return _ranked(marginal_dcor2(x, response))
 
@@ -155,27 +162,36 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     when no candidate in the window qualifies, or when the ranking is
     exhausted.
 
-    The selection is kept as ``dcov.JointDistances``: summed squared
-    differences in upper-triangle row blocks, about ``n^2 / 2`` floats,
-    scored block by block in scratch arrays of at most ``ROW_BLOCK * n``
-    floats.  The response is built once, for ranking and walk: a column
-    with exactly two values, however coded, as its ``class_blocks`` (the
-    walk visits the subjects in class order), and any other column as its
-    ``sorted_response`` (the walk visits them in y order and builds each
-    row block's weights from ``u`` and ``v``).  No ``n x n`` array is
-    built; a response of more than one column raises ValueError.
+    The response is built once, for ranking and walk: a column with
+    exactly two values, however coded, as its ``class_blocks``, and any
+    other column as its ``sorted_response``.  The walk copies ``x`` once
+    into the response's order (class order or y order) and z-scores that
+    copy in place, so the means and deviations are summed in that order
+    too: for a response without ties the walk does not depend on the order
+    of the subjects, to the bit.  The selection is kept as
+    ``dcov.JointDistances``: summed squared differences in upper-triangle
+    row blocks, about ``n^2 / 2`` floats, scored block by block in scratch
+    arrays of at most ``ROW_BLOCK * n`` floats, each block weighted by the
+    response's own ``weigh``.  No ``n x n`` array is built; a response of
+    more than one column raises ValueError.
     """
     config = config or ScreeningConfig()
     x = np.asarray(x, dtype=float)
     b = class_blocks(response) or sorted_response(response)
-    ranking, r2 = marginal_rank(x, b)
-    return _greedy_walk(standardize_columns(x) if config.standardize else x, JointDistances(b), ranking, r2, config)
+    return _greedy_walk(x, b, *marginal_rank(x, b), config)
 
 
-def _greedy_walk(
-    x: np.ndarray, joint: JointDistances, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig
-) -> ScreeningResult:
-    """The walk over ``ranking`` with the (z-scored) columns ``x``, from an empty ``joint``."""
+def _greedy_walk(x: np.ndarray, b, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
+    """The walk over ``ranking`` with the columns of ``x``, against the response form ``b``.
+
+    ``x`` is copied once into ``b.order`` and, with ``config.standardize``,
+    that copy is z-scored in place: each column's mean and standard
+    deviation are taken in the response's order, as every sum of the walk.
+    """
+    x = x[b.order]
+    if config.standardize:
+        _standardize_in_place(x)
+    joint = JointDistances(b)
     top = int(ranking[0])
     current = joint.dcov2_with(x[:, top])
     joint.add(x[:, top])
@@ -257,9 +273,10 @@ def one_vs_rest_screen(
     warning.  Returns ``(per_class, union)`` where ``per_class`` maps each
     screened class label to its ScreeningResult and ``union`` is the sorted
     union of the selected sets.  Each class's result is ``screen``'s for
-    its indicator; the columns' dVar^2 and pair sums (``column_terms``),
-    and for the greedy walk their z-scores, are computed once for all
-    classes.
+    its indicator: ranking and walk work in that indicator's class order,
+    and the walk z-scores the columns there, per class.  Only the
+    columns' dVar^2 and pair sums (``column_terms``), which do not depend
+    on the order, are computed once for all classes.
     """
     config = config or ScreeningConfig()
     labels = np.asarray(class_labels)
@@ -269,8 +286,6 @@ def one_vs_rest_screen(
     x = np.asarray(x, dtype=float)
     _check_model_size(x, config)
     columns = column_terms(x)
-    greedy = config.method == "dcov_greedy"
-    z = standardize_columns(x) if greedy and config.standardize else x
     per_class = {}
     union: set[int] = set()
     for c in classes:
@@ -280,8 +295,8 @@ def one_vs_rest_screen(
             continue
         y = class_blocks(np.where(labels == c, 0.0, 1.0))
         ranking, r2 = _ranked(marginal_dcor2(x, y, columns))
-        if greedy:
-            result = _greedy_walk(z, JointDistances(y), ranking, r2, config)
+        if config.method == "dcov_greedy":
+            result = _greedy_walk(x, y, ranking, r2, config)
         else:
             result = _dc_sis(x.shape[0], ranking, r2, config)
         per_class[c] = result

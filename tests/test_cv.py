@@ -457,7 +457,8 @@ class TestClassPathOutcomes:
             # the greedy walk ranks against its ClassBlocks, dc_sis against the column
             blocks = response if isinstance(response, dcov.ClassBlocks) else dcov.class_blocks(response)
             calls.append(blocks is not None)
-            return composed_marginal_dcor2(x, blocks.beta[np.ix_(blocks.classes, blocks.classes)])
+            classes = (np.argsort(blocks.order) >= blocks.n0).astype(int)  # class 1 from position n0 of the order on
+            return composed_marginal_dcor2(x, blocks.beta[np.ix_(classes, classes)])
 
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class

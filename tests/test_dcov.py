@@ -393,6 +393,12 @@ def coded(classes, coding):
     return np.where(classes == 1, high, low)
 
 
+def assert_class_order(blocks, classes):
+    """``blocks`` puts the subjects of class 0, then of class 1, each in index order, and counts class 0."""
+    assert np.array_equal(blocks.order, np.argsort(classes, kind="stable"))
+    assert blocks.n0 == np.count_nonzero(classes == 0)
+
+
 class TestClassBlockKernel:
     """The class path for two-valued responses against brute force and the sweep."""
 
@@ -453,7 +459,7 @@ class TestClassBlockKernel:
             classes[0], classes[-1] = 0, 1
             y = coded(classes, coding)
             blocks = class_blocks(y)
-            assert np.array_equal(blocks.classes, classes)
+            assert_class_order(blocks, classes)
             assert blocks.beta[:, classes][classes].tobytes() == composed_center(pairwise_distances(y)).tobytes()
 
     @pytest.mark.parametrize("coding", ["plus_minus_one", "zero_one"])
@@ -465,10 +471,10 @@ class TestClassBlockKernel:
             y = coded(classes, coding)
             b = centered_distances(y)
             blocks = class_blocks(y)
-            assert np.array_equal(blocks.classes, classes)
+            assert_class_order(blocks, classes)
             assert blocks.beta[:, classes][classes].tobytes() == b.tobytes()
             # dVar^2 from the class counts, against the mean over the matrix
-            assert abs(blocks.dvar2() - np.mean(b * b)) <= 1e-14 * np.mean(b * b)
+            assert abs(blocks.vy2 - np.mean(b * b)) <= 1e-14 * np.mean(b * b)
             x = rng.normal(size=(n, 5))
             assert marginal_dcor2(x, y).tobytes() == marginal_dcor2(x, blocks).tobytes()
             assert np.abs(composed_marginal_dcor2(x, b) - marginal_dcor2(x, blocks)).max() < 1e-12
@@ -482,10 +488,10 @@ class TestClassBlockKernel:
             y = coded(classes, coding)
             b = centered_distances(y)
             blocks = class_blocks(y)
-            assert np.array_equal(blocks.classes, classes)
+            assert_class_order(blocks, classes)
             scale = np.abs(b).max()
             assert np.abs(blocks.beta[:, classes][classes] - b).max() <= 1e-14 * scale
-            assert abs(blocks.dvar2() - np.mean(b * b)) <= 1e-13 * np.mean(b * b)
+            assert abs(blocks.vy2 - np.mean(b * b)) <= 1e-13 * np.mean(b * b)
 
     @pytest.mark.parametrize("y", [np.arange(6.0), np.full(6, 2.0), np.zeros((6, 2)), np.tile([0.0, 1.0], (3, 2))])
     def test_responses_that_are_not_two_valued_columns_carry_no_classes(self, y):
