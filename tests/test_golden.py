@@ -8,12 +8,17 @@ penalties, decisions, votes) compared exactly, and sampled floats at
 
 ``tied_genotypes.json`` pins a 0/1/2 genotype design with duplicated SNPs,
 a constant column and within-class permutations of other SNPs, where
-mathematically tied columns reach the ranking and the selected sets.  To
-re-record it after an intended change of outcomes::
+mathematically tied columns reach the ranking and the selected sets.
+``permute-mcv`` digests as ``mcv``.  The one-versus-rest ``screen`` runs
+label the same design with three classes; ``check.digest`` reads one
+``ranking.csv``, so ``class_digest`` digests each class's ranking and
+selection, and the union ``selected.csv``, in the same form.  To re-record
+the golden after an intended change of outcomes::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import dataclasses
 import importlib.util
 import json
 import tempfile
@@ -40,7 +45,11 @@ COMMANDS = {
     "mcv": ["mcv", "--method", "dcsis", "--d", D_VALUES, "--voting", "all", "--reps", "4"],
     "cv5-greedy": ["cv5", "--d", D_VALUES],
     "mcv-greedy": ["mcv", "--d", D_VALUES, "--reps", "4"],
+    "permute-mcv": ["permute-mcv", "--method", "dcsis", "--d", D_VALUES, "--reps", "4"],
+    "screen-3class": ["screen"],
+    "screen-3class-dcsis": ["screen", "--method", "dcsis"],
 }
+THREE_CLASS = ("screen-3class", "screen-3class-dcsis")
 
 
 def tied_genotypes(seed, n, p):
@@ -66,14 +75,42 @@ def tied_genotypes(seed, n, p):
     )
 
 
+def three_classes(ds):
+    """The design with its cases split in two by the sum of SNPs 1 and 2.
+
+    The controls form one class, so that class's indicator is the status
+    itself and the within-class permutations still tie in its ranking.
+    """
+    cases = np.where(ds.X[:, 1] + ds.X[:, 2] >= 2.0, "caseA", "caseB")
+    return dataclasses.replace(ds, y=np.where(ds.y < 0, "control", cases))
+
+
+def class_digest(out_dir):
+    """``check.digest``'s form for a one-versus-rest ``screen``: every class's ranking and selection, and the union."""
+    discrete = {"selected": check._sha([r["feature_index"] for r in check._rows(out_dir / "selected.csv")])}
+    floats = {}
+    for path in sorted(out_dir.glob("ranking_*.csv")):
+        label = path.stem.removeprefix("ranking_")
+        ranking = check._rows(path)
+        discrete[f"ranking_{label}"] = check._sha([r["feature_index"] for r in ranking])
+        selected = check._rows(out_dir / f"selected_{label}.csv")
+        discrete[f"selected_{label}"] = check._sha([r["feature_index"] for r in selected])
+        for r in ranking[: check.ORACLE_SAMPLE]:
+            floats[f"{label}.r2.{r['feature_index']}"] = float(r["marginal_r2"])
+    return {"discrete": discrete, "floats": floats}
+
+
 def run(name, work):
     """Write the design to ``work`` and digest the outputs of one command."""
     data = work / "data.csv"
-    emit(tied_genotypes(**DESIGN), data)
+    ds = tied_genotypes(**DESIGN)
+    emit(three_classes(ds) if name in THREE_CLASS else ds, data)
     command, *flags = COMMANDS[name]
     argv = [command, "--input", str(data), "--label-col", "status", *flags, "--seed", str(DESIGN["seed"])]
     assert main([*argv, "--out-dir", str(work / name)]) == 0
-    return check.digest(command, work / name)
+    if name in THREE_CLASS:
+        return class_digest(work / name)
+    return check.digest("mcv" if command == "permute-mcv" else command, work / name)
 
 
 @pytest.mark.parametrize("name", COMMANDS)
