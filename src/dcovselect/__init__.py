@@ -16,7 +16,6 @@ from .errors import DataValidationError, DcovSelectError, SolverError  # noqa: F
 from .screening import (  # noqa: F401
     ScreeningConfig,
     ScreeningResult,
-    dcov_greedy,
     marginal_rank,
     one_vs_rest_screen,
     screen,

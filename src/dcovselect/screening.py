@@ -1,10 +1,11 @@
 """Feature screening by distance correlation.
 
-Two selection methods over one ranking:
+``screen(x, response, config)`` is the entry point.  It ranks all features
+by marginal squared distance correlation with the response
+(``marginal_rank``) and selects by ``config.method``:
 
-* ``dc_sis``: rank all features by marginal squared distance correlation with
-  the response and keep the top ``d`` (default ``floor(n / log n)``, or all
-  ``p`` features when there are fewer).
+* ``dc_sis``: keep the top ``d`` of the ranking (default
+  ``floor(n / log n)``, or all ``p`` features when there are fewer).
 * ``dcov_greedy``: walk the same ranking and grow a selected set, admitting
   the next candidate as long as the joint squared distance covariance of the
   selected block with the response does not decrease (an ``epsilon`` slack
@@ -12,8 +13,9 @@ Two selection methods over one ranking:
   candidates before giving up).
 
 Multicategory problems are screened one-versus-rest with 0/1 class
-indicators and the per-class selections are unioned.  The response is one
-column, kept as ``dcov.class_blocks`` when it has two values and as
+indicators (``one_vs_rest_screen``), each through ``screen``'s own step, and
+the per-class selections are unioned.  The response is one column, built
+once per screen as ``dcov.class_blocks`` when it has two values and as
 ``dcov.sorted_response`` otherwise, so no screen builds an ``n x n`` array.
 Every screen works in its response's ``order`` from start to finish: the
 ranking copies the features into it, and the greedy walk copies them once
@@ -31,10 +33,8 @@ from .dcov import JointDistances, class_blocks, column_terms, marginal_dcor2, so
 __all__ = [
     "ScreeningConfig",
     "ScreeningResult",
-    "standardize_columns",
     "default_model_size",
     "marginal_rank",
-    "dc_sis_select",
     "dcov_greedy",
     "screen",
     "one_vs_rest_screen",
@@ -96,13 +96,8 @@ class ScreeningResult:
     stop_reason: str
 
 
-def standardize_columns(x: np.ndarray) -> np.ndarray:
-    """Z-score each column; constant columns become all zeros."""
-    return _standardize_in_place(np.array(x, dtype=float))
-
-
 def _standardize_in_place(z: np.ndarray) -> np.ndarray:
-    """``standardize_columns`` of a float array, overwriting it."""
+    """Z-score each column of a float array, overwriting it; constant columns become all zeros."""
     mean = z.mean(axis=0)
     std = z.std(axis=0)
     z -= mean
@@ -117,7 +112,7 @@ def default_model_size(n: int) -> int:
     return max(1, int(np.floor(n / np.log(n))))
 
 
-def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
+def marginal_rank(x: np.ndarray, response, columns=None) -> tuple[np.ndarray, np.ndarray]:
     """Rank features by marginal squared distance correlation with response.
 
     Returns ``(ranking, r2)`` where ``ranking`` sorts feature indices by
@@ -129,29 +124,19 @@ def marginal_rank(x: np.ndarray, response) -> tuple[np.ndarray, np.ndarray]:
     response column is scored by row sweeps in its sort order, so for a
     response without ties the values do not depend on the order of the
     subjects.  ``response`` may also be its already built ``ClassBlocks``
-    or ``SortedResponse``; ``marginal_dcor2`` copies the features into its
-    order once and scores them all against it at once.
+    or ``SortedResponse``, and ``columns`` the ``column_terms`` of ``x``;
+    both pass through to ``marginal_dcor2``, which copies the features into
+    the response's order once and scores them all against it at once.
     """
-    return _ranked(marginal_dcor2(x, response))
-
-
-def _ranked(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r2 = marginal_dcor2(x, response, columns)
     if r2.size < 1:
         raise ValueError("need at least one feature")
     ranking = np.argsort(-r2, kind="stable")  # stable sort -> ascending index on ties
     return ranking, r2
 
 
-def dc_sis_select(ranking: np.ndarray, d_model_size: int) -> list[int]:
-    """Top-``d`` prefix of the marginal ranking."""
-    p = len(ranking)
-    if not 1 <= d_model_size <= p:
-        raise ValueError(f"model size must be in [1, {p}], got {d_model_size}")
-    return [int(i) for i in ranking[:d_model_size]]
-
-
-def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
-    """Greedy forward selection along the marginal ranking with auto stop.
+def dcov_greedy(x: np.ndarray, b, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
+    """Greedy forward selection along ``ranking`` with auto stop, against the response form ``b``.
 
     Starting from the top-ranked feature, each step evaluates the joint
     squared distance covariance of the current selection plus one candidate.
@@ -162,31 +147,15 @@ def dcov_greedy(x: np.ndarray, response, config: ScreeningConfig | None = None) 
     when no candidate in the window qualifies, or when the ranking is
     exhausted.
 
-    The response is built once, for ranking and walk: a column with
-    exactly two values, however coded, as its ``class_blocks``, and any
-    other column as its ``sorted_response``.  The walk copies ``x`` once
-    into the response's order (class order or y order) and z-scores that
-    copy in place, so the means and deviations are summed in that order
-    too: for a response without ties the walk does not depend on the order
-    of the subjects, to the bit.  The selection is kept as
+    The walk copies the float matrix ``x`` once into ``b.order`` (class
+    order or y order) and, with ``config.standardize``, z-scores that copy
+    in place, so the means and deviations are summed in that order too: for
+    a response without ties the walk does not depend on the order of the
+    subjects, to the bit.  The selection is kept as
     ``dcov.JointDistances``: summed squared differences in upper-triangle
     row blocks, about ``n^2 / 2`` floats, scored block by block in scratch
     arrays of at most ``ROW_BLOCK * n`` floats, each block weighted by the
-    response's own ``weigh``.  No ``n x n`` array is built; a response of
-    more than one column raises ValueError.
-    """
-    config = config or ScreeningConfig()
-    x = np.asarray(x, dtype=float)
-    b = class_blocks(response) or sorted_response(response)
-    return _greedy_walk(x, b, *marginal_rank(x, b), config)
-
-
-def _greedy_walk(x: np.ndarray, b, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
-    """The walk over ``ranking`` with the columns of ``x``, against the response form ``b``.
-
-    ``x`` is copied once into ``b.order`` and, with ``config.standardize``,
-    that copy is z-scored in place: each column's mean and standard
-    deviation are taken in the response's order, as every sum of the walk.
+    response's own ``weigh``.  No ``n x n`` array is built.
     """
     x = x[b.order]
     if config.standardize:
@@ -240,27 +209,36 @@ def _check_model_size(x: np.ndarray, config: ScreeningConfig) -> None:
         raise ValueError(f"model size must be in [1, {x.shape[-1]}], got {config.d_model_size}")
 
 
-def _dc_sis(n: int, ranking: np.ndarray, r2: np.ndarray, config: ScreeningConfig) -> ScreeningResult:
-    selected = dc_sis_select(ranking, config.d_model_size or min(default_model_size(n), ranking.size))
+def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
+    """Rank the features of ``x`` against ``response`` and select by ``config.method``.
+
+    The response is built once, for ranking and walk: a column with exactly
+    two values, however coded, as its ``class_blocks``, and any other
+    column as its ``sorted_response``; a response of more than one column
+    raises ValueError.
+    """
+    config = config or ScreeningConfig()
+    x = np.asarray(x, dtype=float)
+    _check_model_size(x, config)
+    return _screen(x, response, config)
+
+
+def _screen(x: np.ndarray, response, config: ScreeningConfig, columns=None) -> ScreeningResult:
+    """``screen`` of the float matrix ``x``, with ``columns`` passed to ``marginal_rank``."""
+    b = class_blocks(response) or sorted_response(response)
+    ranking, r2 = marginal_rank(x, b, columns)
+    if config.method == "dcov_greedy":
+        return dcov_greedy(x, b, ranking, r2, config)
+    d = config.d_model_size or min(default_model_size(x.shape[0]), ranking.size)
     return ScreeningResult(
         ranking=ranking,
         marginal_r2=r2,
-        selected=selected,
+        selected=[int(i) for i in ranking[:d]],
         trajectory=[],
         trajectory_features=[],
         trajectory_accepted=[],
         stop_reason=STOP_MODEL_SIZE,
     )
-
-
-def screen(x: np.ndarray, response, config: ScreeningConfig | None = None) -> ScreeningResult:
-    """Run the configured screening method and return its result."""
-    config = config or ScreeningConfig()
-    x = np.asarray(x, dtype=float)
-    _check_model_size(x, config)
-    if config.method == "dcov_greedy":
-        return dcov_greedy(x, response, config)
-    return _dc_sis(x.shape[0], *marginal_rank(x, response), config)
 
 
 def one_vs_rest_screen(
@@ -293,12 +271,7 @@ def one_vs_rest_screen(
         if members < 2:
             warnings.warn(f"class {c!r} has {members} member(s); skipped", stacklevel=2)
             continue
-        y = class_blocks(np.where(labels == c, 0.0, 1.0))
-        ranking, r2 = _ranked(marginal_dcor2(x, y, columns))
-        if config.method == "dcov_greedy":
-            result = _greedy_walk(x, y, ranking, r2, config)
-        else:
-            result = _dc_sis(x.shape[0], ranking, r2, config)
+        result = _screen(x, np.where(labels == c, 0.0, 1.0), config, columns)
         per_class[c] = result
         union.update(result.selected)
     if not per_class:

@@ -395,17 +395,15 @@ def fit_path(
 
 
 def decision_scores(model: RejectModel, x) -> np.ndarray:
-    """Linear scores ``f(x)`` on the raw feature scale."""
+    """Linear scores ``f(x)`` of the rows of the 2-D ``x``, on the raw feature scale."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError("design matrix must be 2-D")
     if x.shape[1] != model.coef.shape[0]:
         raise ValueError(
             f"feature count mismatch: model has {model.coef.shape[0]}, input has {x.shape[1]}"
         )
-    scores = x @ model.coef + model.intercept
-    return scores[0] if single else scores
+    return x @ model.coef + model.intercept
 
 
 def decide(scores, delta: float):

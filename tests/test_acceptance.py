@@ -28,9 +28,9 @@ from dcovselect.dcov import dcor2, dcov2, dcov2_joint, dvar2
 from dcovselect.screening import (
     STOP_DECREASE,
     STOP_EXHAUSTED,
-    dcov_greedy,
     default_model_size,
     marginal_rank,
+    screen,
 )
 from dcovselect.svm_reject import (
     RejectLossParams,
@@ -94,9 +94,9 @@ def test_criterion_3_greedy_stopping_semantics():
     for seed in range(50):
         rng = np.random.default_rng(30_000 + seed)
         x1 = rng.normal(size=200)
-        tie_case = dcov_greedy(np.column_stack([x1, np.full(200, 3.0)]), x1)
+        tie_case = screen(np.column_stack([x1, np.full(200, 3.0)]), x1)
         ties += tie_case.selected == [0, 1] and tie_case.stop_reason == STOP_EXHAUSTED
-        noise_case = dcov_greedy(np.column_stack([x1, rng.normal(size=200)]), x1)
+        noise_case = screen(np.column_stack([x1, rng.normal(size=200)]), x1)
         stops += noise_case.selected == [0] and noise_case.stop_reason == STOP_DECREASE
     elapsed = time.perf_counter() - started
     assert ties >= 45

@@ -452,13 +452,12 @@ class TestClassPathOutcomes:
         by_class = self.outcomes(ds)
         calls = []
 
-        def swept_marginal(x, response):
+        def swept_marginal(x, response, columns=None):
             # the sweep over the class blocks' own matrix, bitwise centered_distances of a -1/+1 status;
-            # the greedy walk ranks against its ClassBlocks, dc_sis against the column
-            blocks = response if isinstance(response, dcov.ClassBlocks) else dcov.class_blocks(response)
-            calls.append(blocks is not None)
-            classes = (np.argsort(blocks.order) >= blocks.n0).astype(int)  # class 1 from position n0 of the order on
-            return composed_marginal_dcor2(x, blocks.beta[np.ix_(classes, classes)])
+            # every screen ranks against the ClassBlocks it built
+            calls.append(isinstance(response, dcov.ClassBlocks))
+            classes = (np.argsort(response.order) >= response.n0).astype(int)  # class 1 from position n0 of the order on
+            return composed_marginal_dcor2(x, response.beta[np.ix_(classes, classes)])
 
         monkeypatch.setattr(screening, "marginal_dcor2", swept_marginal)
         assert self.outcomes(ds) == by_class

@@ -10,13 +10,10 @@ from dcovselect.screening import (
     STOP_EXHAUSTED,
     STOP_MODEL_SIZE,
     ScreeningConfig,
-    dc_sis_select,
-    dcov_greedy,
     default_model_size,
     marginal_rank,
     one_vs_rest_screen,
     screen,
-    standardize_columns,
 )
 
 from oracles import composed_greedy_walk, composed_marginal_dcor2, composed_standardize
@@ -30,7 +27,7 @@ def greedy_reference(x, response, epsilon=0.0, m=1, standardize=True):
     """
     x = np.asarray(x, dtype=float)
     if standardize:
-        x = standardize_columns(x)
+        x = screening._standardize_in_place(x.copy())
     ranking, _ = marginal_rank(x, response)
     selected = [int(ranking[0])]
     current = dcov2(x[:, selected], response)
@@ -129,13 +126,12 @@ class TestDcSis:
         assert default_model_size(63) == 15
 
     def test_full_and_singleton_prefixes(self):
-        ranking = np.array([2, 0, 1])
-        assert dc_sis_select(ranking, 3) == [2, 0, 1]
-        assert dc_sis_select(ranking, 1) == [2]
-
-    def test_oversized_model_rejected(self):
-        with pytest.raises(ValueError):
-            dc_sis_select(np.array([0, 1]), 3)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(40, 6))
+        y = x[:, 4] + rng.normal(size=40)
+        for k in (1, 6):
+            res = screen(x, y, ScreeningConfig(method="dc_sis", d_model_size=k))
+            assert res.selected == res.ranking[:k].tolist()
 
     def test_default_model_size_is_capped_at_the_feature_count(self):
         rng = np.random.default_rng(16)
@@ -177,7 +173,7 @@ class TestGreedy:
         rng = np.random.default_rng(4)
         x1 = rng.normal(size=60)
         x = np.column_stack([x1, np.full(60, 7.0)])
-        res = dcov_greedy(x, x1)
+        res = screen(x, x1)
         assert res.selected == [0, 1]
         assert res.stop_reason == STOP_EXHAUSTED
         assert res.trajectory[1] == res.trajectory[0]  # exact tie
@@ -188,7 +184,7 @@ class TestGreedy:
             rng = np.random.default_rng(100 + seed)
             x1 = rng.normal(size=200)
             x = np.column_stack([x1, rng.normal(size=200)])
-            res = dcov_greedy(x, x1)
+            res = screen(x, x1)
             if res.selected == [0] and res.stop_reason == STOP_DECREASE:
                 stops += 1
         assert stops >= 18
@@ -197,7 +193,7 @@ class TestGreedy:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 6))
         y = x[:, 0] + rng.normal(size=40)
-        res = dcov_greedy(x, y, ScreeningConfig(epsilon=np.inf))
+        res = screen(x, y, ScreeningConfig(epsilon=np.inf))
         assert sorted(res.selected) == list(range(6))
         assert res.stop_reason == STOP_EXHAUSTED
 
@@ -205,7 +201,7 @@ class TestGreedy:
         rng = np.random.default_rng(6)
         x1 = rng.normal(size=200)
         x = np.column_stack([x1, rng.normal(size=200)])
-        res = dcov_greedy(x, x1)
+        res = screen(x, x1)
         assert res.stop_reason == STOP_DECREASE
         assert len(res.trajectory) == 2
         assert res.trajectory_accepted == [True, False]
@@ -216,7 +212,7 @@ class TestGreedy:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(80, 12))
         y = x[:, 2] + 0.5 * x[:, 9] + 0.3 * rng.normal(size=80)
-        res = dcov_greedy(x, y, ScreeningConfig(epsilon=eps))
+        res = screen(x, y, ScreeningConfig(epsilon=eps))
         accepted = [v for v, a in zip(res.trajectory, res.trajectory_accepted) if a]
         for prev, nxt in zip(accepted, accepted[1:]):
             assert nxt >= prev - eps - 1e-15
@@ -226,7 +222,7 @@ class TestGreedy:
             rng = np.random.default_rng(200 + seed)
             x = rng.normal(size=(30, 5))
             y = x[:, 1] + 0.5 * rng.normal(size=30)
-            res = dcov_greedy(x, y)
+            res = screen(x, y)
             sel, reason, traj = greedy_reference(x, y)
             assert res.selected == sel
             assert res.stop_reason == reason
@@ -241,8 +237,8 @@ class TestGreedy:
             "binary": (signal > 0).astype(float),
             "continuous": signal + 0.3 * rng.normal(size=40),
         }[response]
-        res = dcov_greedy(x, y, ScreeningConfig(epsilon=0.05, m_lookahead=2))
-        xs = standardize_columns(x)
+        res = screen(x, y, ScreeningConfig(epsilon=0.05, m_lookahead=2))
+        xs = screening._standardize_in_place(x.copy())
         selected = []
         for value, j, accepted in zip(res.trajectory, res.trajectory_features, res.trajectory_accepted):
             assert abs(value - dcov2_joint([xs[:, selected + [j]]], y)) < 1e-12
@@ -254,14 +250,14 @@ class TestGreedy:
         x = np.random.default_rng(15).normal(size=(20, 4))
         for y in (np.column_stack([x[:, 0], x[:, 1] ** 2]), np.tile([0.0, 1.0], (10, 2))):
             with pytest.raises(ValueError, match="one column"):
-                dcov_greedy(x, y)
+                screen(x, y)
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 8))
         y = x[:, 0] + rng.normal(size=50)
-        a = dcov_greedy(x, y)
-        b = dcov_greedy(x, y)
+        a = screen(x, y)
+        b = screen(x, y)
         assert a.selected == b.selected
         assert a.trajectory == b.trajectory
         assert np.array_equal(a.ranking, b.ranking)
@@ -289,8 +285,8 @@ class TestLookahead:
     Y_CRAFTED = np.array([0.4, -0.0, 1.6, 1.9, -0.7, -0.1, 0.5, 0.1, 0.6, 1.9, 0.6, -0.1])
 
     def test_crafted_case_m2_recovers_rank3(self):
-        res1 = dcov_greedy(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=1))
-        res2 = dcov_greedy(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=2))
+        res1 = screen(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=1))
+        res2 = screen(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=2))
         assert res1.selected == [0]
         assert res2.selected == [0, 2]
         sel_ref, reason_ref, _ = greedy_reference(self.X_CRAFTED, self.Y_CRAFTED, m=2)
@@ -302,8 +298,8 @@ class TestLookahead:
             rng = np.random.default_rng(300 + seed)
             x = rng.normal(size=(25, 6))
             y = x[:, 0] + 0.4 * rng.normal(size=25)
-            plain = dcov_greedy(x, y, ScreeningConfig(m_lookahead=1))
-            look = dcov_greedy(x, y, ScreeningConfig())
+            plain = screen(x, y, ScreeningConfig(m_lookahead=1))
+            look = screen(x, y, ScreeningConfig())
             assert plain.selected == look.selected
             assert plain.trajectory == look.trajectory
 
@@ -312,13 +308,13 @@ class TestLookahead:
             rng = np.random.default_rng(400 + seed)
             x = rng.normal(size=(25, 6))
             y = x[:, 3] + 0.4 * rng.normal(size=25)
-            res = dcov_greedy(x, y, ScreeningConfig(m_lookahead=6))
+            res = screen(x, y, ScreeningConfig(m_lookahead=6))
             sel, reason, _ = greedy_reference(x, y, m=6)
             assert res.selected == sel
             assert res.stop_reason == reason
 
     def test_skipped_candidate_stays_eligible(self):
-        res2 = dcov_greedy(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=2))
+        res2 = screen(self.X_CRAFTED, self.Y_CRAFTED, ScreeningConfig(m_lookahead=2))
         # feature 1 was skipped when feature 2 was admitted but was tested
         # again afterwards before the walk stopped
         assert res2.trajectory_features.count(1) == 2
@@ -438,8 +434,8 @@ class TestStandardizeFlag:
         y = x[:, 1] + 0.5 * x[:, 4] + 0.3 * rng.normal(size=60)
         scales = rng.uniform(0.5, 20.0, size=8) * rng.choice([-1.0, 1.0], size=8)
         shifts = rng.uniform(-5.0, 5.0, size=8)
-        base = dcov_greedy(x, y)
-        rescaled = dcov_greedy(x * scales + shifts, y)
+        base = screen(x, y)
+        rescaled = screen(x * scales + shifts, y)
         assert np.array_equal(base.ranking, rescaled.ranking)
         assert base.selected == rescaled.selected
 
@@ -450,12 +446,12 @@ class TestStandardizeFlag:
         x = rng.normal(size=(60, 4))
         y = x[:, 0] + x[:, 1] + 0.2 * rng.normal(size=60)
         cfg_raw = ScreeningConfig(standardize=False)
-        res_std = dcov_greedy(x, y)
+        res_std = screen(x, y)
         x_blown = x.copy()
         x_blown[:, 1] *= 1e3
-        res_std_blown = dcov_greedy(x_blown, y)
+        res_std_blown = screen(x_blown, y)
         assert res_std.selected == res_std_blown.selected
-        assert dcov_greedy(x, y, cfg_raw).trajectory != dcov_greedy(x_blown, y, cfg_raw).trajectory
+        assert screen(x, y, cfg_raw).trajectory != screen(x_blown, y, cfg_raw).trajectory
 
 
 def test_config_validation():
@@ -543,7 +539,7 @@ class TestLeanGreedy:
         """Discrete outcomes are the composition's; r^2 and joint values agree to 1e-12."""
         for x, y in self.designs():
             config = ScreeningConfig(m_lookahead=m, epsilon=epsilon)
-            result = dcov_greedy(x, y, config)
+            result = screen(x, y, config)
             ranking, r2 = marginal_rank(x, y)
             b = centered_distances(y)
             selected, trajectory, features, accepted = composed_greedy_walk(
@@ -561,5 +557,5 @@ class TestLeanGreedy:
     def test_standardize_columns_equals_its_former_composition(self):
         for x, _ in self.designs():
             before = x.copy()
-            assert standardize_columns(x).tobytes() == composed_standardize(x).tobytes()
+            assert screening._standardize_in_place(x.astype(float)).tobytes() == composed_standardize(x).tobytes()
             assert np.array_equal(x, before)

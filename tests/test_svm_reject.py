@@ -646,6 +646,8 @@ class TestPredict:
         model = self._model()
         with pytest.raises(ValueError, match="mismatch"):
             predict(model, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            predict(model, np.zeros(1))
 
 
 class TestBayesReference:
