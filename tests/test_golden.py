@@ -10,10 +10,12 @@ penalties, decisions, votes) compared exactly, and sampled floats at
 a constant column and within-class permutations of other SNPs, where
 mathematically tied columns reach the ranking and the selected sets.
 ``permute-mcv`` digests as ``mcv``.  The one-versus-rest ``screen`` runs
-label the same design with three classes; ``check.digest`` reads one
-``ranking.csv``, so ``class_digest`` digests each class's ranking and
-selection, and the union ``selected.csv``, in the same form.  To re-record
-the golden after an intended change of outcomes::
+label the same design with three classes, and the continuous ``screen`` runs
+give it a real-valued response with ties, which is ranked by row sweeps.
+``check.digest`` reads one ``ranking.csv`` and a trajectory, so
+``ranking_digest`` digests each ranking and selection of a run, and the
+union ``selected.csv``, in the same form.  To re-record the golden after an
+intended change of outcomes::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -48,8 +50,12 @@ COMMANDS = {
     "permute-mcv": ["permute-mcv", "--method", "dcsis", "--d", D_VALUES, "--reps", "4"],
     "screen-3class": ["screen"],
     "screen-3class-dcsis": ["screen", "--method", "dcsis"],
+    "screen-continuous": ["screen"],
+    "screen-continuous-dcsis": ["screen", "--method", "dcsis"],
 }
 THREE_CLASS = ("screen-3class", "screen-3class-dcsis")
+CONTINUOUS = ("screen-continuous", "screen-continuous-dcsis")
+WITHOUT_TRAJECTORY = (*THREE_CLASS, "screen-continuous-dcsis")
 
 
 def tied_genotypes(seed, n, p):
@@ -85,18 +91,33 @@ def three_classes(ds):
     return dataclasses.replace(ds, y=np.where(ds.y < 0, "control", cases))
 
 
-def class_digest(out_dir):
-    """``check.digest``'s form for a one-versus-rest ``screen``: every class's ranking and selection, and the union."""
+def continuous_response(ds):
+    """The design with a real-valued response: the sum of SNPs 0-2 plus uniform noise rounded to 0.1.
+
+    The response has ties, and uses uniform draws only.
+    """
+    noise = np.round(2.0 * np.random.default_rng(DESIGN["seed"] + 1).random(ds.X.shape[0]), 1)
+    return dataclasses.replace(ds, y=ds.X[:, :3].sum(axis=1) + noise)
+
+
+def ranking_digest(out_dir):
+    """``check.digest``'s form for a ``screen`` without a trajectory: every ranking and selection, and the union.
+
+    A one-versus-rest run writes ``ranking_<label>.csv`` and
+    ``selected_<label>.csv`` for each class; a ``--method dcsis`` run on
+    one response writes ``ranking.csv``.
+    """
     discrete = {"selected": check._sha([r["feature_index"] for r in check._rows(out_dir / "selected.csv")])}
     floats = {}
-    for path in sorted(out_dir.glob("ranking_*.csv")):
-        label = path.stem.removeprefix("ranking_")
+    for path in sorted(out_dir.glob("ranking*.csv")):
+        suffix = path.stem.removeprefix("ranking")  # "" or "_<label>"
         ranking = check._rows(path)
-        discrete[f"ranking_{label}"] = check._sha([r["feature_index"] for r in ranking])
-        selected = check._rows(out_dir / f"selected_{label}.csv")
-        discrete[f"selected_{label}"] = check._sha([r["feature_index"] for r in selected])
+        discrete[f"ranking{suffix}"] = check._sha([r["feature_index"] for r in ranking])
+        if suffix:
+            selected = check._rows(out_dir / f"selected{suffix}.csv")
+            discrete[f"selected{suffix}"] = check._sha([r["feature_index"] for r in selected])
         for r in ranking[: check.ORACLE_SAMPLE]:
-            floats[f"{label}.r2.{r['feature_index']}"] = float(r["marginal_r2"])
+            floats[f"{suffix[1:]}.r2.{r['feature_index']}".lstrip(".")] = float(r["marginal_r2"])
     return {"discrete": discrete, "floats": floats}
 
 
@@ -104,12 +125,12 @@ def run(name, work):
     """Write the design to ``work`` and digest the outputs of one command."""
     data = work / "data.csv"
     ds = tied_genotypes(**DESIGN)
-    emit(three_classes(ds) if name in THREE_CLASS else ds, data)
+    emit(three_classes(ds) if name in THREE_CLASS else continuous_response(ds) if name in CONTINUOUS else ds, data)
     command, *flags = COMMANDS[name]
     argv = [command, "--input", str(data), "--label-col", "status", *flags, "--seed", str(DESIGN["seed"])]
     assert main([*argv, "--out-dir", str(work / name)]) == 0
-    if name in THREE_CLASS:
-        return class_digest(work / name)
+    if name in WITHOUT_TRAJECTORY:
+        return ranking_digest(work / name)
     return check.digest("mcv" if command == "permute-mcv" else command, work / name)
 
 
