@@ -31,9 +31,12 @@ screen works from start to finish.
 ``marginal_dcor2`` copies the features into the response's order once and
 scores every one against either form without a per-feature matrix: by
 class blocks from the sorted class slices, O(n log n) per feature, or by
-``n - 1`` row sweeps, row ``i`` weighted by ``u[i+1:] - v[i]``, O(n^2) per
-feature.  ``JointDistances`` serves the greedy walk on columns in the
-response's order: it keeps the selected block's summed squared distances
+``n - 1`` row sweeps over each contiguous block of columns, O(n^2) per
+feature: a block is as wide as keeps its ``n - 1`` rows of distances
+within ``SWEEP_BYTES``, and one ``einsum`` weighs row ``i`` by ``u[i+1:] -
+v[i]`` and sums it down the rows, in the same order for every column.
+``JointDistances`` serves the greedy walk on columns in the response's
+order: it keeps the selected block's summed squared distances
 as the strict upper triangle plus the diagonal squares, in row blocks of
 ``ROW_BLOCK`` rows (block ``[i, i + k)`` holds columns ``i .. n - 1``), so
 the walk holds about ``n^2 / 2`` floats, and it has one weighting rule:
@@ -54,6 +57,7 @@ from .errors import DataValidationError
 
 __all__ = [
     "ROW_BLOCK",
+    "SWEEP_BYTES",
     "ClassBlocks",
     "SortedResponse",
     "DCovStats",
@@ -73,6 +77,10 @@ __all__ = [
 
 # rows per block of ``JointDistances`` and ``pairwise_distances``; a block's scratch array holds ROW_BLOCK * n floats
 ROW_BLOCK = 64
+# bytes of the row-sweep scratch array of ``SortedResponse.cross_sums``, which sets its column block width from n
+SWEEP_BYTES = 1 << 20
+# the strict lower triangle of a row block's diagonal square, sliced by ``SortedResponse.weigh``
+_BELOW_DIAGONAL = np.tri(ROW_BLOCK, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -145,22 +153,32 @@ class SortedResponse:
         return self.order.size
 
     def cross_sums(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """``sum_{i<j} |x_i - x_j| B_ij`` of every column of ``x``, in ``n - 1`` row sweeps.
+        """``sum_{i<j} |x_i - x_j| B_ij`` of every column of ``x``, in ``n - 1`` row sweeps per column block.
 
         ``x`` holds the subjects in ``order``, so row ``i``'s entries of
         ``B`` right of the diagonal are ``u[i+1:] - v[i]``; ``pairs`` is not
-        needed.  Reductions along axis 0 treat every column alike, unlike a
-        BLAS product.  Every sweep reuses the rows of one buffer.
+        needed.  The columns are swept in contiguous blocks of near-equal
+        width (``_column_blocks``), so that a block's distances, at most
+        ``SWEEP_BYTES``, stay in cache from one row to the next.  Each row
+        takes its distances in one scratch array, and one ``einsum``, numpy's
+        own sum-of-products loop rather than a BLAS product, weighs them and
+        adds them down the rows in row order, for every column alike.  The
+        scratch array is at least two columns wide, so a block of one column
+        is strided and summed in the same order.
         """
-        n, p = x.shape
-        cross = np.zeros(p)
-        buf = np.empty((n - 1, p))
-        for i in range(n - 1):
-            dist = buf[: n - 1 - i]
-            np.subtract(x[i + 1 :], x[i], out=dist)
-            np.abs(dist, out=dist)
-            dist *= (self.u[i + 1 :] - self.v[i])[:, None]
-            cross += dist.sum(axis=0)
+        n = x.shape[0]
+        blocks = _column_blocks(n, x.shape[1])
+        cross = np.zeros(x.shape[1])
+        buf = np.empty((n - 1, max(max(hi - lo for lo, hi in blocks), 2)))
+        weights = np.empty(n - 1)
+        for lo, hi in blocks:
+            cols = np.ascontiguousarray(x[:, lo:hi])
+            acc = cross[lo:hi]
+            for i in range(n - 1):
+                dist = buf[: n - 1 - i, : hi - lo]
+                np.subtract(cols[i + 1 :], cols[i], out=dist)
+                np.abs(dist, out=dist)
+                acc += np.einsum("ij,i->j", dist, np.subtract(self.u[i + 1 :], self.v[i], out=weights[: n - 1 - i]))
         return cross
 
     def weigh(self, dist: np.ndarray, i: int, scratch: np.ndarray) -> None:
@@ -172,7 +190,7 @@ class SortedResponse:
         k = dist.shape[0]
         w = scratch[: dist.size].reshape(dist.shape)
         np.subtract(self.u[None, i:], self.v[i : i + k, None], out=w)
-        np.copyto(w[:, :k], w[:, :k].T, where=np.tri(k, k=-1, dtype=bool))
+        np.copyto(w[:, :k], w[:, :k].T, where=_BELOW_DIAGONAL[:k, :k])
         dist *= w
 
 
@@ -381,10 +399,11 @@ def marginal_dcor2(x, response, columns=None) -> np.ndarray:
       only as one multiset per class: columns with the same multisets
       (duplicates, constant columns, within-class permutations of one
       column) get bitwise-equal values.  O(n log n) per column;
-    * row sweeps, for a ``SortedResponse``: ``n - 1`` sweeps accumulate
-      the upper triangle of every column, row ``i`` weighted by ``u[i+1:]
-      - v[i]``.  O(n^2) per column; for a response without ties the result
-      does not depend on the order of the subjects.
+    * row sweeps, for a ``SortedResponse``: ``n - 1`` sweeps over each
+      block of columns accumulate the upper triangle of every column, row
+      ``i`` weighted by ``u[i+1:] - v[i]``.  O(n^2) per column; for a
+      response without ties the result does not depend on the order of
+      the subjects.
 
     Either way ``n^2 dVar^2(x) = sum_ij a_ij^2 - (2/n) sum_i a_i.^2 +
     a..^2 / n^2``, with ``sum_ij a_ij^2 = 2n sum_i (x_i - mean)^2`` and the
@@ -536,3 +555,14 @@ class JointDistances:
 
 def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
     return [(i, min(i + ROW_BLOCK, stop)) for i in range(start, stop, ROW_BLOCK)]
+
+
+def _column_blocks(n: int, p: int) -> list[tuple[int, int]]:
+    """The column blocks of a row sweep over ``n`` rows: as few as keep ``n - 1`` rows of one within ``SWEEP_BYTES``.
+
+    Their widths differ by at most one, so no block is much narrower than
+    the rest.
+    """
+    count = max(-(-p // max(SWEEP_BYTES // (8 * (n - 1)), 1)), 1)
+    edges = [p * k // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))

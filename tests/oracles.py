@@ -382,6 +382,26 @@ def composed_marginal_dcor2(x, b_entries):
     return r2
 
 
+def unfused_cross_sums(response, x):
+    """``sum_{i<j} |x_i - x_j| B_ij`` of every column, as ``SortedResponse.cross_sums`` swept before column blocks.
+
+    ``response`` is a ``SortedResponse`` and ``x`` holds the subjects in its
+    order.  Each of the ``n - 1`` rows makes four full passes over all
+    columns at once: subtract, absolute value, multiply by ``u[i+1:] -
+    v[i]`` and sum down the rows.
+    """
+    n, p = x.shape
+    cross = np.zeros(p)
+    buf = np.empty((n - 1, p))
+    for i in range(n - 1):
+        dist = buf[: n - 1 - i]
+        np.subtract(x[i + 1 :], x[i], out=dist)
+        np.abs(dist, out=dist)
+        dist *= (response.u[i + 1 :] - response.v[i])[:, None]
+        cross += dist.sum(axis=0)
+    return cross
+
+
 def composed_greedy_walk(x, ranking, b_entries, epsilon, m):
     """The greedy walk over ``ranking`` with every candidate sum a new array.
 

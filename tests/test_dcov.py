@@ -5,6 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from dcovselect.dcov import (
+    SWEEP_BYTES,
+    _column_blocks,
     as_block,
     centered_distances,
     class_blocks,
@@ -19,7 +21,14 @@ from dcovselect.dcov import (
 from dcovselect.errors import DataValidationError
 from dcovselect.screening import marginal_rank
 
-from oracles import brute_dcor2, brute_dcov2, brute_dvar2, composed_center, composed_marginal_dcor2
+from oracles import (
+    brute_dcor2,
+    brute_dcov2,
+    brute_dvar2,
+    composed_center,
+    composed_marginal_dcor2,
+    unfused_cross_sums,
+)
 
 
 def rel_err(got, want):
@@ -379,6 +388,81 @@ class TestSortedResponse:
         for call in (sorted_response, lambda y: marginal_dcor2(x, y)):
             with pytest.raises(DataValidationError, match="non-finite"):
                 call(np.array(values))
+
+
+def sweep_width(n):
+    """The widest column block a row sweep over ``n`` rows takes: ``n - 1`` rows of it fill ``SWEEP_BYTES``."""
+    return SWEEP_BYTES // (8 * (n - 1))
+
+
+class TestColumnBlockedSweep:
+    """``SortedResponse.cross_sums`` against the unfused sweep over all columns, bit for bit."""
+
+    @staticmethod
+    def sweep(x, y):
+        """The blocked and the unfused cross sums of ``x`` against ``y``, with the subjects in y order."""
+        b = sorted_response(y)
+        ordered = x[b.order]
+        return b.cross_sums(ordered.copy(), None), unfused_cross_sums(b, ordered)
+
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_widths_around_the_block_edges(self, n):
+        w = sweep_width(n)
+        rng = np.random.default_rng(71)
+        y = np.round(rng.normal(size=n), 1)  # ties
+        for p, blocks in ((w - 1, 1), (w, 1), (w + 1, 2), (2 * w + 3, 3)):
+            assert len(_column_blocks(n, p)) == blocks
+            x = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+            got, want = self.sweep(x, y)
+            assert got.tobytes() == want.tobytes(), p
+
+    def test_duplicates_in_every_block_and_at_every_offset_tie_bitwise(self):
+        n = 40
+        w = sweep_width(n)
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(n, 2 * w + 3))
+        base = rng.normal(size=n)
+        copies = [lo + offset for lo, _ in _column_blocks(n, x.shape[1]) for offset in range(8)]
+        copies += [hi - 1 for _, hi in _column_blocks(n, x.shape[1])]
+        x[:, copies] = base[:, None]
+        y = base + rng.normal(size=n)
+        got, want = self.sweep(x, y)
+        assert got.tobytes() == want.tobytes()
+        assert len({got[j] for j in copies}) == 1
+        r2 = marginal_dcor2(x, y)
+        assert len({r2[j] for j in copies}) == 1 and r2[copies[0]] > 0.0
+
+    def test_constant_columns_in_every_block_are_exactly_zero(self):
+        n = 40
+        w = sweep_width(n)
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(n, 2 * w + 3))
+        constant = [lo + 3 for lo, _ in _column_blocks(n, x.shape[1])]
+        x[:, constant] = rng.normal(size=len(constant)) * 1e5
+        y = rng.normal(size=n)
+        got, want = self.sweep(x, y)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[constant] == 0.0)
+        assert np.all(marginal_dcor2(x, y)[constant] == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_subjects(self, n):
+        rng = np.random.default_rng(74)
+        for y in (rng.normal(size=n), np.r_[np.zeros(n - 1), 1.0]):  # the second ties
+            x = np.round(rng.normal(size=(n, 17)), 1)
+            got, want = self.sweep(x, y)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_column_alone_gets_its_cross_sum_among_many(self):
+        """A column's cross sum does not depend on its neighbours, block or width, one column included."""
+        n = 40
+        rng = np.random.default_rng(75)
+        b = sorted_response(np.round(rng.normal(size=n), 1))
+        x = rng.normal(size=(n, 2 * sweep_width(n) + 3))[b.order]
+        got = b.cross_sums(x.copy(), None)
+        for j in (0, 7, sweep_width(n), x.shape[1] - 1):
+            assert b.cross_sums(x[:, [j]], None).tobytes() == got[j : j + 1].tobytes()
+            assert b.cross_sums(x[:, [j, j]], None).tobytes() == np.repeat(got[j], 2).tobytes()
 
 
 CODINGS = {"plus_minus_one": (-1.0, 1.0), "zero_one": (0.0, 1.0), "tenths": (0.1, 0.7), "z_scored": None}

@@ -116,8 +116,9 @@ def ranking_digest(out_dir):
         if suffix:
             selected = check._rows(out_dir / f"selected{suffix}.csv")
             discrete[f"selected{suffix}"] = check._sha([r["feature_index"] for r in selected])
+        prefix = f"{suffix[1:]}." if suffix else ""
         for r in ranking[: check.ORACLE_SAMPLE]:
-            floats[f"{suffix[1:]}.r2.{r['feature_index']}".lstrip(".")] = float(r["marginal_r2"])
+            floats[f"{prefix}r2.{r['feature_index']}"] = float(r["marginal_r2"])
     return {"discrete": discrete, "floats": floats}
 
 

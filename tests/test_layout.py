@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dcovselect.cli import main
+from dcovselect.dcov import _column_blocks
 
 N, P = 150, 60
 
@@ -76,6 +77,17 @@ def test_shuffled_subjects_give_the_same_files(tmp_path, response, method):
             np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
 
 
+def assert_ranking_maps_through(base: Path, out: Path, names, perm):
+    """``out`` screened the columns ``perm`` of ``base``'s: the same ranked names with bitwise r², each at its new index."""
+    ranked = rows(out / "ranking.csv", "rank", "feature", "marginal_r2")
+    assert ranked == rows(base / "ranking.csv", "rank", "feature", "marginal_r2")
+    assert len({r2 for _, _, r2 in ranked}) == len(names)  # no ties, which would rank by index
+    assert rows(out / "selected.csv", "order", "feature") == rows(base / "selected.csv", "order", "feature")
+    assert [names[perm[int(j)]] for (j,) in rows(out / "ranking.csv", "feature_index")] == [
+        name for _, name, _ in ranked
+    ]
+
+
 @pytest.mark.parametrize("response", ["continuous", "binary"])
 def test_reordered_columns_map_the_ranking_through_the_permutation(tmp_path, response):
     x, y = design()
@@ -83,14 +95,22 @@ def test_reordered_columns_map_the_ranking_through_the_permutation(tmp_path, res
     base = screen(write_design(tmp_path / "data.csv", NAMES, x, labels), tmp_path / "base")
     perm = np.random.default_rng(63).permutation(P)
     data = write_design(tmp_path / "permuted.csv", [NAMES[j] for j in perm], x[:, perm], labels)
-    out = screen(data, tmp_path / "permuted")
-    ranked = rows(out / "ranking.csv", "rank", "feature", "marginal_r2")
-    assert ranked == rows(base / "ranking.csv", "rank", "feature", "marginal_r2")
-    assert len({r2 for _, _, r2 in ranked}) == P  # no ties, which would rank by index
-    assert rows(out / "selected.csv", "order", "feature") == rows(base / "selected.csv", "order", "feature")
-    assert [NAMES[perm[int(j)]] for (j,) in rows(out / "ranking.csv", "feature_index")] == [
-        name for _, name, _ in ranked
-    ]
+    assert_ranking_maps_through(base, screen(data, tmp_path / "permuted"), NAMES, perm)
+
+
+def test_reversed_columns_across_sweep_blocks_map_the_ranking(tmp_path):
+    """A continuous response's sweep takes the columns in blocks; reversed, every column changes block."""
+    n, p = 40, 7000
+    assert len(_column_blocks(n, p)) >= 3
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-2, 3, size=p)
+    y = x[:, 0] / x[:, 0].std() + x[:, -1] / x[:, -1].std() + 0.5 * rng.normal(size=n)
+    names = [f"g{j}" for j in range(p)]
+    labels = [repr(v) for v in y.tolist()]
+    base = screen(write_design(tmp_path / "data.csv", names, x, labels), tmp_path / "base", "--method", "dcsis")
+    perm = np.arange(p)[::-1]
+    data = write_design(tmp_path / "reversed.csv", [names[j] for j in perm], x[:, perm], labels)
+    assert_ranking_maps_through(base, screen(data, tmp_path / "reversed", "--method", "dcsis"), names, perm)
 
 
 @pytest.mark.parametrize("method", [("--method", "dcov"), ("--method", "dcsis", "--model-size", "5")])
