@@ -192,6 +192,50 @@ class TestMcv:
             assert rec.n_decision_test == int(np.sum(rec.decisions[rec.test_idx] != 0))
             assert rec.n_decision_train == int(np.sum(rec.decisions[rec.train_idx] != 0))
 
+    @pytest.mark.parametrize("flag", ["single_class_split", "single_class_train"])
+    def test_flagged_record_holds_empty_selections_nan_and_zero_decisions(self, flag):
+        if flag == "single_class_split":
+            # 20/4 classes: most three-way splits leave a part single-class, even after the redraw
+            ds, _ = synth_generate(24, 12, model="logistic", active=2, coef=0.3, class_counts=(20, 4), seed=4)
+            records = mcv_run(ds, [1 / 4], R_GRID, n_reps=6, seed=1)[1 / 4].records
+
+            def split_of(rec):  # the redraw from the replication's own stream
+                rng = cv.stream(1, "partition", "mcv", rec.rep_id)
+                tune_train_test_split(ds.n, rng)
+                return tune_train_test_split(ds.n, rng)
+        else:
+            ds, _ = planted_dataset(n=60, p=8)
+            y = -np.ones(ds.n)
+            y[17] = 1.0  # only the fold that holds subject 17 out trains on one class
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                records = five_fold_cv(ds.with_response(y), [1 / 4], R_GRID, seed=3)[1 / 4].records
+            folds = kfold_partition(ds.n, 5, cv.stream(3, "partition", "kfold"))
+
+            def split_of(rec):
+                rest = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != rec.rep_id]))
+                return folds[rec.rep_id], rest, np.array([], dtype=int)
+        flagged = [rec for rec in records if rec.flagged is not None]
+        assert flagged and any(rec.flagged is None for rec in records)
+        for rec in flagged:
+            fields = dataclasses.asdict(rec)
+            assert fields.pop("flagged") == flag
+            assert fields.pop("rep_id") == rec.rep_id
+            for key, want in zip(("tune_idx", "train_idx", "test_idx"), split_of(rec)):
+                got = fields.pop(key)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            decisions = fields.pop("decisions")
+            assert decisions.dtype == np.dtype(int) and decisions.tolist() == [0] * ds.n
+            for key in ("selected", "post_model_features", "tuning_losses"):
+                assert fields.pop(key) == []
+            for key in ("tuned_r", "training_accuracy", "testing_accuracy", "max_marginal_r2"):
+                value = fields.pop(key)
+                assert type(value) is float and math.isnan(value)
+            for key in ("n_decision_train", "n_decision_test"):
+                value = fields.pop(key)
+                assert type(value) is int and value == 0
+            assert fields == {}
+
     def test_no_decisive_reps_summary_is_blank(self):
         records = []
         summary = summarize_mcv(records, 0.2)
