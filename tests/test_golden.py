@@ -12,6 +12,11 @@ mathematically tied columns reach the ranking and the selected sets.
 ``permute-mcv`` digests as ``mcv``.  The one-versus-rest ``screen`` runs
 label the same design with three classes, and the continuous ``screen`` runs
 give it a real-valued response with ties, which is ranked by row sweeps.
+Each ``svmr-fit`` run is followed by ``svmr-predict`` with its model; one
+fits all features, the other the golden ``screen`` run's ``selected.csv``,
+which lists duplicated SNPs, so the LP chooses between tied columns.
+``svmr_digest`` digests the support and the decisions exactly, and the
+objective, the intercept and the supported coefficients as floats.
 ``check.digest`` reads one ``ranking.csv`` and a trajectory, so
 ``ranking_digest`` digests each ranking and selection of a run, and the
 union ``selected.csv``, in the same form.  To re-record the golden after an
@@ -31,6 +36,7 @@ import pytest
 
 from dcovselect.cli import main
 from dcovselect.data import Dataset, emit
+from dcovselect.svm_reject import COEF_ZERO_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tied_genotypes.json"
@@ -41,6 +47,7 @@ _spec.loader.exec_module(check)
 
 DESIGN = {"seed": 11, "n": 200, "p": 400}
 D_VALUES = "1/3,1/4,1/5"
+SVMR_FIT = ["svmr-fit", "--d", "1/4", "--r", "0.1"]
 COMMANDS = {
     "screen": ["screen"],
     "cv5": ["cv5", "--method", "dcsis", "--d", D_VALUES],
@@ -52,6 +59,8 @@ COMMANDS = {
     "screen-3class-dcsis": ["screen", "--method", "dcsis"],
     "screen-continuous": ["screen"],
     "screen-continuous-dcsis": ["screen", "--method", "dcsis"],
+    "svmr-fit": SVMR_FIT,
+    "svmr-fit-selected": [*SVMR_FIT, "--features", "screen/selected.csv"],
 }
 THREE_CLASS = ("screen-3class", "screen-3class-dcsis")
 CONTINUOUS = ("screen-continuous", "screen-continuous-dcsis")
@@ -122,14 +131,48 @@ def ranking_digest(out_dir):
     return {"discrete": discrete, "floats": floats}
 
 
+def svmr_digest(out_dir, predict_dir):
+    """An ``svmr-fit`` run's support and fitted values, and the decisions of ``svmr-predict`` with its model.
+
+    The support lists the fitted ``features`` whose internal coefficient
+    exceeds ``svm_reject.COEF_ZERO_TOL`` in magnitude, as the model's
+    ``nonzero_features`` does.
+    """
+    model = json.loads((out_dir / "model.json").read_text())
+    kept = [
+        (j, coef)
+        for j, internal, coef in zip(model["features"], model["coef_internal"], model["coef"])
+        if abs(internal) > COEF_ZERO_TOL
+    ]
+    decisions = [r["decision"] for r in check._rows(predict_dir / "predictions.csv")]
+    floats = {"objective": model["objective"], "intercept": model["intercept"]}
+    floats.update((f"coef.{j}", coef) for j, coef in kept)
+    return {"discrete": {"support": [j for j, _ in kept], "decisions": check._sha(decisions)}, "floats": floats}
+
+
 def run(name, work):
-    """Write the design to ``work`` and digest the outputs of one command."""
+    """Write the design to ``work`` and digest the outputs of one command.
+
+    A ``--features`` path names a file of another run under ``work``, which
+    is made first if it is not there yet.
+    """
+    command, *flags = COMMANDS[name]
+    if "--features" in flags:
+        at = flags.index("--features") + 1
+        source = Path(flags[at]).parent.name
+        if not (work / source).exists():
+            run(source, work)
+        flags[at] = str(work / flags[at])
     data = work / "data.csv"
     ds = tied_genotypes(**DESIGN)
     emit(three_classes(ds) if name in THREE_CLASS else continuous_response(ds) if name in CONTINUOUS else ds, data)
-    command, *flags = COMMANDS[name]
     argv = [command, "--input", str(data), "--label-col", "status", *flags, "--seed", str(DESIGN["seed"])]
     assert main([*argv, "--out-dir", str(work / name)]) == 0
+    if command == "svmr-fit":
+        predicted = work / f"{name}-predict"
+        model = work / name / "model.json"
+        assert main(["svmr-predict", *argv[1:5], "--model", str(model), "--out-dir", str(predicted)]) == 0
+        return svmr_digest(work / name, predicted)
     if name in WITHOUT_TRAJECTORY:
         return ranking_digest(work / name)
     return check.digest("mcv" if command == "permute-mcv" else command, work / name)
