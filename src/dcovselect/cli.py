@@ -532,7 +532,7 @@ def cmd_cv5(args, out: Path) -> int:
     payload["selection_names"] = [f"S{i + 1}" for i in range(len(selections))] + ["ALL"]
     for tag, run in _require_runs(payload, Path(args.out_dir) / "results.json"):
         rpt.write_mcv_records(out / f"folds_d{tag}.csv", run["records"])
-    matrix, union, freq = selection_overlap(payload["selections"])
+    matrix, union = selection_overlap(payload["selections"])
     rpt.write_overlap_table(out / "overlap.csv", matrix, payload["selection_names"])
     rpt.write_json(out / "results.json", payload)
     print(
@@ -556,8 +556,8 @@ def _mcv_payload(args, ds: Dataset) -> dict:
     return payload
 
 
-def _write_mcv(args, payload: dict, out: Path) -> None:
-    """Write an mcv payload's tables into ``out``.
+def _write_mcv(args, payload: dict, out: Path) -> list[tuple[str, dict]]:
+    """Write an mcv payload's tables into ``out``; return its ``(tag, run)`` pairs, in ``--d`` order.
 
     Every table is written from the payload, by the helpers that ``report``
     applies to ``results.json``.
@@ -576,6 +576,7 @@ def _write_mcv(args, payload: dict, out: Path) -> None:
     _write_histograms(out, payload, runs)
     rpt.write_mcv_summary(out / "summary.csv", [run["summary"] for _, run in runs])
     rpt.write_json(out / "results.json", payload)
+    return runs
 
 
 def cmd_mcv(args, out: Path) -> int:
@@ -589,10 +590,9 @@ def cmd_permute_mcv(args, out: Path) -> int:
     # side-by-side check data: strongest marginal association per permuted
     # replication vs the original-label value on the full data
     original = float(marginal_rank(ds.X, ds.y.astype(float))[1].max())
-    _write_mcv(args, payload, out)
     rows = [
         (tag, rec["rep_id"], rec["max_marginal_r2"], original)
-        for tag, run in sorted(payload["runs"].items())
+        for tag, run in _write_mcv(args, payload, out)
         for rec in run["records"]
     ]
     rpt.write_csv(
@@ -613,7 +613,7 @@ def cmd_report(args, out: Path) -> int:
             selections = payload.get("selections")
             if not selections:
                 raise DataValidationError(f"{args.input}: no selections recorded for an overlap table")
-            matrix, _, _ = selection_overlap(selections)
+            matrix, _ = selection_overlap(selections)
             names = payload.get("selection_names") or [f"S{i + 1}" for i in range(len(selections))]
             rpt.write_overlap_table(out / "overlap.csv", matrix, names)
         elif kind == "mcv_summary":

@@ -15,12 +15,14 @@ distinct ``d``.  Each split is screened once, and ``five_fold_cv`` also
 screens all subjects once, for the overlap table.
 For each ``d`` its penalty grid is one ``svm_reject.fit_path`` call, which
 warm-starts HiGHS along the grid.  Splits and (split, ``d``) paths share
-one thread pool per run, on at most the usable CPUs: it screens every
-split (and, for ``five_fold_cv``, all subjects), then fits, tunes and
-scores every path, split-major (numpy releases the GIL in the screening
-kernels, HiGHS while it solves).  Only the split draws and the
-single-class warnings stay in the calling thread.  Results are gathered
-in split order, so they do not depend on the worker count.
+one thread pool per run, of one thread per usable CPU, at most one per
+job and at least one: it screens every split (and, for ``five_fold_cv``,
+all subjects), then fits, tunes and scores every path, split-major (numpy
+releases the GIL in the screening kernels, HiGHS while it solves).  Every
+host and every run takes this one path.  Only the split draws, the
+single-class warnings and the flagged splits' records stay in the
+calling thread.  Results are gathered in split order, so they do not
+depend on the worker count.
 The first failing path, in split-major order, raises, and the queued ones
 are dropped.
 
@@ -34,7 +36,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,23 +168,24 @@ class ReplicationRecord:
     ``decisions`` covers all subjects (the tuned model applied to the full
     matrix); accuracies are computed over the subjects of the respective
     split that received a definite decision, and are NaN when there were
-    none.
+    none.  The defaults are a flagged split's: no selection, NaN penalty,
+    accuracies and r², and no decisions.
     """
 
     rep_id: int
     tune_idx: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
-    selected: list[int]
-    post_model_features: list[int]
-    tuned_r: float
-    tuning_losses: list[float]
     decisions: np.ndarray
-    training_accuracy: float
-    testing_accuracy: float
-    n_decision_train: int
-    n_decision_test: int
-    max_marginal_r2: float
+    selected: list[int] = field(default_factory=list)
+    post_model_features: list[int] = field(default_factory=list)
+    tuned_r: float = math.nan
+    tuning_losses: list[float] = field(default_factory=list)
+    training_accuracy: float = math.nan
+    testing_accuracy: float = math.nan
+    n_decision_train: int = 0
+    n_decision_test: int = 0
+    max_marginal_r2: float = math.nan
     flagged: str | None = None
 
 
@@ -193,9 +196,13 @@ class FoldResult:
     ``all_subjects`` is the selection screened from every subject at once.
     """
 
-    selections: list[list[int]]
     records: list[ReplicationRecord]
     all_subjects: list[int]
+
+    @property
+    def selections(self) -> list[list[int]]:
+        """Each fold's selection, in fold order; empty for a flagged fold."""
+        return [rec.selected for rec in self.records]
 
 
 @dataclass
@@ -264,17 +271,12 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _run_map(jobs: int):
-    """``map`` for one run's jobs, on ``min(jobs, usable CPUs)`` threads.
+    """``map`` for one run's jobs, on ``min(jobs, usable CPUs)`` threads, at least one.
 
-    Results come back in job order.  With one worker it is the builtin
-    ``map`` and no thread starts.  One pool lives for the whole run; when a
+    Results come back in job order.  One pool lives for the whole run; when a
     job fails, the jobs still queued are cancelled, not run.
     """
-    workers = min(jobs, _usable_cpus())
-    if workers < 2:
-        yield map
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=max(min(jobs, _usable_cpus()), 1))
     try:
         yield pool.map
     finally:
@@ -283,7 +285,7 @@ def _run_map(jobs: int):
 
 @dataclass
 class _Split:
-    """One resample's subject sets, and why it is skipped, if it is."""
+    """One resample's subject sets, and why it is skipped, if it is; each of its records takes these fields."""
 
     rep_id: int
     tune_idx: np.ndarray
@@ -308,7 +310,8 @@ def _run_splits(
     (and, with ``screen_all``, all subjects last), then fits, tunes and
     scores the penalty path of every (split, ``d``) pair, split-major; each
     such job returns its finished record.  The calling thread gives each
-    flagged split degenerate records and groups the records by ``d``.
+    flagged split the record of its subject sets and no decisions, and
+    groups the records by ``d``.
     Returns those lists and the all-subjects screen (``None`` without
     ``screen_all``).  ``screen`` and ``fit_path`` are looked up at call
     time, so a wrapper installed on this module sees every call.
@@ -317,8 +320,6 @@ def _run_splits(
     live = [split for split in splits if split.flagged is None]
 
     def screen_rows(rows):
-        if rows is None:
-            return screen(ds.X, y, config)
         return screen(ds.X[rows], y[rows], config)
 
     def path_job(job):
@@ -326,13 +327,18 @@ def _run_splits(
         grid = fit_path(ds.X[np.ix_(split.train_idx, scr.selected)], y[split.train_idx], r_grid, params)
         return _evaluate(ds, y, split, scr, params, grid, tie)
 
-    rows = [split.train_idx for split in live] + [None] * screen_all
+    rows = [split.train_idx for split in live] + [slice(None)] * screen_all  # all subjects, as a view
     with _run_map(max(len(live) * len(grid_params), len(rows))) as run_map:
         screened = list(run_map(screen_rows, rows))
         paths = [(job, params) for job in zip(live, screened) for params in grid_params]
         finished = iter(list(run_map(path_job, paths)))
     by_split = [
-        [next(finished) if split.flagged is None else _degenerate_record(split, ds.n) for _ in grid_params]
+        [
+            next(finished)
+            if split.flagged is None
+            else ReplicationRecord(**vars(split), decisions=np.zeros(ds.n, dtype=int))
+            for _ in grid_params
+        ]
         for split in splits
     ]
     return [list(records) for records in zip(*by_split)], screened[-1] if screen_all else None
@@ -356,40 +362,17 @@ def _evaluate(
     train_acc, n_train_dec = _accuracy_over_decided(decisions[split.train_idx], y[split.train_idx])
     test_acc, n_test_dec = _accuracy_over_decided(decisions[split.test_idx], y[split.test_idx])
     return ReplicationRecord(
-        rep_id=split.rep_id,
-        tune_idx=split.tune_idx,
-        train_idx=split.train_idx,
-        test_idx=split.test_idx,
+        **vars(split),
+        decisions=decisions,
         selected=list(selected),
         post_model_features=[selected[j] for j in model.nonzero_features],
         tuned_r=model.r,
         tuning_losses=losses,
-        decisions=decisions,
         training_accuracy=train_acc,
         testing_accuracy=test_acc,
         n_decision_train=n_train_dec,
         n_decision_test=n_test_dec,
         max_marginal_r2=float(scr.marginal_r2.max()),
-    )
-
-
-def _degenerate_record(split: _Split, n: int) -> ReplicationRecord:
-    return ReplicationRecord(
-        rep_id=split.rep_id,
-        tune_idx=split.tune_idx,
-        train_idx=split.train_idx,
-        test_idx=split.test_idx,
-        selected=[],
-        post_model_features=[],
-        tuned_r=float("nan"),
-        tuning_losses=[],
-        decisions=np.zeros(n, dtype=int),
-        training_accuracy=float("nan"),
-        testing_accuracy=float("nan"),
-        n_decision_train=0,
-        n_decision_test=0,
-        max_marginal_r2=float("nan"),
-        flagged=split.flagged,
     )
 
 
@@ -460,17 +443,15 @@ def five_fold_cv(
             split.flagged = "single_class_train"
         splits.append(split)
     records, full = _run_splits(ds, splits, grid_params, r_grid, config, "smallest", screen_all=True)
-    selections = [rec.selected for rec in records[0]]  # one screen per fold serves every d
-    return {params.d: FoldResult(selections, recs, full.selected) for params, recs in zip(grid_params, records)}
+    return {params.d: FoldResult(recs, full.selected) for params, recs in zip(grid_params, records)}
 
 
-def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Pairwise intersection counts plus per-feature frequencies.
+def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int]]:
+    """Pairwise intersection counts and the union of the selections.
 
-    Returns ``(matrix, union, frequencies)`` where ``matrix[i][j]`` counts
-    the intersection of selections i and j (diagonal = set sizes), ``union``
-    is the sorted union, and ``frequencies[k]`` counts how many selections
-    contain ``union[k]``.
+    Returns ``(matrix, union)`` where ``matrix[i][j]`` counts the
+    intersection of selections i and j (diagonal = set sizes) and ``union``
+    is the sorted union.
     """
     if not selections:
         raise ValueError("need at least one selection")
@@ -480,9 +461,7 @@ def selection_overlap(selections: list[list[int]]) -> tuple[np.ndarray, list[int
     for i in range(k):
         for j in range(k):
             matrix[i, j] = len(sets[i] & sets[j])
-    union = sorted(set().union(*sets))
-    freq = np.array([sum(f in s for s in sets) for f in union], dtype=int)
-    return matrix, union, freq
+    return matrix, sorted(set().union(*sets))
 
 
 # ---------------------------------------------------------------------------

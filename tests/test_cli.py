@@ -655,9 +655,10 @@ class TestPipelines:
         assert run("permute-mcv", *data, "--d", "1/3,1/4", "--reps", "2", "--seed", "4", "--out-dir", str(out)) == 0
         assert run("screen", *data, "--out-dir", str(tmp_path / "scr")) == 0
         original = json.loads(read(tmp_path / "scr" / "results.json"))["max_marginal_r2"]
-        runs = json.loads(read(out / "results.json"))["runs"]
-        want = [(tag, rec["rep_id"], rec["max_marginal_r2"]) for tag in sorted(runs) for rec in runs[tag]["records"]]
-        assert [tag for tag, _, _ in want] == ["0.25", "0.25", "0.333333", "0.333333"]
+        results = json.loads(read(out / "results.json"))
+        tags = [f"{d:.6g}" for d in results["d_values"]]  # --d order, as every other table of the run
+        want = [(tag, rec["rep_id"], rec["max_marginal_r2"]) for tag in tags for rec in results["runs"][tag]["records"]]
+        assert [tag for tag, _, _ in want] == ["0.333333", "0.333333", "0.25", "0.25"]
         rows = [line.split(",") for line in read(out / "max_dcor_compare.csv").strip().splitlines()[1:]]
         assert [(tag, int(rep), float(permuted)) for tag, rep, permuted, _ in rows] == want
         assert [float(row[3]) for row in rows] == [original] * len(want)

@@ -149,20 +149,19 @@ class TestFiveFold:
 
 class TestSelectionOverlap:
     def test_identical_sets(self):
-        matrix, union, freq = selection_overlap([[1, 2, 3], [1, 2, 3]])
+        matrix, union = selection_overlap([[1, 2, 3], [1, 2, 3]])
         assert np.array_equal(matrix, [[3, 3], [3, 3]])
         assert union == [1, 2, 3]
-        assert np.array_equal(freq, [2, 2, 2])
 
     def test_disjoint_sets(self):
-        matrix, _, _ = selection_overlap([[1, 2], [3, 4]])
-        assert matrix[0, 1] == 0
+        matrix, union = selection_overlap([[1, 2], [3, 4]])
+        assert np.array_equal(matrix, [[2, 0], [0, 2]])
+        assert union == [1, 2, 3, 4]
 
     def test_partial_overlap(self):
-        matrix, union, freq = selection_overlap([[1, 2, 3], [2, 3, 4]])
-        assert matrix[0, 1] == 2
+        matrix, union = selection_overlap([[1, 2, 3], [2, 3, 4], []])
+        assert np.array_equal(matrix, [[3, 2, 0], [2, 3, 0], [0, 0, 0]])
         assert union == [1, 2, 3, 4]
-        assert np.array_equal(freq, [1, 2, 2, 1])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -315,11 +314,42 @@ class TestLpGrid:
                 assert mcv_n == mcv_1
                 assert folds_n == folds_1
 
-    @pytest.mark.parametrize("jobs, cpus", [(1, 2), (5, 1), (0, 2)])
-    def test_fewer_than_two_workers_start_no_thread(self, monkeypatch, jobs, cpus):
-        monkeypatch.setattr(cv, "_usable_cpus", lambda: cpus)
-        with cv._run_map(jobs) as run_map:
-            assert run_map is map
+    def test_one_worker_and_two_give_equal_records(self, monkeypatch):
+        # one usable CPU runs every job on one pool thread, none in the calling thread;
+        # flagged splits, and a run whose splits are all flagged (no job), are among the runs
+        threads = []
+        real_screen = cv.screen
+
+        def screen_on(x, y, config):
+            threads[-1].add(threading.get_ident())
+            return real_screen(x, y, config)
+
+        rare, _ = synth_generate(24, 12, model="logistic", active=2, coef=0.3, class_counts=(20, 4), seed=4)
+        lone, _ = synth_generate(24, 12, model="logistic", active=2, coef=0.3, class_counts=(1, 23), seed=4)
+        runs = (
+            lambda: mcv_run(rare, [1 / 3, 1 / 4], R_GRID, n_reps=6, seed=1),
+            lambda: five_fold_cv(lone, [1 / 3, 1 / 4], R_GRID, seed=1),
+            lambda: mcv_run(lone, [1 / 4], R_GRID, n_reps=3, seed=1),
+        )
+        monkeypatch.setattr(cv, "screen", screen_on)
+        by_workers = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cv, "_usable_cpus", lambda cpus=cpus: cpus)
+            results = []
+            for call in runs:
+                threads.append(set())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    results.append(call())
+            by_workers[cpus] = raw(results)
+        for screened_on in threads[: len(runs) - 1]:  # with one CPU; the last run screens nothing
+            assert len(screened_on) == 1 and threading.get_ident() not in screened_on
+        assert threads[len(runs) - 1] == set()
+        assert by_workers[1] == by_workers[2]
+        flags = [[rec.flagged for result in run.values() for rec in result.records] for run in results]
+        assert "single_class_split" in flags[0] and None in flags[0]
+        assert "single_class_train" in flags[1] and None in flags[1]
+        assert set(flags[2]) == {"single_class_split"}
 
     def test_one_d_screens_and_fits_on_pool_threads(self, monkeypatch):
         ds, _ = planted_dataset(n=120, p=15)
@@ -448,12 +478,11 @@ class TestLpGrid:
             assert isinstance(error, SolverError)
             # the first failing path in split-major order: split 0, d = 1/4
             assert f"rows {rows(ds.y[train_idx])}]" in str(error)
-            jobs = splits * len(self.D_VALUES)
+            # queued paths are cancelled, not solved
+            assert len(started) < splits * len(self.D_VALUES)
             if cpus == 1:
-                assert started == self.D_VALUES[:2]
-            else:
-                # queued paths are cancelled, not solved
-                assert len(started) < jobs
+                # the one pool thread runs the paths in order, and may take one past the failure
+                assert started[:2] == self.D_VALUES[:2] and len(started) <= 3
 
 
 def tied_genotypes(seed, n=200, p=150, coef=1.5, constant=20):
